@@ -131,21 +131,16 @@ void DbfStarAggregate::insert(const SporadicTask& task) {
   const auto pos =
       std::upper_bound(deadlines_.begin(), deadlines_.end(), task.deadline);
   const auto idx = static_cast<std::size_t>(pos - deadlines_.begin());
+  const auto p = static_cast<std::ptrdiff_t>(idx);
   deadlines_.insert(pos, task.deadline);
-  u_.insert(u_.begin() + static_cast<std::ptrdiff_t>(idx),
-            make_ratio(task.wcet, task.period));
-  // C·D can exceed int64 for extreme parameters; form it as a BigInt product.
-  ud_.insert(ud_.begin() + static_cast<std::ptrdiff_t>(idx),
-             BigRational(BigInt(task.wcet) * BigInt(task.deadline),
-                         BigInt(task.period)));
-  vol_.insert(vol_.begin() + static_cast<std::ptrdiff_t>(idx), task.wcet);
+  vol_.insert(vol_.begin() + p, task.wcet);
+  period_.insert(period_.begin() + p, task.period);
 
   const simd::DbfCand term =
       simd::dbf_affine_term(task.wcet, task.deadline, task.period);
-  term_a_.insert(term_a_.begin() + static_cast<std::ptrdiff_t>(idx), term.a);
-  term_b_.insert(term_b_.begin() + static_cast<std::ptrdiff_t>(idx), term.b);
-  term_mag_.insert(term_mag_.begin() + static_cast<std::ptrdiff_t>(idx),
-                   term.mag);
+  term_a_.insert(term_a_.begin() + p, term.a);
+  term_b_.insert(term_b_.begin() + p, term.b);
+  term_mag_.insert(term_mag_.begin() + p, term.mag);
 
   refresh_prefixes_from(idx);
 
@@ -166,7 +161,7 @@ void DbfStarAggregate::remove(const SporadicTask& task) {
   std::size_t idx = static_cast<std::size_t>(lo - deadlines_.begin());
   bool found = false;
   for (; idx < deadlines_.size() && deadlines_[idx] == task.deadline; ++idx) {
-    if (vol_[idx] == task.wcet && u_[idx] == make_ratio(task.wcet, task.period)) {
+    if (vol_[idx] == task.wcet && period_[idx] == task.period) {
       found = true;
       break;
     }
@@ -175,16 +170,12 @@ void DbfStarAggregate::remove(const SporadicTask& task) {
 
   const auto p = static_cast<std::ptrdiff_t>(idx);
   deadlines_.erase(deadlines_.begin() + p);
-  u_.erase(u_.begin() + p);
-  ud_.erase(ud_.begin() + p);
   vol_.erase(vol_.begin() + p);
+  period_.erase(period_.begin() + p);
   term_a_.erase(term_a_.begin() + p);
   term_b_.erase(term_b_.begin() + p);
   term_mag_.erase(term_mag_.begin() + p);
 
-  prefix_vol_.resize(deadlines_.size());
-  prefix_u_.resize(deadlines_.size());
-  prefix_ud_.resize(deadlines_.size());
   refresh_prefixes_from(idx);
 
   // Drop the deadline from the breakpoint list when its last holder left.
@@ -199,30 +190,46 @@ void DbfStarAggregate::remove(const SporadicTask& task) {
 }
 
 void DbfStarAggregate::refresh_prefixes_from(std::size_t idx) {
-  prefix_vol_.resize(deadlines_.size());
-  prefix_u_.resize(deadlines_.size());
-  prefix_ud_.resize(deadlines_.size());
+  // Exact entries from idx on folded over the old member at that index (or
+  // a shifted one); drop them so the next read refolds from the new arrays.
+  if (prefix_vol_.size() > idx) {
+    prefix_vol_.resize(idx);
+    prefix_u_.resize(idx);
+    prefix_ud_.resize(idx);
+  }
   pfx_a_.resize(deadlines_.size());
   pfx_b_.resize(deadlines_.size());
   pfx_mag_.resize(deadlines_.size());
   for (std::size_t i = idx; i < deadlines_.size(); ++i) {
     if (i == 0) {
-      prefix_vol_[i] = BigRational(vol_[i]);
-      prefix_u_[i] = u_[i];
-      prefix_ud_[i] = ud_[i];
       pfx_a_[i] = term_a_[i];
       pfx_b_[i] = term_b_[i];
       pfx_mag_[i] = term_mag_[i];
     } else {
-      prefix_vol_[i] = prefix_vol_[i - 1] + BigRational(vol_[i]);
-      prefix_u_[i] = prefix_u_[i - 1] + u_[i];
-      prefix_ud_[i] = prefix_ud_[i - 1] + ud_[i];
       // Single IEEE additions — deterministic in every TU, so the mirrors are
       // a pure function of the member arrays and rollback restores them bit
-      // for bit, like the rationals above.
+      // for bit, like the exact fold.
       pfx_a_[i] = pfx_a_[i - 1] + term_a_[i];
       pfx_b_[i] = pfx_b_[i - 1] + term_b_[i];
       pfx_mag_[i] = pfx_mag_[i - 1] + term_mag_[i];
+    }
+  }
+}
+
+void DbfStarAggregate::fold_exact_to(std::size_t k) const {
+  for (std::size_t i = prefix_vol_.size(); i <= k; ++i) {
+    const BigRational u = make_ratio(vol_[i], period_[i]);
+    // C·D can exceed int64 for extreme parameters: form it in BigInt.
+    const BigRational ud(BigInt(vol_[i]) * BigInt(deadlines_[i]),
+                         BigInt(period_[i]));
+    if (i == 0) {
+      prefix_vol_.emplace_back(vol_[i]);
+      prefix_u_.push_back(u);
+      prefix_ud_.push_back(ud);
+    } else {
+      prefix_vol_.push_back(prefix_vol_[i - 1] + BigRational(vol_[i]));
+      prefix_u_.push_back(prefix_u_[i - 1] + u);
+      prefix_ud_.push_back(prefix_ud_[i - 1] + ud);
     }
   }
 }
@@ -264,6 +271,7 @@ BigRational DbfStarAggregate::sum_at_uncounted(Time t) const {
   const auto pos = std::upper_bound(deadlines_.begin(), deadlines_.end(), t);
   if (pos == deadlines_.begin()) return BigRational(0);
   const auto k = static_cast<std::size_t>(pos - deadlines_.begin()) - 1;
+  fold_exact_to(k);
   return prefix_vol_[k] + prefix_u_[k] * BigRational(t) - prefix_ud_[k];
 }
 

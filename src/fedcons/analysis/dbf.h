@@ -63,13 +63,27 @@ namespace fedcons {
 /// Incrementally maintained Σ_j DBF*(τ_j, t) over a growing task set — the
 /// per-bin cache behind PARTITION's incremental acceptance probes.
 ///
-/// Members are kept sorted by deadline with exact inclusive prefix sums of
+/// Members are kept sorted by deadline (ties in insertion order) as integer
+/// (C_j, D_j, T_j) arrays. The exact view is the inclusive prefix fold of
 /// (C_j, C_j/T_j, C_j·D_j/T_j), so one evaluation is
 ///     Σ_{D_j ≤ t} (C_j + u_j·(t − D_j)) = Σvol + (Σu)·t − Σ(u·D)
 /// over the prefix with D_j ≤ t: O(log n) lookup plus O(1) rational ops
 /// instead of an O(n) per-member sum, and — all arithmetic being exact —
 /// equal as a rational to the term-wise sum, so every comparison made
 /// against it decides identically (pinned by the partition tests).
+///
+/// The exact prefixes are a cache of that canonical left fold
+///     prefix[0] = term[0],  prefix[i] = prefix[i-1] + term[i],
+/// filled on demand: sum_at / sum_at_uncounted extend it up to the index
+/// they read, and insert / remove cut it back to the first member whose
+/// index changed. PARTITION decides almost every probe on the double mirrors
+/// below, so most aggregates never build a single rational. Because each
+/// entry is a pure function of the member arrays before it, a read returns
+/// the same representation whatever history produced those arrays.
+///
+/// Reads fill the cache, so const methods mutate it: one aggregate must not
+/// be read from two threads at once (PartitionState and AdmissionSession
+/// already have a single toucher).
 ///
 /// Counter contract: sum_at credits one dbf_star_evaluations per member,
 /// exactly what the per-member dbf_approx loop it replaces would have
@@ -79,34 +93,38 @@ namespace fedcons {
 /// the same limb-growth bound as the transient per-probe sums (rational.h
 /// design note), so long-lived storage does not compound.
 ///
-/// Alongside the exact prefixes the aggregate maintains double-precision SoA
-/// mirrors for the certified probe kernel (simd/dbf_kernel.h): per member the
-/// affine DBF* term (a_j = C_j − u_j·D_j, b_j = u_j) and a magnitude bound,
-/// folded by the identical canonical left fold (so rollback restores the
-/// exact double representations too), then gathered per distinct deadline.
-/// Members whose parameters exceed the kernel's validated range poison their
-/// magnitude prefix with +inf, which forces every affected lane onto the
-/// exact rational fallback — the mirrors can accelerate decisions but never
+/// Alongside the integer members the aggregate maintains double-precision
+/// SoA mirrors for the certified probe kernel (simd/dbf_kernel.h), updated
+/// on every insert and remove: per member the affine DBF* term
+/// (a_j = C_j − u_j·D_j, b_j = u_j) and a magnitude bound, folded by the
+/// same canonical left fold (so rollback restores the exact double
+/// representations too), then gathered per distinct deadline. Members whose
+/// parameters exceed the kernel's validated range poison their magnitude
+/// prefix with +inf, which forces every affected lane onto the exact
+/// rational fallback — the mirrors can accelerate decisions but never
 /// change one.
 class DbfStarAggregate {
  public:
-  /// Add one member. O(size) worst case (suffix prefix refresh); PARTITION
-  /// performs one insert per placement vs. many sum_at probes.
+  /// Add one member. O(size) double and integer work worst case (suffix
+  /// mirror refresh); no rational is built. PARTITION performs one insert
+  /// per placement vs. many probes.
   void insert(const SporadicTask& task);
 
   /// Remove one member matching (C, D, T) exactly — the rollback behind
   /// online task departure (online/admission_session.h). Precondition: such
   /// a member is present (ContractViolation otherwise).
   ///
-  /// Rollback is exact to the bit, not merely to the value: the suffix
-  /// prefix sums are refreshed by the identical left-to-right fold insert
-  /// uses, so after remove every stored rational has the same representation
+  /// Rollback is exact to the bit, not merely to the value: the member
+  /// arrays return to what they were before the insert, and every stored
+  /// value (the double mirrors now, the exact prefixes when next read) is
+  /// the canonical fold over those arrays, so it has the same representation
   /// it would have had if the member had never been inserted (pinned by the
-  /// partition_state rollback property test). Subtracting from the prefix
+  /// partition_state rollback property tests). Subtracting from the prefix
   /// sums instead would be value-equal but could normalize differently.
   void remove(const SporadicTask& task);
 
-  /// Σ_j DBF*(τ_j, t) over all members, exactly.
+  /// Σ_j DBF*(τ_j, t) over all members, exactly. Extends the exact prefix
+  /// cache up to the last member with D_j ≤ t.
   [[nodiscard]] BigRational sum_at(Time t) const;
 
   /// sum_at without the counter credit — the exact fallback of the certified
@@ -139,24 +157,26 @@ class DbfStarAggregate {
   }
 
  private:
-  /// Recompute prefix sums for indices [idx, size) by the canonical fold
-  /// prefix[i] = prefix[i-1] + term[i] — shared by insert and remove so both
-  /// histories land on identical representations. Folds the exact rationals
-  /// and the double mirrors in one pass.
+  /// Recompute the double prefix mirrors for indices [idx, size) by the
+  /// canonical fold and cut the exact prefix cache back to idx — shared by
+  /// insert and remove so both histories land on identical representations.
   void refresh_prefixes_from(std::size_t idx);
+
+  /// Extend the exact prefix cache to cover indices [0, k].
+  void fold_exact_to(std::size_t k) const;
 
   /// Regather the distinct-deadline SoA views from the member prefixes.
   void rebuild_soa();
 
-  // Parallel arrays, sorted by deadline (ties keep insertion order).
+  // Parallel member arrays, sorted by deadline (ties keep insertion order).
   std::vector<Time> deadlines_;
-  std::vector<BigRational> u_;    ///< per member: C_j/T_j
-  std::vector<BigRational> ud_;   ///< per member: C_j·D_j/T_j
-  std::vector<Time> vol_;         ///< per member: C_j
-  // Inclusive prefix sums over the arrays above.
-  std::vector<BigRational> prefix_vol_;
-  std::vector<BigRational> prefix_u_;
-  std::vector<BigRational> prefix_ud_;
+  std::vector<Time> vol_;     ///< per member: C_j
+  std::vector<Time> period_;  ///< per member: T_j
+  // Exact inclusive prefix sums of (C_j, C_j/T_j, C_j·D_j/T_j), valid for
+  // indices [0, prefix_vol_.size()); extended by fold_exact_to.
+  mutable std::vector<BigRational> prefix_vol_;
+  mutable std::vector<BigRational> prefix_u_;
+  mutable std::vector<BigRational> prefix_ud_;
   std::vector<Time> distinct_deadlines_;
   // Double mirrors: per-member affine terms (simd::dbf_affine_term) and their
   // inclusive left folds, then one gathered entry per distinct deadline.

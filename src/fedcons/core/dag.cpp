@@ -56,6 +56,7 @@ bool Dag::has_edge(VertexId from, VertexId to) const {
 
 void Dag::invalidate() noexcept {
   analyzed_ = false;
+  levels_built_ = false;
   topo_.clear();
   bottom_.clear();
   top_.clear();
@@ -66,26 +67,58 @@ void Dag::invalidate() noexcept {
 }
 
 bool Dag::is_acyclic() const {
-  if (analyzed_) return true;
-  // Kahn's algorithm without committing results.
+  return analyzed_ || any_topological_order().size() == wcet_.size();
+}
+
+std::vector<VertexId> Dag::any_topological_order() const {
+  // Kahn's algorithm with a stack: cheaper than the deterministic min-id
+  // order, and enough wherever the result does not depend on the order.
   std::vector<std::size_t> indeg(wcet_.size());
-  for (std::size_t v = 0; v < wcet_.size(); ++v) indeg[v] = pred_[v].size();
   std::vector<VertexId> stack;
-  for (std::size_t v = 0; v < wcet_.size(); ++v)
+  for (std::size_t v = 0; v < wcet_.size(); ++v) {
+    indeg[v] = pred_[v].size();
     if (indeg[v] == 0) stack.push_back(static_cast<VertexId>(v));
-  std::size_t seen = 0;
+  }
+  std::vector<VertexId> order;
+  order.reserve(wcet_.size());
   while (!stack.empty()) {
-    VertexId v = stack.back();
+    const VertexId v = stack.back();
     stack.pop_back();
-    ++seen;
+    order.push_back(v);
     for (VertexId w : succ_[v])
       if (--indeg[w] == 0) stack.push_back(w);
   }
-  return seen == wcet_.size();
+  return order;
 }
 
 void Dag::ensure_analyzed() const {
   if (analyzed_) return;
+  const std::size_t n = wcet_.size();
+
+  // vol and len do not depend on which topological order is walked; the
+  // order and the top levels are transient (ensure_levels stores the
+  // deterministic order and both level arrays when a query needs them).
+  const std::vector<VertexId> order = any_topological_order();
+  FEDCONS_EXPECTS_MSG(order.size() == n, "graph contains a cycle");
+
+  vol_ = 0;
+  for (Time e : wcet_) vol_ = checked_add(vol_, e);
+
+  std::vector<Time> top(n, 0);
+  len_ = 0;
+  for (VertexId v : order) {
+    Time best = 0;
+    for (VertexId p : pred_[v]) best = std::max(best, top[p]);
+    top[v] = checked_add(best, wcet_[v]);
+    len_ = std::max(len_, top[v]);
+  }
+
+  analyzed_ = true;
+}
+
+void Dag::ensure_levels() const {
+  if (levels_built_) return;
+  ensure_analyzed();  // throws on a cycle before anything is stored
   const std::size_t n = wcet_.size();
 
   // Deterministic Kahn: min-id among ready vertices first.
@@ -104,10 +137,6 @@ void Dag::ensure_analyzed() const {
     for (VertexId w : succ_[v])
       if (--indeg[w] == 0) ready.push(w);
   }
-  FEDCONS_EXPECTS_MSG(topo_.size() == n, "graph contains a cycle");
-
-  vol_ = 0;
-  for (Time e : wcet_) vol_ = checked_add(vol_, e);
 
   // top level: forward pass in topo order.
   top_.assign(n, 0);
@@ -124,15 +153,13 @@ void Dag::ensure_analyzed() const {
     for (VertexId s : succ_[v]) best = std::max(best, bottom_[s]);
     bottom_[v] = checked_add(best, wcet_[v]);
   }
-  len_ = 0;
-  for (std::size_t v = 0; v < n; ++v) len_ = std::max(len_, top_[v]);
 
-  analyzed_ = true;
+  levels_built_ = true;
 }
 
 void Dag::ensure_reduced() const {
   if (reduced_built_) return;
-  ensure_analyzed();
+  ensure_levels();
   const std::size_t n = wcet_.size();
   if (n > kMaxReductionVertices) {
     reduced_trivial_ = true;
@@ -181,7 +208,7 @@ std::span<const VertexId> Dag::reduced_successors(VertexId v) const {
 }
 
 const std::vector<VertexId>& Dag::topological_order() const {
-  ensure_analyzed();
+  ensure_levels();
   return topo_;
 }
 
@@ -197,19 +224,19 @@ Time Dag::len() const {
 
 Time Dag::bottom_level(VertexId v) const {
   FEDCONS_EXPECTS(v < wcet_.size());
-  ensure_analyzed();
+  ensure_levels();
   return bottom_[v];
 }
 
 Time Dag::top_level(VertexId v) const {
   FEDCONS_EXPECTS(v < wcet_.size());
-  ensure_analyzed();
+  ensure_levels();
   return top_[v];
 }
 
 std::vector<VertexId> Dag::critical_path() const {
   FEDCONS_EXPECTS(!empty());
-  ensure_analyzed();
+  ensure_levels();
   // Start from a source with maximal bottom level, then greedily follow the
   // successor whose bottom level equals the remainder.
   VertexId cur = 0;
@@ -262,7 +289,7 @@ bool Dag::reaches(VertexId from, VertexId to) const {
 }
 
 std::vector<std::vector<bool>> Dag::transitive_closure() const {
-  ensure_analyzed();
+  ensure_levels();
   const std::size_t n = wcet_.size();
   std::vector<std::vector<bool>> reach(n, std::vector<bool>(n, false));
   // Process in reverse topological order: reach[v] = union of successors.

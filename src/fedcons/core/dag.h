@@ -37,6 +37,10 @@ using VertexId = std::uint32_t;
 /// structure is validated lazily: acyclicity is established the first time a
 /// derived query runs and is a precondition of all of them (a cycle throws
 /// ContractViolation). Self-loops and duplicate edges are rejected eagerly.
+///
+/// Derived results are cached on first use, so const queries mutate the
+/// cache: one Dag must not be queried from two threads at once (the engine
+/// gives each trial its own generated system; sessions have one toucher).
 class Dag {
  public:
   Dag() = default;
@@ -67,7 +71,8 @@ class Dag {
   [[nodiscard]] bool is_acyclic() const;
 
   /// Deterministic topological order (Kahn's algorithm; smallest vertex id
-  /// first among ready vertices). Precondition: acyclic.
+  /// first among ready vertices). Built and cached with the level arrays on
+  /// first use. Precondition: acyclic.
   [[nodiscard]] const std::vector<VertexId>& topological_order() const;
 
   /// vol: total WCET of one dag-job (Σ e_v). O(|V|), cached.
@@ -97,7 +102,8 @@ class Dag {
   /// the reduced relation verbatim, because the witnessing intermediate
   /// vertex finishes no earlier than u and therefore binds w's ready instant
   /// at least as tightly. Built lazily in O(|E|·|V|/64) via reachability
-  /// bitsets and cached like the level arrays; beyond
+  /// bitsets over the cached topological order (so the first call also
+  /// builds the level arrays) and cached like them; beyond
   /// kMaxReductionVertices the bitset build is skipped and the original
   /// successor lists are returned (a sound over-approximation).
   /// Precondition: acyclic.
@@ -118,9 +124,18 @@ class Dag {
   static constexpr std::size_t kMaxReductionVertices = 4096;
 
  private:
-  void ensure_analyzed() const;  // topo order + levels; throws on a cycle
-  void ensure_reduced() const;   // transitive reduction; throws on a cycle
+  /// Cycle check + vol + len, storing nothing per vertex: most tasks (every
+  /// low-density one) never ask for more. Throws on a cycle.
+  void ensure_analyzed() const;
+  /// Deterministic topo order + top/bottom level arrays, built on the first
+  /// query that reads them (topological_order, top/bottom_level,
+  /// critical_path, transitive_closure, ensure_reduced). Throws on a cycle.
+  void ensure_levels() const;
+  void ensure_reduced() const;  // transitive reduction; throws on a cycle
   void invalidate() noexcept;
+  /// Some topological order (stack-based Kahn); shorter than num_vertices()
+  /// iff the graph has a cycle. Never throws.
+  [[nodiscard]] std::vector<VertexId> any_topological_order() const;
   [[nodiscard]] std::vector<std::vector<bool>> transitive_closure() const;
 
   std::vector<Time> wcet_;
@@ -128,13 +143,15 @@ class Dag {
   std::vector<std::vector<VertexId>> pred_;
   std::size_t num_edges_ = 0;
 
-  // Lazily computed analysis results (cleared by mutation).
+  // Lazily computed analysis results (cleared by mutation): vol/len from
+  // ensure_analyzed, the per-vertex arrays from ensure_levels.
   mutable bool analyzed_ = false;
+  mutable Time vol_ = 0;
+  mutable Time len_ = 0;
+  mutable bool levels_built_ = false;
   mutable std::vector<VertexId> topo_;
   mutable std::vector<Time> bottom_;
   mutable std::vector<Time> top_;
-  mutable Time vol_ = 0;
-  mutable Time len_ = 0;
 
   // Cached transitive reduction (CSR layout). reduced_trivial_ marks the
   // size-gated case where the reduction is defined as the original lists.

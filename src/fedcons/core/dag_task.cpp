@@ -28,6 +28,10 @@ DagTask::DagTask(Dag graph, Time deadline, Time period, std::string name)
   FEDCONS_EXPECTS_MSG(period_ >= 1, "period must be positive");
   vol_ = graph_.vol();
   len_ = graph_.len();
+  // MINPROCS and the online DAG hash read a high-density graph's level
+  // arrays: build them once here, so every copy (one per online admission
+  // of registered content) carries them instead of rebuilding them.
+  if (is_high_density()) (void)graph_.topological_order();
 }
 
 DagTask DagTask::scaled_by_speed(double s) const {

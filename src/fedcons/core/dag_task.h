@@ -42,7 +42,9 @@ class DagTask {
 
   /// vol_i and len_i are computed once at construction (the graph is
   /// immutable from then on) so the MINPROCS scan and the classification
-  /// predicates below are branch-free O(1) lookups.
+  /// predicates below are branch-free O(1) lookups. High-density tasks also
+  /// get the graph's level arrays built then (Dag::topological_order), since
+  /// MINPROCS and the online DAG hash read them; low-density tasks never do.
   [[nodiscard]] Time vol() const noexcept { return vol_; }
   [[nodiscard]] Time len() const noexcept { return len_; }
 

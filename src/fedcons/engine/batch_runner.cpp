@@ -51,6 +51,8 @@ struct BatchRunner::Impl {
   void worker_loop() {
     std::uint64_t seen_generation = 0;
     for (;;) {
+      const std::function<void(std::size_t)>* fn = nullptr;
+      std::size_t size = 0;
       {
         std::unique_lock<std::mutex> lock(mutex);
         work_ready.wait(lock, [&] {
@@ -58,9 +60,16 @@ struct BatchRunner::Impl {
         });
         if (stop) return;
         seen_generation = generation;
+        // A worker that wakes after parallel_for has already returned finds
+        // the batch closed: every index ran, so there is nothing to join.
+        // Reading the batch outside this critical section would let it see
+        // the reset size, then steal (and drop) an index of the next batch.
+        if (batch_fn == nullptr) continue;
+        fn = batch_fn;
+        size = batch_size;
         ++active;
       }
-      drain();
+      drain(*fn, size);
       {
         std::lock_guard<std::mutex> lock(mutex);
         --active;
@@ -69,15 +78,16 @@ struct BatchRunner::Impl {
     }
   }
 
-  /// Pull indices until the current batch is exhausted.
-  void drain() {
-    const std::size_t limit = batch_size;
+  /// Pull indices until the batch (fn over [0, limit)) is exhausted. The
+  /// caller captured fn and limit while the batch was open and counted
+  /// itself active, so the batch cannot close or be replaced meanwhile.
+  void drain(const std::function<void(std::size_t)>& fn, std::size_t limit) {
     for (;;) {
       const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
       if (i >= limit) break;
       try {
         FEDCONS_SPAN_V("engine", "trial", "index", i);
-        (*batch_fn)(i);
+        fn(i);
       } catch (...) {
         std::lock_guard<std::mutex> lock(mutex);
         if (!error) error = std::current_exception();
@@ -123,7 +133,7 @@ void BatchRunner::parallel_for(std::size_t n,
     ++im.generation;
   }
   im.work_ready.notify_all();
-  im.drain();  // the calling thread works too
+  im.drain(fn, n);  // the calling thread works too
   std::exception_ptr error;
   {
     std::unique_lock<std::mutex> lock(im.mutex);

@@ -297,11 +297,8 @@ void PartitionState::insert(int bin, std::size_t id, const SporadicTask& t) {
   Bin& b = bins_[static_cast<std::size_t>(bin)];
   b.ids.push_back(id);
   b.tasks.push_back(t);
-  // Extend the canonical left fold: prefix[i] = prefix[i-1] += u_i, exactly
-  // the accumulation sequence the batch loop performs.
-  BigRational acc = b.util_prefix.empty() ? kZeroUtil : b.util_prefix.back();
-  acc += t.utilization();
-  b.util_prefix.push_back(std::move(acc));
+  // Appending leaves every cached exact prefix entry valid; the new one is
+  // folded when bin_utilization() next reads the total.
   b.util_prefix_d.push_back(
       (b.util_prefix_d.empty() ? 0.0 : b.util_prefix_d.back()) +
       simd::util_term(t.wcet, t.period));
@@ -325,14 +322,12 @@ void PartitionState::remove(int bin, std::size_t id) {
   const SporadicTask departed = b.tasks[idx];
   b.ids.erase(b.ids.begin() + static_cast<std::ptrdiff_t>(idx));
   b.tasks.erase(b.tasks.begin() + static_cast<std::ptrdiff_t>(idx));
-  // Refold the utilization prefix from the removal point with the identical
-  // left-to-right accumulation, so representations match a fresh build.
-  b.util_prefix.resize(b.tasks.size());
+  // Cut the exact fold back to the removal point (bin_utilization refolds
+  // it with the identical left-to-right accumulation, so representations
+  // match a fresh build) and refold the double mirror from there.
+  if (b.util_prefix.size() > idx) b.util_prefix.resize(idx);
   b.util_prefix_d.resize(b.tasks.size());
   for (std::size_t j = idx; j < b.tasks.size(); ++j) {
-    BigRational acc = j == 0 ? kZeroUtil : b.util_prefix[j - 1];
-    acc += b.tasks[j].utilization();
-    b.util_prefix[j] = std::move(acc);
     b.util_prefix_d[j] =
         (j == 0 ? 0.0 : b.util_prefix_d[j - 1]) +
         simd::util_term(b.tasks[j].wcet, b.tasks[j].period);
@@ -348,7 +343,15 @@ const std::vector<std::size_t>& PartitionState::bin_ids(int k) const {
 const BigRational& PartitionState::bin_utilization(int k) const {
   FEDCONS_EXPECTS(k >= 0 && k < num_bins());
   const Bin& b = bins_[static_cast<std::size_t>(k)];
-  return b.util_prefix.empty() ? kZeroUtil : b.util_prefix.back();
+  if (b.tasks.empty()) return kZeroUtil;
+  // Extend the canonical left fold prefix[j] = prefix[j-1] + u_j (from 0/1),
+  // exactly the accumulation sequence the batch loop performs.
+  for (std::size_t j = b.util_prefix.size(); j < b.tasks.size(); ++j) {
+    BigRational acc = j == 0 ? kZeroUtil : b.util_prefix[j - 1];
+    acc += b.tasks[j].utilization();
+    b.util_prefix.push_back(std::move(acc));
+  }
+  return b.util_prefix.back();
 }
 
 const DbfStarAggregate& PartitionState::bin_demand(int k) const {

@@ -6,14 +6,18 @@
 // long-lived values:
 //
 //  * PartitionState — the bins themselves: member tasks in placement order,
-//    the exact utilization fold, and (on the aggregate-eligible variants) the
+//    the utilization fold, and (on the aggregate-eligible variants) the
 //    incremental DBF* prefix structure (analysis/dbf.h). It owns the
 //    acceptance probe fits() and the bin-selection loop choose_bin() — the
 //    exact logic partition_tasks used inline, with identical verdicts,
-//    counters, and provenance records. Insertion and removal are exact
-//    inverses: remove() rolls every aggregate back to the representation it
-//    would have had if the member had never been inserted (DbfStarAggregate
-//    contract), so a departed task leaves no numeric residue.
+//    counters, and provenance records. The double mirrors the certified
+//    screens read are kept current on every insert and remove; the exact
+//    BigRational folds are caches filled only when a probe's exact fallback,
+//    a diagnosis, or a best/worst-fit comparison reads them. Insertion and
+//    removal are exact inverses: remove() rolls every aggregate back to the
+//    representation it would have had if the member had never been inserted
+//    (DbfStarAggregate contract), so a departed task leaves no numeric
+//    residue.
 //
 //  * IncrementalPartition — the placement *sequence*: residents kept in the
 //    partition order (deadline-monotonic by default, ties in admission
@@ -49,6 +53,11 @@ namespace fedcons {
 [[nodiscard]] bool partition_uses_aggregates(const PartitionOptions& options);
 
 /// The bins: persistent per-processor membership + exact aggregates.
+///
+/// Const reads (fits, choose_bin, bin_utilization, bin_demand().sum_at) fill
+/// the exact caches, so one PartitionState must not be read from two threads
+/// at once. The batch partitioner builds one per call, and AdmissionSession's
+/// one-toucher contract covers the online state.
 class PartitionState {
  public:
   PartitionState() = default;
@@ -82,7 +91,9 @@ class PartitionState {
 
   /// Member ids of bin k, in placement order.
   [[nodiscard]] const std::vector<std::size_t>& bin_ids(int k) const;
-  /// Exact Σ u over bin k's members (the left fold in placement order).
+  /// Exact Σ u over bin k's members (the left fold in placement order),
+  /// folded on demand into the bin's cache. The reference stays valid until
+  /// bin k next changes.
   [[nodiscard]] const BigRational& bin_utilization(int k) const;
   /// The DBF* aggregate of bin k (meaningful on aggregate-eligible options).
   [[nodiscard]] const DbfStarAggregate& bin_demand(int k) const;
@@ -96,11 +107,16 @@ class PartitionState {
   struct Bin {
     std::vector<std::size_t> ids;      // placement order
     std::vector<SporadicTask> tasks;   // parallel to ids
-    /// Inclusive prefix fold of member utilizations (canonical left fold, so
-    /// insert-then-remove restores the exact prior representations).
-    std::vector<BigRational> util_prefix;
-    /// Double mirror of util_prefix (simd::util_term folds; +inf poison for
-    /// out-of-range parameters) — the certified utilization screen's input.
+    /// Cache of the inclusive prefix fold of member utilizations (canonical
+    /// left fold from 0/1), valid for the first util_prefix.size() members.
+    /// Extended only by bin_utilization(); remove() cuts it back to the
+    /// departed member's index. Each entry is a pure function of the members
+    /// before it, so insert-then-remove restores the exact prior
+    /// representations.
+    mutable std::vector<BigRational> util_prefix;
+    /// Double mirror of the fold (simd::util_term terms; +inf poison for
+    /// out-of-range parameters), kept current on every insert and remove —
+    /// the certified utilization screen's input.
     std::vector<double> util_prefix_d;
     DbfStarAggregate demand;  // maintained only when aggregates are on
   };

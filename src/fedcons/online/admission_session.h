@@ -46,13 +46,15 @@
 // prefix; a resident failure is therefore always partition-phase.
 //
 // Threading contract: a session is a plain value with no internal locking —
-// at most one thread may touch it at a time. It does NOT have to be the
-// *same* thread: the session caches no thread identity (no thread_locals, no
-// TID-keyed state), so an owner may hand it between threads as long as
-// hand-offs are externally serialized with a happens-before edge (a mutex, a
-// queue, a joined task). This is exactly how serve/server.cpp runs sessions:
-// each dispatcher batch routes all of a session's events into one work item,
-// and *which* BatchRunner worker executes that item changes batch to batch.
+// at most one thread may touch it at a time, even for const reads (the
+// partition state and the DAGs fill their caches on read). It does NOT have
+// to be the *same* thread: the session caches no thread identity (no
+// thread_locals, no TID-keyed state), so an owner may hand it between
+// threads as long as hand-offs are externally serialized with a
+// happens-before edge (a mutex, a queue, a joined task). This is exactly how
+// serve/server.cpp runs sessions: each dispatcher batch routes all of a
+// session's events into one work item, and *which* BatchRunner worker
+// executes that item changes batch to batch.
 // (The memo cache underneath is itself thread-safe, but it is owned per
 // session here so hit/miss sequences stay deterministic per event sequence.)
 #pragma once

@@ -9,10 +9,12 @@
 //     C_j + (C_j/T_j)·(bp − D_j) = a_j + b_j·bp,
 //     a_j = C_j − (C_j/T_j)·D_j,   b_j = C_j/T_j,
 // so the whole prefix sum is A + B·bp with A = Σ a_j, B = Σ b_j over members
-// with D_j ≤ bp. DbfStarAggregate maintains A/B/magnitude prefixes per
-// distinct deadline as double mirrors of its exact rational prefixes
-// (analysis/dbf.h); this kernel evaluates the affine form in IEEE doubles
-// with a rigorous rounding-error margin and three-way classifies each lane:
+// with D_j ≤ bp. DbfStarAggregate keeps A/B/magnitude prefixes per
+// distinct deadline current on every insert and remove, as double mirrors of
+// its exact prefix fold (analysis/dbf.h) — which it builds only on demand,
+// when a lane needs the exact fallback. This kernel evaluates the affine
+// form in IEEE doubles with a rigorous rounding-error margin and three-way
+// classifies each lane:
 //
 //     kFit        demand + err ≤ bp      (certainly fits)
 //     kReject     demand − err > bp      (certainly violates)

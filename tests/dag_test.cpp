@@ -163,10 +163,32 @@ TEST(DagTest, MutationInvalidatesCaches) {
   Dag g;
   g.add_vertex(3);
   EXPECT_EQ(g.len(), 3);
+  // Only vol/len have run so far; the level arrays are built on demand.
+  EXPECT_EQ(g.top_level(0), 3);
+  EXPECT_EQ(g.bottom_level(0), 3);
   VertexId v = g.add_vertex(4);
   g.add_edge(0, v);
   EXPECT_EQ(g.len(), 7);
   EXPECT_EQ(g.vol(), 7);
+  // vol/len are fresh again, the levels are not: they rebuild on demand.
+  EXPECT_EQ(g.topological_order(), (std::vector<VertexId>{0, v}));
+  EXPECT_EQ(g.bottom_level(0), 7);
+  EXPECT_EQ(g.top_level(v), 7);
+  EXPECT_EQ(g.critical_path(), (std::vector<VertexId>{0, v}));
+  // A mutation after the levels were read, queried levels-first this time.
+  VertexId w = g.add_vertex(2);
+  g.add_edge(w, 0);
+  EXPECT_EQ(g.topological_order(), (std::vector<VertexId>{w, 0, v}));
+  EXPECT_EQ(g.bottom_level(w), 9);
+  EXPECT_EQ(g.top_level(v), 9);
+  EXPECT_EQ(g.critical_path(), (std::vector<VertexId>{w, 0, v}));
+  EXPECT_EQ(g.len(), 9);
+  EXPECT_EQ(g.vol(), 9);
+  // A shortcut edge is dropped by the rebuilt transitive reduction.
+  g.add_edge(w, v);
+  ASSERT_EQ(g.reduced_successors(w).size(), 1u);
+  EXPECT_EQ(g.reduced_successors(w)[0], 0u);
+  EXPECT_EQ(g.width(), 1u);
 }
 
 TEST(DagTest, DotExportMentionsAllElements) {

@@ -162,6 +162,21 @@ TEST(BatchRunnerTest, ParallelForCoversEveryIndexOnce) {
   }
 }
 
+// Back-to-back small batches on one pool: a worker can wake after the caller
+// has finished a batch alone, and such a late worker must neither drop nor
+// repeat an index of the batch that follows.
+TEST(BatchRunnerTest, ReusedRunnerRunsEveryIndexOfEveryBatch) {
+  BatchRunner runner(4);
+  for (int batch = 0; batch < 2000; ++batch) {
+    const std::size_t n = 1 + static_cast<std::size_t>(batch % 4);
+    std::vector<std::atomic<int>> hits(n);
+    runner.parallel_for(n, [&](std::size_t i) { hits[i].fetch_add(1); });
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(hits[i].load(), 1) << "batch " << batch << " index " << i;
+    }
+  }
+}
+
 TEST(BatchRunnerTest, ExceptionsPropagateToCaller) {
   for (int threads : {1, 3}) {
     BatchRunner runner(threads);

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "fedcons/core/io.h"
@@ -24,6 +25,7 @@ struct BinImage {
   std::size_t demand_size = 0;
   std::vector<Time> demand_deadlines;
   std::vector<std::string> demand_reprs;  // num/den of sum_at per deadline
+  std::vector<double> demand_mirrors;     // SoA bp, A, B, M per deadline
 };
 
 std::string repr(const BigRational& r) {
@@ -42,6 +44,11 @@ BinImage image_of(const PartitionState& state, int k) {
     img.demand_deadlines.push_back(d);
     img.demand_reprs.push_back(repr(demand.sum_at(d)));
     img.demand_reprs.push_back(repr(demand.sum_at(d * 3 + 1)));
+  }
+  for (auto mirror : {demand.soa_breakpoints(), demand.soa_prefix_a(),
+                      demand.soa_prefix_b(), demand.soa_prefix_mag()}) {
+    img.demand_mirrors.insert(img.demand_mirrors.end(), mirror.begin(),
+                              mirror.end());
   }
   return img;
 }
@@ -63,6 +70,7 @@ void expect_same_images(const std::vector<BinImage>& a,
     EXPECT_EQ(a[k].demand_size, b[k].demand_size) << "bin " << k;
     EXPECT_EQ(a[k].demand_deadlines, b[k].demand_deadlines) << "bin " << k;
     EXPECT_EQ(a[k].demand_reprs, b[k].demand_reprs) << "bin " << k;
+    EXPECT_EQ(a[k].demand_mirrors, b[k].demand_mirrors) << "bin " << k;
   }
 }
 
@@ -241,6 +249,55 @@ TEST(IncrementalPartition, DifferentialMultiPointDbf) {
   PartitionOptions o;
   o.dbf_points = 4;  // kFull without aggregates
   run_event_differential(o, 71);
+}
+
+// The exact folds are caches: reads extend them, and insert/remove must cut
+// them back to the first member whose index changed. The library itself only
+// inserts in deadline order and rolls back from the end, so this drives the
+// other cases directly: out-of-deadline-order inserts (which land mid-array in
+// the DBF* aggregate) and removals from the middle of a bin. After every
+// operation each bin is read in full — filling every cache — and must match,
+// representation for representation, a state built fresh from the surviving
+// members in the same order.
+TEST(PartitionState, ExactCachesMatchFreshBuildAfterEveryEdit) {
+  const PartitionOptions options;
+  constexpr int kBins = 2;
+  Rng rng(97);
+  PartitionState state(kBins, options);
+  // Surviving members of each bin in placement order.
+  std::vector<std::vector<std::pair<std::size_t, SporadicTask>>> members(
+      kBins);
+  std::size_t next_id = 0;
+  for (int op = 0; op < 200; ++op) {
+    const int k = static_cast<int>(rng.uniform_int(0, kBins - 1));
+    auto& bin = members[static_cast<std::size_t>(k)];
+    if (!bin.empty() && rng.uniform01() < 0.4) {
+      const auto pick = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(bin.size()) - 1));
+      state.remove(k, bin[pick].first);
+      bin.erase(bin.begin() + static_cast<std::ptrdiff_t>(pick));
+    } else {
+      const SporadicTask task = random_task(rng);
+      state.insert(k, next_id, task);
+      bin.emplace_back(next_id++, task);
+    }
+
+    PartitionState fresh(kBins, options);
+    for (int b = 0; b < kBins; ++b) {
+      for (const auto& [id, task] : members[static_cast<std::size_t>(b)]) {
+        fresh.insert(b, id, task);
+      }
+    }
+    std::vector<BinImage> got;
+    std::vector<BinImage> want;
+    for (int b = 0; b < kBins; ++b) {
+      got.push_back(image_of(state, b));
+      want.push_back(image_of(fresh, b));
+    }
+    SCOPED_TRACE("op " + std::to_string(op));
+    expect_same_images(got, want);
+    if (::testing::Test::HasFailure()) return;
+  }
 }
 
 }  // namespace
