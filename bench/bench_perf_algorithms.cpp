@@ -56,16 +56,6 @@ void BM_DbfEvaluation(benchmark::State& state) {
 }
 BENCHMARK(BM_DbfEvaluation)->Arg(8)->Arg(32)->Arg(128);
 
-void BM_ApproxDemandFits(benchmark::State& state) {
-  auto tasks = random_sequential_tasks(static_cast<int>(state.range(0)), 2);
-  Time t = 1;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(approx_demand_fits(tasks, t));
-    t = (t % 100000) + 1;
-  }
-}
-BENCHMARK(BM_ApproxDemandFits)->Arg(8)->Arg(32)->Arg(128);
-
 void BM_ExactEdfQpa(benchmark::State& state) {
   auto tasks = random_sequential_tasks(static_cast<int>(state.range(0)), 3);
   for (auto _ : state) {
@@ -111,20 +101,6 @@ void BM_Minprocs(benchmark::State& state) {
   state.SetLabel(std::to_string(t.graph().num_vertices()) + " vertices");
 }
 BENCHMARK(BM_Minprocs)->Arg(8)->Arg(32)->Arg(128);
-
-// The seed reference scan (allocation-per-probe LS, no cap) on the SAME
-// instances — the baseline the ≥3× acceptance criterion is measured against.
-void BM_MinprocsReference(benchmark::State& state) {
-  const int m = static_cast<int>(state.range(0));
-  const DagTask t = minprocs_heavy_task(m, 11);
-  for (auto _ : state) {
-    auto r = minprocs(t, m, ListPolicy::kVertexOrder,
-                      MinprocsOptions{.prune = false});
-    benchmark::DoNotOptimize(r);
-  }
-  state.SetLabel(std::to_string(t.graph().num_vertices()) + " vertices");
-}
-BENCHMARK(BM_MinprocsReference)->Arg(8)->Arg(32)->Arg(128);
 
 // Full FEDCONS test (phase 1 + phase 2) on systems sized to keep several
 // high-density tasks in play, at the same m grid as BM_Minprocs.

@@ -65,7 +65,7 @@ trap 'rm -f "$tmp_algo" "$tmp_simd"' EXIT
 # Note: this google-benchmark build takes --benchmark_min_time as a plain
 # double (seconds), not the newer "0.1s" suffix form.
 "$build_dir/bench/bench_perf_algorithms" \
-  "--benchmark_filter=BM_Minprocs|BM_MinprocsReference|BM_FedconsFullTest" \
+  "--benchmark_filter=BM_Minprocs|BM_FedconsFullTest" \
   --benchmark_min_time=0.2 \
   --benchmark_repetitions=3 \
   --benchmark_report_aggregates_only=true \

@@ -62,62 +62,6 @@ std::vector<Time> dbf_approx_breakpoints(std::span<const SporadicTask> tasks,
   return out;
 }
 
-bool approx_demand_fits(std::span<const SporadicTask> tasks, Time t) {
-  FEDCONS_EXPECTS(t >= 0);
-  // Fast path: accumulate C·(T + t − D) / T as integer quotient plus a
-  // remainder comparison, all in __int128. Each term is split as
-  //   C·(T + t − D) = q·T + r,  0 ≤ r < T,
-  // so Σ term/T ≤ t  ⟺  Σ q + Σ (r/T) ≤ t. We track Q = Σ q exactly and
-  // bound the fractional sum F = Σ r/T by [F_lo, F_hi] with F integer-part
-  // extraction; only if the decision falls inside the undecidable band do we
-  // fall back to exact rationals.
-  __int128 q_sum = 0;
-  long double frac = 0.0L;
-  bool frac_nonzero = false;
-  bool overflow = false;
-  for (const auto& task : tasks) {
-    if (t < task.deadline) continue;
-    __int128 num = static_cast<__int128>(task.wcet) *
-                   (static_cast<__int128>(task.period) + t - task.deadline);
-    __int128 q = num / task.period;
-    __int128 r = num % task.period;
-    q_sum += q;
-    if (r != 0) {
-      frac_nonzero = true;
-      frac += static_cast<long double>(r) /
-              static_cast<long double>(task.period);
-    }
-    if (q_sum > static_cast<__int128>(1) << 100) {
-      overflow = true;  // absurdly large demand; decide via rationals
-      break;
-    }
-  }
-  // The fast path evaluates every task's DBF* term inline, so decided
-  // returns account tasks.size() evaluations; the rational fallback is
-  // attributed through dbf_approx itself.
-  if (!overflow) {
-    if (!frac_nonzero) {
-      perf_counters().dbf_star_evaluations += tasks.size();
-      return q_sum <= static_cast<__int128>(t);
-    }
-    // F ∈ (0, n); margin of one whole unit on either side of the long-double
-    // estimate is far beyond its rounding error here.
-    __int128 target = static_cast<__int128>(t);
-    if (q_sum + static_cast<__int128>(frac) + 2 <= target) {
-      perf_counters().dbf_star_evaluations += tasks.size();
-      return true;
-    }
-    if (q_sum > target) {
-      perf_counters().dbf_star_evaluations += tasks.size();
-      return false;
-    }
-    // Undecided band: exact evaluation below.
-  }
-  BigRational sum;
-  for (const auto& task : tasks) sum += dbf_approx(task, t);
-  return sum <= BigRational(t);
-}
-
 Time total_dbf(std::span<const SporadicTask> tasks, Time t) {
   // Saturating accumulation: an overflowing total reads as kTimeInfinity,
   // which every "demand ≤ supply" comparison downstream rejects — the

@@ -48,15 +48,6 @@ namespace fedcons {
 [[nodiscard]] std::vector<Time> dbf_approx_breakpoints(
     std::span<const SporadicTask> tasks, int points, Time horizon);
 
-/// Σ_j DBF*(τ_j, t) ≤ t, decided exactly.
-///
-/// This is the acceptance predicate of PARTITION's line 3 once the candidate
-/// task's own volume is folded into the sum. A pure-int64 fast path covers
-/// the overwhelmingly common case; the BigRational slow path guarantees
-/// exactness when 128-bit intermediates would overflow.
-[[nodiscard]] bool approx_demand_fits(std::span<const SporadicTask> tasks,
-                                      Time t);
-
 /// Σ_j DBF(τ_j, t) with overflow checking (exact demand at one instant).
 [[nodiscard]] Time total_dbf(std::span<const SporadicTask> tasks, Time t);
 

@@ -1,7 +1,6 @@
 #include "fedcons/analysis/edf_uniproc.h"
 
 #include <algorithm>
-#include <queue>
 
 #include "fedcons/analysis/dbf.h"
 #include "fedcons/util/check.h"
@@ -79,47 +78,6 @@ Time pdc_testing_bound(std::span<const SporadicTask> tasks) {
     bound = std::min(bound, busy_period(tasks));
   }
   return bound;
-}
-
-EdfResult edf_schedulable_pdc(std::span<const SporadicTask> tasks,
-                              std::size_t max_points) {
-  if (tasks.empty()) return {true, std::nullopt};
-  if (total_utilization(tasks) > BigRational(1)) return {false, std::nullopt};
-
-  const Time bound = pdc_testing_bound(tasks);
-  FEDCONS_EXPECTS_MSG(bound != kTimeInfinity,
-                      "no finite PDC testing bound for this task set");
-
-  // Min-heap over the next absolute-deadline point of each task; running
-  // demand is bumped by C_j whenever τ_j contributes another deadline.
-  struct Point {
-    Time t;
-    std::size_t task;
-    bool operator>(const Point& rhs) const noexcept { return t > rhs.t; }
-  };
-  std::priority_queue<Point, std::vector<Point>, std::greater<>> heap;
-  for (std::size_t j = 0; j < tasks.size(); ++j) {
-    if (tasks[j].deadline < bound) heap.push({tasks[j].deadline, j});
-  }
-  Time demand = 0;
-  std::size_t points = 0;
-  while (!heap.empty()) {
-    const Time t = heap.top().t;
-    while (!heap.empty() && heap.top().t == t) {
-      auto [pt, j] = heap.top();
-      heap.pop();
-      // Saturating: an overflowing running demand reads kTimeInfinity and
-      // fails the demand ≤ t check below — unschedulable by saturation. A
-      // saturated next-deadline point can never re-enter the heap.
-      demand = saturating_add(demand, tasks[j].wcet);
-      Time next = saturating_add(pt, tasks[j].period);
-      if (next < bound) heap.push({next, j});
-    }
-    if (demand > t) return {false, t};
-    FEDCONS_EXPECTS_MSG(++points <= max_points,
-                        "PDC point budget exceeded (parameters too large)");
-  }
-  return {true, std::nullopt};
 }
 
 namespace {

@@ -12,11 +12,11 @@
 //
 // Only finitely many t need checking: absolute-deadline points below a bound
 // L = min(busy-period length, the Baruah–Mok–Rosier bound L_a, hyperperiod +
-// max D). Two independent implementations are provided and cross-checked by
-// the test suite:
-//   * edf_schedulable_pdc — direct scan of deadline points below L;
-//   * edf_schedulable_qpa — Zhang–Burns Quick Processor-demand Analysis,
-//     which walks backwards from L and typically probes far fewer points.
+// max D). The library decides the criterion with Zhang–Burns Quick
+// Processor-demand Analysis (edf_schedulable_qpa), which walks backwards from
+// L and typically probes far fewer points than a forward scan. The direct
+// scan of every deadline point below L is a test-only oracle
+// (tests/reference/) that the test suite cross-checks QPA against.
 #pragma once
 
 #include <optional>
@@ -45,13 +45,8 @@ struct EdfResult {
 /// detected and reported as kTimeInfinity). A valid PDC bound.
 [[nodiscard]] Time busy_period(std::span<const SporadicTask> tasks);
 
-/// Direct processor-demand criterion. `max_points` caps the number of
-/// deadline points scanned (throws ContractViolation when exceeded, so
-/// pathological parameters fail loudly rather than silently truncating).
-[[nodiscard]] EdfResult edf_schedulable_pdc(
-    std::span<const SporadicTask> tasks, std::size_t max_points = 50'000'000);
-
-/// Zhang–Burns QPA. Equivalent verdict to the PDC (property-tested).
+/// Zhang–Burns QPA. Equivalent verdict to the direct PDC scan
+/// (property-tested against the test-only reference).
 [[nodiscard]] EdfResult edf_schedulable_qpa(
     std::span<const SporadicTask> tasks);
 

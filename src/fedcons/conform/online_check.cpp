@@ -16,7 +16,6 @@ namespace {
 FedconsOptions batch_options(const AdmissionSession::Config& cfg) {
   FedconsOptions o;
   o.list_policy = cfg.list_policy;
-  o.minprocs = cfg.minprocs;
   o.partition = cfg.partition;
   return o;
 }

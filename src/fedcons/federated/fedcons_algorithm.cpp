@@ -44,7 +44,7 @@ FedconsResult fedcons_schedule(const TaskSystem& system, int m,
 
   // Phase 1: dedicate processors to each high-density task (lines 2–6).
   for (TaskId i : system.high_density_tasks()) {
-    MinprocsOptions scan_options = options.minprocs;
+    MinprocsOptions scan_options;
     if (prov != nullptr) {
       prov->clusters.push_back(ClusterProvenance{i, m_r, {}});
       scan_options.provenance = &prov->clusters.back().scan;

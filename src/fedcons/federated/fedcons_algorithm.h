@@ -70,7 +70,6 @@ struct FedconsResult {
 
 struct FedconsOptions {
   ListPolicy list_policy = ListPolicy::kVertexOrder;
-  MinprocsOptions minprocs;
   PartitionOptions partition;
   /// Attach a FedconsProvenance to the result. Off by default: recording
   /// allocates per-probe records, and the algorithm's hot path must stay

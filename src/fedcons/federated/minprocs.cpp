@@ -59,30 +59,11 @@ void provenance_accept(MinprocsProvenance* prov, int mu) {
   prov->chosen_mu = mu;
 }
 
-// The seed scan, kept verbatim as the oracle: one allocation-per-call LS
-// probe per candidate μ, scanning all of [⌈δ⌉, m_r].
-std::optional<MinprocsResult> reference_scan(const DagTask& task,
-                                             int max_processors,
-                                             ListPolicy policy,
-                                             MinprocsProvenance* prov) {
-  for (int mu = minprocs_lower_bound(task); mu <= max_processors; ++mu) {
-    ++perf_counters().minprocs_scan_iterations;
-    FEDCONS_SPAN_V("minprocs", "ls_probe", "mu", mu);
-    TemplateSchedule sigma = list_schedule_reference(task.graph(), mu, policy);
-    provenance_probe(prov, mu, sigma.makespan());
-    if (sigma.makespan() <= task.deadline()) {
-      provenance_accept(prov, mu);
-      obs::observe_minprocs_mu(mu);
-      return MinprocsResult{mu, std::move(sigma)};
-    }
-  }
-  return std::nullopt;
-}
-
-// Bound-guided scan: identical probe sequence and verdict (the reference
-// scan's first success is ≤ cap, and cap > m_r whenever the reference scan
-// rejects), but each probe reuses the thread-local workspace, with the
-// policy keys prepared once for the whole scan.
+// Bound-guided scan: identical probe sequence and verdict to the seed scan
+// over all of [⌈δ⌉, m_r] (reference::minprocs in tests/reference/: its first
+// success is ≤ cap, and cap > m_r whenever it rejects), but each probe reuses
+// the thread-local workspace, with the policy keys prepared once for the
+// whole scan.
 std::optional<MinprocsResult> pruned_scan(const DagTask& task,
                                           int max_processors,
                                           ListPolicy policy,
@@ -145,10 +126,7 @@ std::optional<MinprocsResult> minprocs(const DagTask& task, int max_processors,
     }
     return std::nullopt;
   }
-  return options.prune
-             ? pruned_scan(task, max_processors, policy, options.provenance)
-             : reference_scan(task, max_processors, policy,
-                              options.provenance);
+  return pruned_scan(task, max_processors, policy, options.provenance);
 }
 
 }  // namespace fedcons

@@ -33,15 +33,12 @@ struct MinprocsResult {
   TemplateSchedule sigma;
 };
 
-/// Tuning knobs for the MINPROCS scan. The default (pruned, workspace-backed)
-/// path returns bit-identical results to the reference scan — pinned by
-/// tests/minprocs_equivalence_test.cpp — so these flags trade speed only.
+/// Options for the MINPROCS scan. The scan is capped at μ_ub =
+/// minprocs_scan_cap(task) and runs LS through the thread-local workspace
+/// (keys prepared once per task); it returns bit-identical results to the
+/// seed scan over all of [⌈δ⌉, m_r] — the test-only reference::minprocs,
+/// pinned by tests/minprocs_equivalence_test.cpp.
 struct MinprocsOptions {
-  /// Cap the scan at μ_ub = minprocs_scan_cap(task) and run LS through the
-  /// thread-local workspace (keys prepared once per task). false selects the
-  /// seed reference scan (allocation-per-probe LS, scan to m_r), kept as the
-  /// equivalence oracle and benchmark baseline.
-  bool prune = true;
   /// When non-null, the scan records its full μ-trajectory here (every
   /// probe's makespan, the Graham cap, and the exhaustion witness — see
   /// obs/provenance.h). Recording only observes probes the scan already

@@ -9,8 +9,8 @@
 
 namespace fedcons {
 
-MinprocsMemo::MinprocsMemo(std::size_t capacity, ListPolicy policy, bool prune)
-    : capacity_(capacity), policy_(policy), prune_(prune) {
+MinprocsMemo::MinprocsMemo(std::size_t capacity, ListPolicy policy)
+    : capacity_(capacity), policy_(policy) {
   FEDCONS_EXPECTS(capacity >= 1);
 }
 
@@ -33,7 +33,7 @@ std::optional<MinprocsResult> MinprocsMemo::replay(
   const bool found = entry.mu <= max_processors;
   // Probes the real scan would have run: all of [lb, μ] on success, the
   // prefix [lb, last] on exhaustion. On exhaustion μ > m_r and μ ≤ cap give
-  // m_r < cap, so last = m_r under both scan modes.
+  // m_r < cap, so last = m_r.
   const std::size_t ran =
       found ? entry.probes.size()
             : static_cast<std::size_t>(
@@ -43,7 +43,7 @@ std::optional<MinprocsResult> MinprocsMemo::replay(
   PerfCounters& pc = perf_counters();
   pc.ls_invocations += ran;
   pc.minprocs_scan_iterations += ran;
-  if (prune_ && entry.scan_cap < max_processors) {
+  if (entry.scan_cap < max_processors) {
     // Graham-cap cut: candidates (cap, m_r] never probed (minprocs.cpp).
     pc.ls_probes_pruned += static_cast<std::uint64_t>(
         max_processors - static_cast<int>(std::min<Time>(
@@ -98,11 +98,8 @@ std::optional<MinprocsResult> MinprocsMemo::lookup(
   // benignly). Capture the trajectory locally so the entry keeps it even
   // when the caller didn't ask for provenance.
   MinprocsProvenance trajectory;
-  MinprocsOptions options;
-  options.prune = prune_;
-  options.provenance = &trajectory;
   std::optional<MinprocsResult> result =
-      minprocs(task, max_processors, policy_, options);
+      minprocs(task, max_processors, policy_, {.provenance = &trajectory});
   if (provenance != nullptr) *provenance = trajectory;
 
   // Cache only content-determined outcomes: a success pins μ for every m_r;

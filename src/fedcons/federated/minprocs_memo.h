@@ -2,7 +2,7 @@
 // admission engine (online/admission_session.h).
 //
 // MINPROCS is a pure function of task *content* (graph topology + WCETs +
-// D/T) plus the scan configuration (list policy, prune flag): the remaining
+// D/T) plus the list policy: the remaining
 // processor count m_r only decides whether the content-determined μ is
 // affordable. The memo therefore keys entries by canonical_task_hash
 // (core/dag_hash.h) and stores the content-determined scan outcome — μ, the
@@ -29,8 +29,8 @@
 // lock while the scan runs, so concurrent misses may duplicate work (the
 // second insert wins benignly); counters stay per-thread exact either way.
 //
-// One memo instance is bound to one (policy, prune) configuration; sharing an
-// instance across sessions with different scan options is a caller error.
+// One memo instance is bound to one list policy; sharing an instance across
+// sessions with different policies is a caller error.
 #pragma once
 
 #include <cstdint>
@@ -56,13 +56,12 @@ class MinprocsMemo {
   static constexpr std::size_t kDefaultCapacity = 1024;
 
   explicit MinprocsMemo(std::size_t capacity = kDefaultCapacity,
-                        ListPolicy policy = ListPolicy::kVertexOrder,
-                        bool prune = true);
+                        ListPolicy policy = ListPolicy::kVertexOrder);
 
   MinprocsMemo(const MinprocsMemo&) = delete;
   MinprocsMemo& operator=(const MinprocsMemo&) = delete;
 
-  /// Drop-in for minprocs(task, max_processors, policy, {prune, provenance}):
+  /// Drop-in for minprocs(task, max_processors, policy, {provenance}):
   /// identical verdicts, μ, σ, logical counters, and provenance trajectory.
   /// `was_hit`, when non-null, reports whether the answer came from cache.
   [[nodiscard]] std::optional<MinprocsResult> lookup(
@@ -73,7 +72,6 @@ class MinprocsMemo {
   [[nodiscard]] std::size_t size() const;
   [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
   [[nodiscard]] ListPolicy policy() const noexcept { return policy_; }
-  [[nodiscard]] bool prune() const noexcept { return prune_; }
   void clear();
 
  private:
@@ -97,7 +95,6 @@ class MinprocsMemo {
 
   const std::size_t capacity_;
   const ListPolicy policy_;
-  const bool prune_;
 
   mutable std::mutex mu_;
   Lru lru_;  ///< front = most recently used

@@ -65,13 +65,6 @@ struct PartitionOptions {
   /// values trade analysis time for acceptance (experiment E10). Ignored by
   /// kPaperLiteral (always 1) and kExactEdf.
   int dbf_points = 1;
-  /// Maintain per-bin DBF* aggregates (analysis/dbf.h, DbfStarAggregate)
-  /// updated on placement, so each acceptance probe evaluates cached prefix
-  /// sums instead of re-summing every member. Applies to kPaperLiteral and
-  /// to kFull with dbf_points == 1; verdicts, placements, and perf-counter
-  /// totals are identical to the recompute-per-probe paths (pinned by the
-  /// partition tests). false selects the legacy paths (the oracle).
-  bool incremental = true;
   /// When non-null, the placement loop records every (task, bin) probe here
   /// — which bins were tried, why each refused (utilization vs demand, with
   /// the failing DBF* breakpoint and the exact demand), and where the task
@@ -91,7 +84,12 @@ struct PartitionResult {
 };
 
 /// Partition the given sequential task views on `num_processors` processors.
-/// An empty task list trivially succeeds (even on zero processors).
+/// An empty task list trivially succeeds (even on zero processors). Probes
+/// run against per-bin aggregates and certified-double screens
+/// (federated/partition_state.h); verdicts, placements and
+/// dbf_star_evaluations equal the recompute-per-probe
+/// reference::partition_tasks (tests/reference/) for every variant, fit and
+/// order.
 [[nodiscard]] PartitionResult partition_tasks(
     std::span<const SporadicTask> tasks, int num_processors,
     const PartitionOptions& options = {});

@@ -14,9 +14,7 @@ namespace fedcons {
 
 bool partition_uses_aggregates(const PartitionOptions& options) {
   // The aggregate models the 1-point approximation exactly, so kFull
-  // qualifies only at dbf_points == 1 (the default); larger point counts and
-  // the exact-EDF probe use the legacy recompute-per-probe paths.
-  if (!options.incremental) return false;
+  // qualifies only at dbf_points == 1 (the default).
   switch (options.variant) {
     case PartitionVariant::kPaperLiteral: return true;
     case PartitionVariant::kFull: return std::max(1, options.dbf_points) == 1;
@@ -26,6 +24,10 @@ bool partition_uses_aggregates(const PartitionOptions& options) {
 }
 
 namespace {
+
+// replay()'s directional dirty-bin encoding.
+constexpr char kGrew = 1;    // the bin only gained demand since the event began
+constexpr char kShrunk = 2;  // the bin lost demand (or both)
 
 /// Fill a demand-rejection diagnosis (no-op on nullptr): the failing DBF*
 /// breakpoint plus the exact demand-vs-capacity comparison.
@@ -63,9 +65,10 @@ BigRational exact_probe_demand(const DbfStarAggregate& agg,
 /// violation, with identical verdicts, rejection diagnoses, and
 /// dbf_star_evaluations credits (size()+1 per breakpoint checked for kFull,
 /// size() for kPaperLiteral: the candidate term is uncounted there, matching
-/// the legacy paths). Lanes the margin cannot separate fall back to the
-/// exact rational comparison, so only the arithmetic route — never the
-/// decision — depends on floating point.
+/// the per-member sums of the recompute-per-probe reference). Lanes the
+/// margin cannot separate fall back to the exact rational comparison, so
+/// only the arithmetic route — never the decision — depends on floating
+/// point.
 bool certified_demand_scan(const DbfStarAggregate& agg, const SporadicTask& t,
                            bool paper_literal, BinAttemptRecord* diag) {
   const std::size_t n = agg.size();
@@ -179,34 +182,22 @@ bool PartitionState::fits(int bin, const SporadicTask& t,
   if (options_.variant == PartitionVariant::kPaperLiteral) {
     // The paper's Fig. 4 line 3, verbatim:
     //   Σ_j DBF*(τ_j, D_i) + vol_i ≤ D_i.
-    if (partition_uses_aggregates(options_)) {
-      return certified_demand_scan(b.demand, t, /*paper_literal=*/true, diag);
-    }
-    BigRational sum(t.wcet);
-    for (const SporadicTask& m : b.tasks) sum += dbf_approx(m, t.deadline);
-    if (sum <= BigRational(t.deadline)) return true;
-    diagnose_demand(diag, sum, t.deadline);
-    return false;
+    return certified_demand_scan(b.demand, t, /*paper_literal=*/true, diag);
   }
 
   // kFull — Baruah–Fisher with a k-point demand approximation:
-  // long-run capacity first…
+  // long-run capacity first, through the certified-double screen over the
+  // bin's double utilization fold (same margin family as the demand kernel;
+  // exact fallback inside the band)…
+  const double us = (b.util_prefix_d.empty() ? 0.0 : b.util_prefix_d.back()) +
+                    simd::util_term(t.wcet, t.period);
+  const double uerr =
+      simd::kDbfEps * static_cast<double>(b.tasks.size() + 16) * us;
   bool util_reject;
-  if (partition_uses_aggregates(options_)) {
-    // Certified-double screen over the bin's double utilization fold (same
-    // margin family as the demand kernel; exact fallback inside the band).
-    const double us =
-        (b.util_prefix_d.empty() ? 0.0 : b.util_prefix_d.back()) +
-        simd::util_term(t.wcet, t.period);
-    const double uerr = simd::kDbfEps *
-                        static_cast<double>(b.tasks.size() + 16) * us;
-    if (us + uerr <= 1.0) {
-      util_reject = false;
-    } else if (us - uerr > 1.0) {
-      util_reject = true;
-    } else {
-      util_reject = bin_utilization(bin) + t.utilization() > BigRational(1);
-    }
+  if (us + uerr <= 1.0) {
+    util_reject = false;
+  } else if (us - uerr > 1.0) {
+    util_reject = true;
   } else {
     util_reject = bin_utilization(bin) + t.utilization() > BigRational(1);
   }
@@ -308,8 +299,8 @@ void PartitionState::insert(int bin, std::size_t id, const SporadicTask& t) {
 void PartitionState::remove(int bin, std::size_t id) {
   FEDCONS_EXPECTS(bin >= 0 && bin < num_bins());
   Bin& b = bins_[static_cast<std::size_t>(bin)];
-  // Search from the back: online rollbacks unplace in reverse placement
-  // order, so the match is typically the last element.
+  // Search from the back: online replays unplace members back-to-front, so
+  // the match is typically the last element.
   std::size_t idx = b.ids.size();
   for (std::size_t j = b.ids.size(); j-- > 0;) {
     if (b.ids[j] == id) {
@@ -367,17 +358,11 @@ std::size_t PartitionState::total_members() const noexcept {
 
 IncrementalPartition::IncrementalPartition(int num_bins,
                                            const PartitionOptions& options)
-    : options_(options), state_(num_bins, options) {}
-
-bool IncrementalPartition::ordered_before(const SporadicTask& a,
-                                          const SporadicTask& b) const {
-  switch (options_.order) {
-    case PartitionOrder::kDeadlineMonotonic: return a.deadline < b.deadline;
-    case PartitionOrder::kDensityDescending: return b.density() < a.density();
-    case PartitionOrder::kUtilizationDescending:
-      return b.utilization() < a.utilization();
-  }
-  return false;
+    : state_(num_bins, options) {
+  FEDCONS_EXPECTS_MSG(options.fit == FitStrategy::kFirstFit &&
+                          options.order == PartitionOrder::kDeadlineMonotonic,
+                      "IncrementalPartition: online PARTITION is first-fit in "
+                      "deadline-monotonic order");
 }
 
 std::size_t IncrementalPartition::position_of(std::size_t id) const {
@@ -388,95 +373,14 @@ std::size_t IncrementalPartition::position_of(std::size_t id) const {
   return order_.size();
 }
 
-void IncrementalPartition::rollback(std::size_t pos) {
-  // Reverse placement order, so each aggregate removal peels the most recent
-  // member (cheap) and the state retraces the insert sequence exactly.
-  for (std::size_t i = order_.size(); i-- > pos;) {
-    Placement& p = order_[i];
-    if (p.bin >= 0) state_.remove(p.bin, p.id);
-    p.prev_bin = p.bin;
-    p.bin = -1;
-  }
-}
-
 PartitionEvent IncrementalPartition::replay(std::size_t pos,
                                             std::vector<char> dirty) {
   const int nb = state_.num_bins();
   dirty.resize(static_cast<std::size_t>(nb), 0);
   fail_at_ = std::nullopt;
 
-  PartitionEvent ev;
-  for (std::size_t i = pos; i < order_.size(); ++i) {
-    Placement& p = order_[i];
-    ++ev.placements_replayed;
-    int chosen = -1;
-    std::uint64_t probes_here = 0;
-    if (options_.fit == FitStrategy::kFirstFit && p.prev_bin >= 0 &&
-        p.prev_bin < nb) {
-      // Delta fast path: in the pre-event timeline this placement rejected
-      // every bin below prev_bin and accepted prev_bin. A clean bin holds
-      // exactly the members it held at this point of that timeline, so its
-      // verdict stands without re-probing; only dirty bins (and, if prev_bin
-      // flips to reject, the never-probed bins above it) are evaluated.
-      for (int k = 0; k < nb; ++k) {
-        const bool clean = dirty[static_cast<std::size_t>(k)] == 0;
-        if (k < p.prev_bin && clean) continue;  // rejection stands
-        if (k == p.prev_bin && clean) {         // acceptance stands
-          chosen = k;
-          break;
-        }
-        ++probes_here;
-        if (state_.fits(k, p.task)) {
-          chosen = k;
-          break;
-        }
-      }
-    } else {
-      // New task, unplaced entry, non-first-fit, or a bin that no longer
-      // exists: run the full selection loop.
-      chosen = state_.choose_bin(p.task, nullptr, &probes_here);
-    }
-    ev.bins_revalidated += probes_here;
-    if (chosen < 0) {
-      fail_at_ = i;
-      break;
-    }
-    if (chosen != p.prev_bin) {
-      dirty[static_cast<std::size_t>(chosen)] = 1;
-      if (p.prev_bin >= 0 && p.prev_bin < nb) {
-        dirty[static_cast<std::size_t>(p.prev_bin)] = 1;
-      }
-    }
-    state_.insert(chosen, p.id, p.task);
-    p.bin = chosen;
-  }
-
-  // Normalize: the post-event state is the next event's reference timeline.
-  for (std::size_t i = pos; i < order_.size(); ++i) {
-    order_[i].prev_bin = order_[i].bin;
-  }
-  perf_counters().partition_bins_revalidated += ev.bins_revalidated;
-  ev.ok = ok();
-  if (!ev.ok) ev.failed_id = *failed_id();
-  return ev;
-}
-
-PartitionEvent IncrementalPartition::replay_lazy(std::size_t pos,
-                                                 std::vector<char> dirty) {
-  // `dirty` is directional here: 0 = untouched, kGrew = the bin only gained
-  // demand since the pre-event timeline, kShrunk = it lost (or both). The
-  // distinction is what makes admissions O(changed-bin): rejection of a
-  // *grown* bin stands by first-fit monotonicity (more demand never turns a
-  // rejection into an acceptance), so only shrunk bins — and the entry's own
-  // bin, whose acceptance needs exact content — are ever re-probed.
-  constexpr char kGrew = 1;
-  constexpr char kShrunk = 2;
-  const int nb = state_.num_bins();
-  dirty.resize(static_cast<std::size_t>(nb), 0);
-  fail_at_ = std::nullopt;
-
   // Post-mutation order position of every resident, for on-demand bin
-  // synchronization (integer work only — the point of the lazy path is that
+  // synchronization (integer work only — the point of the lazy walk is that
   // aggregate/rational work scales with probes, not with the suffix).
   std::unordered_map<std::size_t, std::size_t> pos_of;
   pos_of.reserve(order_.size());
@@ -522,9 +426,9 @@ PartitionEvent IncrementalPartition::replay_lazy(std::size_t pos,
     }
 
     // Something at or below prev_bin diverged (or the entry was never
-    // placed): probe, exactly like the eager fast path. The member's own
-    // contribution never pollutes a probe: probing a foreign bin doesn't see
-    // it, and probing its own bin syncs that bin first, which unplaces it.
+    // placed): probe. The member's own contribution never pollutes a probe:
+    // probing a foreign bin doesn't see it, and probing its own bin syncs
+    // that bin first, which unplaces it.
     int chosen = -1;
     std::uint64_t probes_here = 0;
     for (int k = 0; k < nb; ++k) {
@@ -544,7 +448,7 @@ PartitionEvent IncrementalPartition::replay_lazy(std::size_t pos,
       }
     }
     // Fresh entries run the full selection loop; feed the same bins-touched
-    // metric choose_bin reports on the eager path.
+    // metric choose_bin reports for the batch partitioner.
     if (pb < 0) {
       obs::observe_partition_bins_touched(static_cast<int>(probes_here));
     }
@@ -599,8 +503,8 @@ PartitionEvent IncrementalPartition::admit(std::size_t id,
   }
   const auto it = std::upper_bound(
       order_.begin(), order_.end(), task,
-      [this](const SporadicTask& t, const Placement& p) {
-        return ordered_before(t, p.task);
+      [](const SporadicTask& t, const Placement& p) {
+        return t.deadline < p.task.deadline;
       });
   const std::size_t pos = static_cast<std::size_t>(it - order_.begin());
 
@@ -608,41 +512,30 @@ PartitionEvent IncrementalPartition::admit(std::size_t id,
   entry.id = id;
   entry.task = task;
   entry.seq = next_seq_++;
+  order_.insert(order_.begin() + static_cast<std::ptrdiff_t>(pos),
+                std::move(entry));
 
   if (fail_at_.has_value() && *fail_at_ < pos) {
     // The batch run fails before ever reaching the new task: it joins the
     // unplaced suffix and the verdict is unchanged.
-    order_.insert(order_.begin() + static_cast<std::ptrdiff_t>(pos),
-                  std::move(entry));
     PartitionEvent ev;
     ev.ok = false;
     ev.failed_id = *failed_id();
     return ev;
   }
-
-  if (options_.fit == FitStrategy::kFirstFit) {
-    order_.insert(order_.begin() + static_cast<std::ptrdiff_t>(pos),
-                  std::move(entry));
-    return replay_lazy(pos, {});
-  }
-  rollback(pos);
-  order_.insert(order_.begin() + static_cast<std::ptrdiff_t>(pos),
-                std::move(entry));
   return replay(pos, {});
 }
 
 PartitionEvent IncrementalPartition::remove(std::size_t id) {
   const std::size_t pos = position_of(id);
   const Placement removed = order_[pos];
+  order_.erase(order_.begin() + static_cast<std::ptrdiff_t>(pos));
 
   if (removed.bin < 0) {
     // Unplaced: either the failure point itself or beyond it.
     FEDCONS_ASSERT(fail_at_.has_value() && pos >= *fail_at_);
-    order_.erase(order_.begin() + static_cast<std::ptrdiff_t>(pos));
     if (pos == *fail_at_) {
-      // The blocking task is gone; its successors (all unplaced) may now
-      // fit. Both replay flavors handle an all-unplaced suffix.
-      if (options_.fit == FitStrategy::kFirstFit) return replay_lazy(pos, {});
+      // The blocking task is gone; its successors (all unplaced) may now fit.
       return replay(pos, {});
     }
     PartitionEvent ev;
@@ -651,18 +544,9 @@ PartitionEvent IncrementalPartition::remove(std::size_t id) {
     return ev;
   }
 
-  const int old_bin = removed.bin;
+  state_.remove(removed.bin, removed.id);
   std::vector<char> dirty(static_cast<std::size_t>(state_.num_bins()), 0);
-  // 2 = shrunk in replay_lazy's directional encoding; the eager replay only
-  // distinguishes zero from non-zero, so the value is safe for both.
-  dirty[static_cast<std::size_t>(old_bin)] = 2;
-  if (options_.fit == FitStrategy::kFirstFit) {
-    state_.remove(old_bin, removed.id);
-    order_.erase(order_.begin() + static_cast<std::ptrdiff_t>(pos));
-    return replay_lazy(pos, std::move(dirty));
-  }
-  rollback(pos);
-  order_.erase(order_.begin() + static_cast<std::ptrdiff_t>(pos));
+  dirty[static_cast<std::size_t>(removed.bin)] = kShrunk;
   return replay(pos, std::move(dirty));
 }
 
@@ -670,48 +554,31 @@ PartitionEvent IncrementalPartition::resize(int num_bins) {
   FEDCONS_EXPECTS(num_bins >= 0);
   const int old = state_.num_bins();
   PartitionEvent ev;
-  if (num_bins == old) {
-    ev.ok = ok();
-    if (!ev.ok) ev.failed_id = *failed_id();
-    return ev;
-  }
-
-  if (options_.fit != FitStrategy::kFirstFit) {
-    // Best/worst fit pick bins globally: any pool change can move anything.
-    rollback(0);
-    state_.set_num_bins(num_bins);
-    return replay(0, {});
-  }
-
   if (num_bins > old) {
     // First-fit placements never probe past their chosen bin, so existing
     // placements stand; only a failed entry gets a fresh chance.
     state_.set_num_bins(num_bins);
-    if (!fail_at_.has_value()) {
-      ev.ok = true;
-      return ev;
-    }
-    return replay_lazy(*fail_at_, {});
-  }
-
-  // Shrink: placements on surviving bins stand; re-place from the first
-  // entry that sat on a cut bin (if any).
-  std::size_t pos = order_.size();
-  for (std::size_t i = 0; i < order_.size(); ++i) {
-    if (order_[i].bin >= num_bins) {
+    if (fail_at_.has_value()) return replay(*fail_at_, {});
+  } else if (num_bins < old) {
+    // Shrink: entries on surviving bins keep their places; entries on cut
+    // bins are unplaced. The first of those was rejected by every surviving
+    // bin against exactly the members those bins still hold before it, so
+    // the replay from it probes each surviving bin once and fails there —
+    // the batch run's verdict on the smaller pool.
+    std::size_t pos = order_.size();
+    for (std::size_t i = order_.size(); i-- > 0;) {
+      Placement& p = order_[i];
+      if (p.bin < num_bins) continue;
+      state_.remove(p.bin, p.id);
+      p.bin = -1;
       pos = i;
-      break;
     }
-  }
-  if (pos == order_.size()) {
     state_.set_num_bins(num_bins);
-    ev.ok = ok();
-    if (!ev.ok) ev.failed_id = *failed_id();
-    return ev;
+    if (pos < order_.size()) return replay(pos, {});
   }
-  rollback(pos);
-  state_.set_num_bins(num_bins);
-  return replay(pos, {});
+  ev.ok = ok();
+  if (!ev.ok) ev.failed_id = *failed_id();
+  return ev;
 }
 
 std::optional<std::size_t> IncrementalPartition::failed_id() const {

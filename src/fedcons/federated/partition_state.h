@@ -1,37 +1,34 @@
 // Persistent PARTITION state — the per-bin half of the online admission
 // engine, and the bookkeeping core of the batch partitioner.
 //
-// PR 2 introduced per-bin DBF*/utilization aggregates that lived as locals
-// inside partition_tasks and died with the call. This header promotes them to
-// long-lived values:
-//
 //  * PartitionState — the bins themselves: member tasks in placement order,
 //    the utilization fold, and (on the aggregate-eligible variants) the
 //    incremental DBF* prefix structure (analysis/dbf.h). It owns the
-//    acceptance probe fits() and the bin-selection loop choose_bin() — the
-//    exact logic partition_tasks used inline, with identical verdicts,
-//    counters, and provenance records. The double mirrors the certified
-//    screens read are kept current on every insert and remove; the exact
-//    BigRational folds are caches filled only when a probe's exact fallback,
-//    a diagnosis, or a best/worst-fit comparison reads them. Insertion and
+//    acceptance probe fits() and the bin-selection loop choose_bin(), which
+//    the batch partitioner drives. The double mirrors the certified screens
+//    read are kept current on every insert and remove; the exact BigRational
+//    folds are caches filled only when a probe's exact fallback, a
+//    diagnosis, or a best/worst-fit comparison reads them. Insertion and
 //    removal are exact inverses: remove() rolls every aggregate back to the
 //    representation it would have had if the member had never been inserted
 //    (DbfStarAggregate contract), so a departed task leaves no numeric
-//    residue.
+//    residue. Verdicts, placements and dbf_star_evaluations equal the
+//    recompute-per-probe reference::partition_tasks (tests/reference/).
 //
-//  * IncrementalPartition — the placement *sequence*: residents kept in the
-//    partition order (deadline-monotonic by default, ties in admission
-//    order), each with its chosen bin. Events (admit / remove / resize)
-//    restore the invariant
+//  * IncrementalPartition — the placement *sequence* of the paper's Fig. 4
+//    (first-fit, deadline-monotonic; other fits and orders are batch-only E8
+//    ablations and are rejected at construction): residents kept in
+//    deadline order (ties in admission order), each with its chosen bin.
+//    Events (admit / remove / resize) restore the invariant
 //
 //        state == partition_tasks(residents-in-admission-order, bins)
 //
-//    by replaying only the invalidated suffix of the order: placements whose
-//    prefix of candidate bins is untouched reuse their previous decision
-//    without probing (first-fit monotonicity — adding demand to a bin never
-//    turns a rejection into an acceptance, so clean-bin rejections and
-//    acceptances both stand), and only placements facing a *dirty* bin are
-//    re-probed. Probes actually run are counted in the
+//    by replaying only the invalidated suffix of the order, lazily: entries
+//    stay physically placed, placements whose prefix of candidate bins is
+//    unchanged reuse their previous decision without probing (first-fit
+//    monotonicity — adding demand to a bin never turns a rejection into an
+//    acceptance), and only placements facing a shrunk bin, or whose own bin
+//    changed, are re-probed. Probes actually run are counted in the
 //    partition_bins_revalidated perf counter and reported per event.
 //
 // The equality above is structural (verdict, per-bin member ids, failure
@@ -48,8 +45,9 @@
 
 namespace fedcons {
 
-/// True when the options select the DBF*-aggregate probe paths (the same
-/// predicate partition_tasks applies; kPaperLiteral, or kFull at 1 point).
+/// True when the options select the DBF*-aggregate probe (kPaperLiteral, or
+/// kFull at 1 point); other configurations recompute each demand probe from
+/// the bin's members.
 [[nodiscard]] bool partition_uses_aggregates(const PartitionOptions& options);
 
 /// The bins: persistent per-processor membership + exact aggregates.
@@ -67,12 +65,10 @@ class PartitionState {
     return static_cast<int>(bins_.size());
   }
   /// Grow appends empty bins; shrink requires the cut bins to be empty
-  /// (callers roll placements back first — IncrementalPartition does).
+  /// (callers unplace their members first — IncrementalPartition does).
   void set_num_bins(int n);
 
   /// The acceptance probe for placing `t` on bin k against current contents.
-  /// Identical decisions, counter increments, and rejection diagnoses to the
-  /// batch partitioner's probe (this IS that probe, relocated).
   [[nodiscard]] bool fits(int bin, const SporadicTask& t,
                           BinAttemptRecord* diag = nullptr) const;
 
@@ -140,6 +136,8 @@ struct PartitionEvent {
 class IncrementalPartition {
  public:
   IncrementalPartition() = default;
+  /// Precondition: options.fit is first-fit and options.order is
+  /// deadline-monotonic (ContractViolation otherwise).
   IncrementalPartition(int num_bins, const PartitionOptions& options);
 
   /// Admit a task under a caller-stable unique id. The task becomes resident
@@ -178,31 +176,19 @@ class IncrementalPartition {
     int prev_bin = -1;  ///< bin before the in-flight event (replay fast path)
   };
 
-  /// Partition-order comparator (strict "a before b").
-  [[nodiscard]] bool ordered_before(const SporadicTask& a,
-                                    const SporadicTask& b) const;
   [[nodiscard]] std::size_t position_of(std::size_t id) const;
-  /// Unplace entries at positions >= pos, recording prev_bin for the replay
-  /// fast path. Aggregates are rolled back member by member (exact inverse).
-  void rollback(std::size_t pos);
-  /// Re-place entries from pos onward after an eager rollback(pos); `dirty`
-  /// carries bins whose membership already diverged from the pre-event
-  /// timeline (e.g. a removed member's old bin). Restores the invariant or
-  /// records the failure point.
+  /// Re-walk the order from `pos` without unplacing it first: entries stay
+  /// physically placed, and a bin is synchronized with the walk (its
+  /// not-yet-reached members unplaced) only when it must actually be probed.
+  /// Bins no probe touches keep their aggregates untouched, so a
+  /// standing-decision suffix costs no BigRational work at all — the
+  /// O(changed-task) property bench_online measures. `dirty` is directional
+  /// (0 untouched / 1 grew / 2 shrunk): rejections of grown bins stand by
+  /// first-fit monotonicity, so an admission re-probes only each later
+  /// member of the bin it landed in, not every entry placed above it.
+  /// Restores the invariant or records the failure point.
   PartitionEvent replay(std::size_t pos, std::vector<char> dirty);
-  /// First-fit-only variant that skips the eager rollback: entries stay
-  /// physically placed, and a bin is synchronized with the walk (its not-yet
-  /// -reached members unplaced) only when it must actually be probed. Bins
-  /// no probe touches keep their aggregates untouched, so a standing-decision
-  /// suffix costs no BigRational work at all — the O(changed-task) property
-  /// bench_online measures. `dirty` is directional (0 untouched / 1 grew /
-  /// 2 shrunk): rejections of grown bins stand by first-fit monotonicity, so
-  /// an admission re-probes only each later member of the bin it landed in,
-  /// not every entry placed above it. Identical decisions and final
-  /// representations to rollback()+replay(), with a subset of its probes.
-  PartitionEvent replay_lazy(std::size_t pos, std::vector<char> dirty);
 
-  PartitionOptions options_;
   PartitionState state_;
   std::vector<Placement> order_;
   std::optional<std::size_t> fail_at_;  ///< index of first unplaced entry

@@ -1,12 +1,9 @@
 #include "fedcons/listsched/list_scheduler.h"
 
 #include <algorithm>
-#include <functional>
-#include <queue>
 
 #include "fedcons/listsched/ls_workspace.h"
 #include "fedcons/util/check.h"
-#include "fedcons/util/perf_counters.h"
 
 namespace fedcons {
 
@@ -28,107 +25,6 @@ void validate_exec_times(const Dag& dag, std::span<const Time> exec_times) {
                             exec_times[v] <= dag.wcet(static_cast<VertexId>(v)),
                         "actual execution time must be in [1, WCET]");
   }
-}
-
-// Priority key: smaller sorts first in the ready queue.
-struct ReadyKey {
-  Time primary;    // policy-dependent (negated for "largest first")
-  VertexId vertex;  // deterministic tie-break
-
-  bool operator>(const ReadyKey& rhs) const noexcept {
-    if (primary != rhs.primary) return primary > rhs.primary;
-    return vertex > rhs.vertex;
-  }
-};
-
-// The reference LS core: allocation-per-call priority queues, exactly the
-// seed implementation. Kept callable (list_schedule_reference) as the oracle
-// for the equivalence suite and as the baseline the perf benchmarks compare
-// the workspace core against.
-TemplateSchedule reference_run_ls(const Dag& dag, int num_processors,
-                                  std::span<const Time> exec_times,
-                                  ListPolicy policy) {
-  FEDCONS_EXPECTS(!dag.empty());
-  FEDCONS_EXPECTS(num_processors >= 1);
-  validate_exec_times(dag, exec_times);
-
-  ++perf_counters().ls_invocations;
-
-  const std::size_t n = dag.num_vertices();
-  auto key_of = [&](VertexId v) -> ReadyKey {
-    switch (policy) {
-      case ListPolicy::kVertexOrder:
-        return {0, v};
-      case ListPolicy::kCriticalPath:
-        return {-dag.bottom_level(v), v};
-      case ListPolicy::kLongestWcet:
-        return {-dag.wcet(v), v};
-    }
-    return {0, v};
-  };
-
-  std::vector<std::size_t> remaining_preds(n);
-  // Pre-size the queue storage: the ready set never exceeds |V|.
-  std::vector<ReadyKey> ready_storage;
-  ready_storage.reserve(n);
-  std::priority_queue<ReadyKey, std::vector<ReadyKey>, std::greater<>> ready(
-      std::greater<>{}, std::move(ready_storage));
-  for (std::size_t v = 0; v < n; ++v) {
-    remaining_preds[v] = dag.in_degree(static_cast<VertexId>(v));
-    if (remaining_preds[v] == 0) ready.push(key_of(static_cast<VertexId>(v)));
-  }
-
-  struct Running {
-    Time finish;
-    int proc;
-    VertexId vertex;
-    bool operator>(const Running& rhs) const noexcept {
-      if (finish != rhs.finish) return finish > rhs.finish;
-      if (vertex != rhs.vertex) return vertex > rhs.vertex;
-      return proc > rhs.proc;
-    }
-  };
-  std::vector<Running> running_storage;
-  running_storage.reserve(static_cast<std::size_t>(num_processors));
-  std::priority_queue<Running, std::vector<Running>, std::greater<>> running(
-      std::greater<>{}, std::move(running_storage));
-  std::vector<int> proc_storage;
-  proc_storage.reserve(static_cast<std::size_t>(num_processors));
-  std::priority_queue<int, std::vector<int>, std::greater<>> free_procs(
-      std::greater<>{}, std::move(proc_storage));
-  for (int p = 0; p < num_processors; ++p) free_procs.push(p);
-
-  std::vector<ScheduledJob> out;
-  out.reserve(n);
-  Time now = 0;
-  std::size_t scheduled = 0;
-  while (scheduled < n) {
-    // Dispatch: work-conserving — any available job onto any idle processor.
-    while (!free_procs.empty() && !ready.empty()) {
-      ReadyKey k = ready.top();
-      ready.pop();
-      int proc = free_procs.top();
-      free_procs.pop();
-      Time exec = exec_times[k.vertex];
-      Time finish = checked_add(now, exec);
-      out.push_back(ScheduledJob{k.vertex, proc, now, finish});
-      running.push(Running{finish, proc, k.vertex});
-      ++scheduled;
-    }
-    if (scheduled == n) break;
-    FEDCONS_ASSERT(!running.empty());  // else: cycle (excluded by contract)
-    // Advance to the next completion; release successors & processors.
-    now = running.top().finish;
-    while (!running.empty() && running.top().finish == now) {
-      Running r = running.top();
-      running.pop();
-      free_procs.push(r.proc);
-      for (VertexId s : dag.successors(r.vertex)) {
-        if (--remaining_preds[s] == 0) ready.push(key_of(s));
-      }
-    }
-  }
-  return TemplateSchedule(num_processors, std::move(out));
 }
 
 // Run the workspace core and materialize the result (the only allocation of
@@ -161,20 +57,6 @@ TemplateSchedule list_schedule_with_exec_times(const Dag& dag,
   FEDCONS_EXPECTS(num_processors >= 1);
   validate_exec_times(dag, exec_times);
   return run_with_workspace(dag, num_processors, exec_times, policy);
-}
-
-TemplateSchedule list_schedule_reference(const Dag& dag, int num_processors,
-                                         ListPolicy policy) {
-  std::vector<Time> wcets(dag.num_vertices());
-  for (std::size_t v = 0; v < dag.num_vertices(); ++v)
-    wcets[v] = dag.wcet(static_cast<VertexId>(v));
-  return reference_run_ls(dag, num_processors, wcets, policy);
-}
-
-TemplateSchedule list_schedule_reference_with_exec_times(
-    const Dag& dag, int num_processors, std::span<const Time> exec_times,
-    ListPolicy policy) {
-  return reference_run_ls(dag, num_processors, exec_times, policy);
 }
 
 Time makespan_lower_bound(const Dag& dag, int num_processors) {

@@ -46,19 +46,6 @@ enum class ListPolicy {
     const Dag& dag, int num_processors, std::span<const Time> exec_times,
     ListPolicy policy = ListPolicy::kVertexOrder);
 
-/// The allocation-per-call reference implementation of list_schedule (the
-/// pre-workspace core, kept verbatim). Bit-identical output to
-/// list_schedule — pinned by the equivalence suite — and the baseline the
-/// perf benchmarks measure the zero-allocation core against.
-[[nodiscard]] TemplateSchedule list_schedule_reference(
-    const Dag& dag, int num_processors,
-    ListPolicy policy = ListPolicy::kVertexOrder);
-
-/// Reference twin of list_schedule_with_exec_times.
-[[nodiscard]] TemplateSchedule list_schedule_reference_with_exec_times(
-    const Dag& dag, int num_processors, std::span<const Time> exec_times,
-    ListPolicy policy = ListPolicy::kVertexOrder);
-
 /// Lower bound on ANY schedule's makespan (preemptive or not) on m
 /// processors: max(len, ⌈vol/m⌉).
 [[nodiscard]] Time makespan_lower_bound(const Dag& dag, int num_processors);

@@ -33,10 +33,11 @@
 // generator in this repo produces either) take a binary-heap fallback with
 // the reference's exact (finish, vertex) ordering.
 //
-// Results are bit-identical to the reference implementation
-// (`list_schedule_reference`): same dispatch pairing (k-th smallest ready key
-// onto the k-th lowest idle processor), same completion instants, same
-// deterministic tie-breaks. The equivalence suite pins this.
+// Results are bit-identical to the seed priority-queue implementation, kept
+// as the test-only `reference::list_schedule` (tests/reference/): same
+// dispatch pairing (k-th smallest ready key onto the k-th lowest idle
+// processor), same completion instants, same deterministic tie-breaks. The
+// equivalence suite pins this.
 #pragma once
 
 #include <cstdint>

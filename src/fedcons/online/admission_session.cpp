@@ -18,11 +18,10 @@ PartitionOptions sanitized(PartitionOptions options) {
 
 AdmissionSession::AdmissionSession(const Config& config)
     : config_(config),
-      memo_(config.memo_capacity, config.list_policy, config.minprocs.prune),
+      memo_(config.memo_capacity, config.list_policy),
       partition_(config.processors, sanitized(config.partition)) {
   FEDCONS_EXPECTS(config.processors >= 1);
   config_.partition = sanitized(config_.partition);
-  config_.minprocs.provenance = nullptr;
 }
 
 bool AdmissionSession::contains(SessionTaskId id) const noexcept {

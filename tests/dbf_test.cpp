@@ -1,5 +1,5 @@
-// Tests for demand bound functions: exact DBF, DBF*, and the exact summed
-// comparison used by Algorithm PARTITION.
+// Tests for demand bound functions: exact DBF, DBF*, its k-point refinement
+// and slope breakpoints.
 #include "fedcons/analysis/dbf.h"
 
 #include <gtest/gtest.h>
@@ -84,24 +84,6 @@ TEST_P(DbfPropertyTest, ApproximationDominatesWithinWcet) {
   }
 }
 
-TEST_P(DbfPropertyTest, SummedFitMatchesBruteForceRational) {
-  Rng rng(GetParam() ^ 0xbeef);
-  for (int i = 0; i < 100; ++i) {
-    std::vector<SporadicTask> tasks;
-    int n = static_cast<int>(rng.uniform_int(1, 8));
-    for (int j = 0; j < n; ++j) {
-      Time period = rng.uniform_int(2, 500);
-      Time deadline = rng.uniform_int(1, period);
-      Time wcet = rng.uniform_int(1, deadline);
-      tasks.emplace_back(wcet, deadline, period);
-    }
-    Time t = rng.uniform_int(0, 1500);
-    BigRational sum;
-    for (const auto& task : tasks) sum += dbf_approx(task, t);
-    EXPECT_EQ(approx_demand_fits(tasks, t), sum <= BigRational(t));
-  }
-}
-
 INSTANTIATE_TEST_SUITE_P(Seeds, DbfPropertyTest,
                          ::testing::Values(5u, 6u, 7u));
 
@@ -162,82 +144,6 @@ TEST(DbfBreakpointsTest, DeduplicatesSharedInstants) {
                                   SporadicTask(2, 5, 10)};
   auto bps = dbf_approx_breakpoints(tasks, 1, 100);
   EXPECT_EQ(bps, (std::vector<Time>{5}));
-}
-
-TEST(ApproxDemandFitsTest, EmptyAlwaysFits) {
-  EXPECT_TRUE(approx_demand_fits({}, 0));
-  EXPECT_TRUE(approx_demand_fits({}, 100));
-}
-
-TEST(ApproxDemandFitsTest, ExactBoundaryDecisions) {
-  // One task exactly filling the instant: C = D = 5, T = 5: DBF*(5) = 5 ≤ 5.
-  std::array<SporadicTask, 1> fit{SporadicTask(5, 5, 5)};
-  EXPECT_TRUE(approx_demand_fits(fit, 5));
-  // Fractional hairline: C=1, D=1, T=3 → DBF*(2) = 1 + 1/3 > 2? No: ≤ 2.
-  std::array<SporadicTask, 2> pair{SporadicTask(1, 1, 3),
-                                   SporadicTask(1, 2, 3)};
-  // At t=2: (1 + 1/3) + 1 = 7/3 ≤ 2 is FALSE.
-  EXPECT_FALSE(approx_demand_fits(pair, 2));
-}
-
-// Audit of the approx_demand_fits fast path against the definitionally exact
-// reference Σ_j dbf_approx(τ_j, t) ≤ t computed in BigRational arithmetic.
-// The fast path may only decide outright when its scaled integer estimate is
-// at least 2 whole units away from the boundary (the ±2 undecided band that
-// absorbs the worst-case rounding of the long-double accumulation, see
-// DESIGN.md §7); inside the band it must fall through to exact arithmetic.
-// Probing every breakpoint D_j + k·T_j and its ±2 neighborhood lands many
-// samples exactly on and around the boundary, where a mis-sized band would
-// flip decisions.
-TEST(ApproxDemandFitsTest, AgreesWithExactRationalReferenceNearBoundaries) {
-  Rng rng(2026);
-  for (int trial = 0; trial < 200; ++trial) {
-    std::vector<SporadicTask> tasks;
-    const int n = static_cast<int>(rng.uniform_int(1, 6));
-    // Mix magnitudes: small values make hairline sums common; large values
-    // push the 128-bit intermediates the fast path must survive.
-    const bool large = rng.uniform01() < 0.3;
-    const Time scale = large ? 1'000'000'000 : 20;
-    for (int i = 0; i < n; ++i) {
-      const Time c = rng.uniform_int(1, scale);
-      const Time d = c + rng.uniform_int(0, scale);
-      const Time t = d + rng.uniform_int(0, scale);
-      tasks.emplace_back(c, d, t);
-    }
-    std::vector<Time> probes;
-    for (const SporadicTask& task : tasks) {
-      for (int k = 0; k < 3; ++k) {
-        const Time bp = task.deadline + k * task.period;
-        for (Time delta = -2; delta <= 2; ++delta) probes.push_back(bp + delta);
-      }
-    }
-    probes.push_back(rng.uniform_int(0, 4 * scale));
-    for (const Time t : probes) {
-      BigRational sum;
-      for (const SporadicTask& task : tasks) sum += dbf_approx(task, t);
-      const bool expected = sum <= BigRational(t);
-      EXPECT_EQ(approx_demand_fits(tasks, t), expected)
-          << "trial " << trial << " t=" << t;
-    }
-  }
-}
-
-TEST(ApproxDemandFitsTest, HairlineFractionalBoundaries) {
-  // Sums that land exactly on t or a small fraction off it — the cases a
-  // floating-point-only implementation gets wrong and the ±2 band protects.
-  // Fractional sum strictly inside the bound: DBF*(8) of (2,2,6) is
-  // 2 + 6/3 = 4 and of (1,3,3) is 1 + 5/3 = 8/3, so Σ = 20/3 ≤ 8.
-  std::vector<SporadicTask> tasks{SporadicTask(2, 2, 6), SporadicTask(1, 3, 3)};
-  EXPECT_TRUE(approx_demand_fits(tasks, 8));
-  // Exact equality: C=D=T=1 gives DBF*(t) = t, so the bound holds with zero
-  // slack at every t.
-  std::vector<SporadicTask> exact{SporadicTask(1, 1, 1)};
-  EXPECT_TRUE(approx_demand_fits(exact, 3));
-  EXPECT_TRUE(approx_demand_fits(exact, 1000));
-  // Any extra volume breaks the equality case: adding (1,3,3) makes the sum
-  // at t=3 equal 3 + 1 = 4 > 3.
-  exact.emplace_back(1, 3, 3);
-  EXPECT_FALSE(approx_demand_fits(exact, 3));
 }
 
 TEST(TotalDbfTest, SumsExactDemands) {

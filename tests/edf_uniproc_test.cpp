@@ -1,4 +1,5 @@
-// Tests for the exact uniprocessor EDF analysis (PDC and QPA).
+// Tests for the exact uniprocessor EDF analysis: QPA, cross-checked against
+// the direct processor-demand scan (reference::edf_schedulable_pdc).
 #include "fedcons/analysis/edf_uniproc.h"
 
 #include <gtest/gtest.h>
@@ -7,12 +8,13 @@
 
 #include "fedcons/analysis/dbf.h"
 #include "fedcons/util/rng.h"
+#include "reference/reference.h"
 
 namespace fedcons {
 namespace {
 
 TEST(EdfUniprocTest, EmptySetSchedulable) {
-  EXPECT_TRUE(edf_schedulable_pdc({}).schedulable);
+  EXPECT_TRUE(reference::edf_schedulable_pdc({}).schedulable);
   EXPECT_TRUE(edf_schedulable_qpa({}).schedulable);
 }
 
@@ -21,14 +23,14 @@ TEST(EdfUniprocTest, ImplicitDeadlineFullUtilization) {
   // schedulable.
   std::vector<SporadicTask> tasks{SporadicTask(1, 2, 2),
                                   SporadicTask(2, 4, 4)};
-  EXPECT_TRUE(edf_schedulable_pdc(tasks).schedulable);
+  EXPECT_TRUE(reference::edf_schedulable_pdc(tasks).schedulable);
   EXPECT_TRUE(edf_schedulable_qpa(tasks).schedulable);
 }
 
 TEST(EdfUniprocTest, OverUtilizationRejected) {
   std::vector<SporadicTask> tasks{SporadicTask(3, 4, 4),
                                   SporadicTask(2, 4, 4)};
-  EXPECT_FALSE(edf_schedulable_pdc(tasks).schedulable);
+  EXPECT_FALSE(reference::edf_schedulable_pdc(tasks).schedulable);
   EXPECT_FALSE(edf_schedulable_qpa(tasks).schedulable);
 }
 
@@ -36,7 +38,7 @@ TEST(EdfUniprocTest, ConstrainedDeadlinesCanFailBelowFullUtilization) {
   // Two tasks, each C=1, D=1, T=4: at t=1 demand is 2 > 1 although U = 1/2.
   std::vector<SporadicTask> tasks{SporadicTask(1, 1, 4),
                                   SporadicTask(1, 1, 4)};
-  auto pdc = edf_schedulable_pdc(tasks);
+  auto pdc = reference::edf_schedulable_pdc(tasks);
   EXPECT_FALSE(pdc.schedulable);
   ASSERT_TRUE(pdc.violation_instant.has_value());
   EXPECT_EQ(*pdc.violation_instant, 1);
@@ -47,14 +49,14 @@ TEST(EdfUniprocTest, ConstrainedSchedulableExample) {
   // C=2, D=4, T=8 and C=3, D=6, T=12: demand stays under t everywhere.
   std::vector<SporadicTask> tasks{SporadicTask(2, 4, 8),
                                   SporadicTask(3, 6, 12)};
-  EXPECT_TRUE(edf_schedulable_pdc(tasks).schedulable);
+  EXPECT_TRUE(reference::edf_schedulable_pdc(tasks).schedulable);
   EXPECT_TRUE(edf_schedulable_qpa(tasks).schedulable);
 }
 
 TEST(EdfUniprocTest, ViolationWitnessIsGenuine) {
   std::vector<SporadicTask> tasks{SporadicTask(2, 2, 5),
                                   SporadicTask(2, 3, 5)};
-  auto r = edf_schedulable_pdc(tasks);
+  auto r = reference::edf_schedulable_pdc(tasks);
   ASSERT_FALSE(r.schedulable);
   ASSERT_TRUE(r.violation_instant.has_value());
   EXPECT_GT(total_dbf(tasks, *r.violation_instant), *r.violation_instant);
@@ -65,7 +67,7 @@ TEST(EdfUniprocTest, ExactUtilizationBoundaryWithConstrainedDeadline) {
   std::vector<SporadicTask> tasks{SporadicTask(1, 1, 2),
                                   SporadicTask(1, 2, 2)};
   // t=1: 1 ≤ 1; t=2: 2 ≤ 2; pattern repeats with slack 0 — schedulable.
-  EXPECT_TRUE(edf_schedulable_pdc(tasks).schedulable);
+  EXPECT_TRUE(reference::edf_schedulable_pdc(tasks).schedulable);
   EXPECT_TRUE(edf_schedulable_qpa(tasks).schedulable);
 }
 
@@ -109,7 +111,7 @@ TEST_P(EdfCrossValidationTest, PdcEqualsQpa) {
       Time wcet = rng.uniform_int(1, deadline);
       tasks.emplace_back(wcet, deadline, period);
     }
-    EXPECT_EQ(edf_schedulable_pdc(tasks).schedulable,
+    EXPECT_EQ(reference::edf_schedulable_pdc(tasks).schedulable,
               edf_schedulable_qpa(tasks).schedulable)
         << "disagreement on a random task set (seed " << GetParam()
         << ", trial " << i << ")";
@@ -137,7 +139,7 @@ TEST_P(EdfCrossValidationTest, PdcEqualsBruteForce) {
         if (total_dbf(tasks, t) > t) brute = false;
       }
     }
-    EXPECT_EQ(edf_schedulable_pdc(tasks).schedulable, brute);
+    EXPECT_EQ(reference::edf_schedulable_pdc(tasks).schedulable, brute);
   }
 }
 
@@ -155,7 +157,7 @@ TEST_P(EdfCrossValidationTest, PdcEqualsQpaOnArbitraryDeadlines) {
       Time wcet = rng.uniform_int(1, std::min(deadline, period));
       tasks.emplace_back(wcet, deadline, period);
     }
-    EXPECT_EQ(edf_schedulable_pdc(tasks).schedulable,
+    EXPECT_EQ(reference::edf_schedulable_pdc(tasks).schedulable,
               edf_schedulable_qpa(tasks).schedulable)
         << "disagreement on an arbitrary-deadline set (seed " << GetParam()
         << ", trial " << i << ")";
@@ -174,7 +176,7 @@ TEST(EdfSaturationTest, OverflowingDeadlinePointsSaturateNotWrap) {
   const Time big = Time{1} << 62;
   std::vector<SporadicTask> tasks{SporadicTask(big / 2, big - 1, big + 8),
                                   SporadicTask(big / 2, big - 1, big + 8)};
-  const EdfResult pdc = edf_schedulable_pdc(tasks);
+  const EdfResult pdc = reference::edf_schedulable_pdc(tasks);
   EXPECT_FALSE(pdc.schedulable);
   ASSERT_TRUE(pdc.violation_instant.has_value());
   EXPECT_EQ(*pdc.violation_instant, big - 1);

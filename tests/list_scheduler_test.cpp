@@ -9,6 +9,7 @@
 #include "fedcons/gen/dag_gen.h"
 #include "fedcons/util/check.h"
 #include "fedcons/util/rng.h"
+#include "reference/reference.h"
 
 namespace fedcons {
 namespace {
@@ -194,7 +195,7 @@ TEST_P(ListSchedulerPropertyTest, WorkspaceCoreMatchesReferenceBitForBit) {
          {ListPolicy::kVertexOrder, ListPolicy::kCriticalPath,
           ListPolicy::kLongestWcet}) {
       TemplateSchedule opt = list_schedule(g, procs, policy);
-      TemplateSchedule ref = list_schedule_reference(g, procs, policy);
+      TemplateSchedule ref = reference::list_schedule(g, procs, policy);
       EXPECT_EQ(opt.makespan(), ref.makespan());
       ASSERT_EQ(opt.num_jobs(), ref.num_jobs());
       for (std::size_t i = 0; i < opt.jobs().size(); ++i) {
@@ -220,7 +221,7 @@ TEST_P(ListSchedulerPropertyTest, ExecTimesVariantMatchesReference) {
     }
     TemplateSchedule opt = list_schedule_with_exec_times(g, procs, exec);
     TemplateSchedule ref =
-        list_schedule_reference_with_exec_times(g, procs, exec);
+        reference::list_schedule_with_exec_times(g, procs, exec);
     EXPECT_EQ(opt.makespan(), ref.makespan());
     ASSERT_EQ(opt.num_jobs(), ref.num_jobs());
     for (std::size_t i = 0; i < opt.jobs().size(); ++i) {

@@ -1,11 +1,11 @@
 // Equivalence suite for the bound-guided MINPROCS fast path (DESIGN.md §7).
 //
 // The pruned, workspace-backed scan must be observationally identical to the
-// seed reference scan: same μ, bit-identical template schedule, same
-// rejections, and the same number of LS probes (the Graham-bound cap only
-// removes candidates the scan can never reach). These tests drive both paths
-// over ~200 random DAG tasks per policy and compare everything, including
-// the deterministic perf-counter deltas.
+// seed scan (reference::minprocs, tests/reference/): same μ, bit-identical
+// template schedule, same rejections, and the same number of LS probes (the
+// Graham-bound cap only removes candidates the scan can never reach). These
+// tests drive both paths over ~200 random DAG tasks per policy and compare
+// everything, including the deterministic perf-counter deltas.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -15,6 +15,7 @@
 #include "fedcons/gen/dag_gen.h"
 #include "fedcons/util/perf_counters.h"
 #include "fedcons/util/rng.h"
+#include "reference/reference.h"
 
 namespace fedcons {
 namespace {
@@ -58,11 +59,11 @@ TEST_P(MinprocsEquivalenceTest, PrunedScanMatchesReferenceBitForBit) {
     const int budget = static_cast<int>(rng.uniform_int(0, 16));
     for (ListPolicy policy : kPolicies) {
       const PerfCounters before_ref = perf_counters();
-      auto ref = minprocs(t, budget, policy, MinprocsOptions{.prune = false});
+      auto ref = reference::minprocs(t, budget, policy);
       const PerfCounters ref_delta = perf_counters() - before_ref;
 
       const PerfCounters before_opt = perf_counters();
-      auto opt = minprocs(t, budget, policy, MinprocsOptions{.prune = true});
+      auto opt = minprocs(t, budget, policy);
       const PerfCounters opt_delta = perf_counters() - before_opt;
 
       ASSERT_EQ(ref.has_value(), opt.has_value())
@@ -78,20 +79,6 @@ TEST_P(MinprocsEquivalenceTest, PrunedScanMatchesReferenceBitForBit) {
       EXPECT_EQ(ref_delta.ls_invocations, opt_delta.ls_invocations);
       // The reference path never prunes.
       EXPECT_EQ(ref_delta.ls_probes_pruned, 0u);
-    }
-  }
-}
-
-TEST_P(MinprocsEquivalenceTest, DefaultOptionsAreThePrunedPath) {
-  Rng rng(GetParam() ^ 0xabcdu);
-  for (int trial = 0; trial < 10; ++trial) {
-    const DagTask t = random_task(rng);
-    auto def = minprocs(t, 12);
-    auto opt = minprocs(t, 12, ListPolicy::kVertexOrder, {.prune = true});
-    ASSERT_EQ(def.has_value(), opt.has_value());
-    if (def.has_value()) {
-      EXPECT_EQ(def->processors, opt->processors);
-      expect_bit_identical(def->sigma, opt->sigma);
     }
   }
 }

@@ -1,8 +1,8 @@
 // PartitionState / IncrementalPartition (federated/partition_state.h):
-// rollback exactness (admit-then-release leaves NO residue, down to the
-// stored rational representations) and the structural invariant
-// state == partition_tasks(residents-in-admission-order) under random
-// admit/remove/resize sequences across partition variants.
+// rollback exactness (admit-then-release and shrink-then-regrow leave NO
+// residue, down to the stored rational representations) and the structural
+// invariant state == partition_tasks(residents-in-admission-order) under
+// random admit/remove/resize sequences across partition variants.
 #include "fedcons/federated/partition_state.h"
 
 #include <gtest/gtest.h>
@@ -13,6 +13,7 @@
 
 #include "fedcons/core/io.h"
 #include "fedcons/federated/partition.h"
+#include "fedcons/util/check.h"
 #include "fedcons/util/rng.h"
 
 namespace fedcons {
@@ -76,16 +77,13 @@ void expect_same_images(const std::vector<BinImage>& a,
 
 TEST(PartitionUsesAggregates, MatchesBatchPredicate) {
   PartitionOptions o;
-  EXPECT_TRUE(partition_uses_aggregates(o));  // kFull, 1 point, incremental
+  EXPECT_TRUE(partition_uses_aggregates(o));  // kFull, 1 point
   o.variant = PartitionVariant::kPaperLiteral;
   EXPECT_TRUE(partition_uses_aggregates(o));
   o.variant = PartitionVariant::kFull;
   o.dbf_points = 3;
   EXPECT_FALSE(partition_uses_aggregates(o));
   o.dbf_points = 1;
-  o.incremental = false;
-  EXPECT_FALSE(partition_uses_aggregates(o));
-  o.incremental = true;
   o.variant = PartitionVariant::kExactEdf;
   EXPECT_FALSE(partition_uses_aggregates(o));
 }
@@ -138,6 +136,52 @@ TEST(IncrementalPartition, RollbackExactAtSaturatingMagnitudes) {
   EXPECT_TRUE(inc.ok());
 }
 
+// Shrinking the pool unplaces the entries on the cut bins and replays from the
+// first of them, which fails on the surviving bins; growing it back must
+// re-seat them into representation-identical bins. AdmissionSession relies on
+// this when it undoes a rejected high-density admit.
+TEST(IncrementalPartition, ShrinkThenRegrowLeavesNoResidue) {
+  IncrementalPartition inc(3, PartitionOptions{});
+  ASSERT_TRUE(inc.admit(0, SporadicTask(6, 10, 10)).ok);
+  ASSERT_TRUE(inc.admit(1, SporadicTask(6, 11, 11)).ok);
+  ASSERT_TRUE(inc.admit(2, SporadicTask(6, 12, 12)).ok);
+  ASSERT_TRUE(inc.admit(3, SporadicTask(1, 20, 20)).ok);
+  ASSERT_EQ(inc.assignment(),
+            (std::vector<std::vector<std::size_t>>{{0, 3}, {1}, {2}}));
+  const auto before = image_of(inc);
+
+  const PartitionEvent shrink = inc.resize(2);
+  EXPECT_FALSE(shrink.ok);
+  EXPECT_EQ(shrink.failed_id, 2u);
+  EXPECT_EQ(shrink.bins_revalidated, 2u);  // both survivors reject task 2
+
+  const PartitionEvent regrow = inc.resize(3);
+  EXPECT_TRUE(regrow.ok);
+  expect_same_images(image_of(inc), before);
+}
+
+// Online PARTITION is the paper's Fig. 4: first-fit in deadline-monotonic
+// order. Best/worst fit and the other orders are batch-only ablations.
+TEST(IncrementalPartition, RejectsOtherFitsAndOrdersAtConstruction) {
+  PartitionOptions o;
+  o.fit = FitStrategy::kBestFit;
+  EXPECT_THROW((void)IncrementalPartition(3, o), ContractViolation);
+  o.fit = FitStrategy::kWorstFit;
+  EXPECT_THROW((void)IncrementalPartition(3, o), ContractViolation);
+  o.fit = FitStrategy::kFirstFit;
+  o.order = PartitionOrder::kDensityDescending;
+  EXPECT_THROW((void)IncrementalPartition(3, o), ContractViolation);
+  o.order = PartitionOrder::kUtilizationDescending;
+  EXPECT_THROW((void)IncrementalPartition(3, o), ContractViolation);
+  o.order = PartitionOrder::kDeadlineMonotonic;
+  for (PartitionVariant v :
+       {PartitionVariant::kFull, PartitionVariant::kPaperLiteral,
+        PartitionVariant::kExactEdf}) {
+    o.variant = v;
+    EXPECT_NO_THROW((void)IncrementalPartition(3, o));
+  }
+}
+
 TEST(IncrementalPartition, ZeroBinsReportsEarliestAdmitted) {
   IncrementalPartition inc(0, PartitionOptions{});
   const PartitionEvent first = inc.admit(7, SporadicTask(1, 50, 60));
@@ -159,8 +203,7 @@ SporadicTask random_task(Rng& rng) {
 
 // The invariant itself: after every event, verdict + per-bin membership
 // equal the batch partitioner run from scratch over the residents in
-// admission order. Exercised across variants and fit strategies (the replay
-// fast path only applies to first-fit; others take the full-replay path).
+// admission order. Exercised across the probe variants.
 void run_event_differential(const PartitionOptions& options,
                             std::uint64_t seed) {
   Rng rng(seed);
@@ -227,27 +270,9 @@ TEST(IncrementalPartition, DifferentialExactEdf) {
   run_event_differential(o, 31);
 }
 
-TEST(IncrementalPartition, DifferentialBestFit) {
-  PartitionOptions o;
-  o.fit = FitStrategy::kBestFit;
-  run_event_differential(o, 41);
-}
-
-TEST(IncrementalPartition, DifferentialWorstFit) {
-  PartitionOptions o;
-  o.fit = FitStrategy::kWorstFit;
-  run_event_differential(o, 51);
-}
-
-TEST(IncrementalPartition, DifferentialLegacyNonIncrementalProbes) {
-  PartitionOptions o;
-  o.incremental = false;  // no aggregates: recompute-per-probe oracle path
-  run_event_differential(o, 61);
-}
-
 TEST(IncrementalPartition, DifferentialMultiPointDbf) {
   PartitionOptions o;
-  o.dbf_points = 4;  // kFull without aggregates
+  o.dbf_points = 4;  // kFull, demand recomputed per probe
   run_event_differential(o, 71);
 }
 

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "fedcons/analysis/edf_uniproc.h"
@@ -10,6 +11,7 @@
 #include "fedcons/util/check.h"
 #include "fedcons/util/perf_counters.h"
 #include "fedcons/util/rng.h"
+#include "reference/reference.h"
 
 namespace fedcons {
 namespace {
@@ -212,10 +214,19 @@ TEST(PartitionTest, FullVariantSoundForArbitraryDeadlines) {
 }
 
 TEST(PartitionTest, IncrementalAggregateMatchesLegacyEverywhere) {
-  // The per-bin DBF* aggregate (DbfStarAggregate) must reproduce the
-  // recompute-per-probe paths exactly: same verdicts, same placements, same
-  // failing task, and — for the paths it covers — the same number of logical
-  // DBF* evaluations.
+  // The library's probes — per-bin DBF* aggregates, certified-double
+  // screens, cached exact folds — must reproduce the recompute-per-probe
+  // reference exactly: same verdicts, same placements, same failing task and
+  // the same number of logical DBF* evaluations, for every variant, fit and
+  // order.
+  struct Variant {
+    PartitionVariant variant;
+    int dbf_points;
+  };
+  constexpr Variant kVariants[] = {{PartitionVariant::kFull, 1},
+                                   {PartitionVariant::kFull, 3},
+                                   {PartitionVariant::kPaperLiteral, 1},
+                                   {PartitionVariant::kExactEdf, 1}};
   Rng rng(4242);
   for (int trial = 0; trial < 60; ++trial) {
     std::vector<SporadicTask> tasks;
@@ -226,43 +237,41 @@ TEST(PartitionTest, IncrementalAggregateMatchesLegacyEverywhere) {
       Time wcet = rng.uniform_int(1, std::max<Time>(1, deadline - 1));
       tasks.emplace_back(wcet, deadline, period);
     }
-    const int procs = static_cast<int>(rng.uniform_int(1, 4));
-    for (PartitionVariant variant :
-         {PartitionVariant::kFull, PartitionVariant::kPaperLiteral}) {
+    const int procs = static_cast<int>(rng.uniform_int(0, 4));
+    for (const Variant& v : kVariants) {
       for (FitStrategy fit : {FitStrategy::kFirstFit, FitStrategy::kBestFit,
                               FitStrategy::kWorstFit}) {
-        PartitionOptions inc;
-        inc.variant = variant;
-        inc.fit = fit;
-        inc.incremental = true;
-        PartitionOptions legacy = inc;
-        legacy.incremental = false;
+        for (PartitionOrder order : {PartitionOrder::kDeadlineMonotonic,
+                                     PartitionOrder::kDensityDescending,
+                                     PartitionOrder::kUtilizationDescending}) {
+          PartitionOptions opt;
+          opt.variant = v.variant;
+          opt.dbf_points = v.dbf_points;
+          opt.fit = fit;
+          opt.order = order;
+          const std::string what = std::string(to_string(v.variant)) + "@" +
+                                   std::to_string(v.dbf_points) + "/" +
+                                   to_string(fit) + "/" + to_string(order) +
+                                   " trial " + std::to_string(trial);
 
-        const PerfCounters before_inc = perf_counters();
-        auto a = partition_tasks(tasks, procs, inc);
-        const PerfCounters inc_delta = perf_counters() - before_inc;
-        const PerfCounters before_leg = perf_counters();
-        auto b = partition_tasks(tasks, procs, legacy);
-        const PerfCounters leg_delta = perf_counters() - before_leg;
+          const PerfCounters before_lib = perf_counters();
+          const auto a = partition_tasks(tasks, procs, opt);
+          const PerfCounters lib_delta = perf_counters() - before_lib;
+          const PerfCounters before_ref = perf_counters();
+          const auto b = reference::partition_tasks(tasks, procs, opt);
+          const PerfCounters ref_delta = perf_counters() - before_ref;
 
-        ASSERT_EQ(a.success, b.success)
-            << to_string(variant) << "/" << to_string(fit);
-        EXPECT_EQ(a.assignment, b.assignment);
-        if (!a.success) EXPECT_EQ(a.failed_task, b.failed_task);
-        EXPECT_EQ(inc_delta.dbf_star_evaluations,
-                  leg_delta.dbf_star_evaluations)
-            << to_string(variant) << "/" << to_string(fit);
+          ASSERT_EQ(a.success, b.success) << what;
+          EXPECT_EQ(a.assignment, b.assignment) << what;
+          if (!a.success) {
+            EXPECT_EQ(a.failed_task, b.failed_task) << what;
+          }
+          EXPECT_EQ(lib_delta.dbf_star_evaluations,
+                    ref_delta.dbf_star_evaluations)
+              << what;
+        }
       }
     }
-    // dbf_points > 1 bypasses the aggregate; the flag must be a no-op there.
-    PartitionOptions multi;
-    multi.dbf_points = 3;
-    PartitionOptions multi_legacy = multi;
-    multi_legacy.incremental = false;
-    auto a = partition_tasks(tasks, procs, multi);
-    auto b = partition_tasks(tasks, procs, multi_legacy);
-    ASSERT_EQ(a.success, b.success);
-    EXPECT_EQ(a.assignment, b.assignment);
   }
 }
 

@@ -72,22 +72,6 @@ TEST(ToolsErrorsTest, StrayPositionalArgumentsExitTwo) {
   EXPECT_EQ(exit_code(kConform + " --list stray"), 2);
 }
 
-TEST(ToolsErrorsTest, MalformedFlagValuesExitTwo) {
-  // --m is read before the workload file is even opened.
-  EXPECT_EQ(exit_code(kCli + " --file=whatever --m=banana"), 2);
-  EXPECT_EQ(exit_code(kGen + " --tasks=banana"), 2);
-  EXPECT_EQ(exit_code(kConform + " --isolation --trials=banana"), 2);
-}
-
-TEST(ToolsErrorsTest, TrailingGarbageNumbersExitTwo) {
-  // stoll("8x") returns 8, so --threads=8x used to run with 8 threads and
-  // --m=8x analyzed on 8 processors. The whole token must parse.
-  EXPECT_EQ(exit_code(kConform + " --trials=10 --threads=8x"), 2);
-  EXPECT_EQ(exit_code(kCli + " --file=whatever --m=8x"), 2);
-  EXPECT_EQ(exit_code(kGen + " --tasks=3.5"), 2);
-  EXPECT_EQ(exit_code(kCli + " --file=whatever --m=99999999999999999999"), 2);
-}
-
 /// A minimal valid workload on disk, for exercising post-parse flag errors.
 std::string valid_workload_path() {
   static const std::string path = [] {
@@ -98,6 +82,28 @@ std::string valid_workload_path() {
     return p;
   }();
   return path;
+}
+
+TEST(ToolsErrorsTest, MalformedFlagValuesExitTwo) {
+  // --m is read before the workload file is even opened.
+  EXPECT_EQ(exit_code(kCli + " --file=whatever --m=banana"), 2);
+  EXPECT_EQ(exit_code(kGen + " --tasks=banana"), 2);
+  EXPECT_EQ(exit_code(kConform + " --isolation --trials=banana"), 2);
+  // --variant names one of two PARTITION probes; anything else (including
+  // the library's own "paper-literal" spelling) is a usage error, not a
+  // silent run of the full variant.
+  const std::string cli = kCli + " --file=" + valid_workload_path() + " --m=2";
+  EXPECT_EQ(exit_code(cli + " --variant=bogus"), 2);
+  EXPECT_EQ(exit_code(cli + " --variant=paper-literal"), 2);
+}
+
+TEST(ToolsErrorsTest, TrailingGarbageNumbersExitTwo) {
+  // stoll("8x") returns 8, so --threads=8x used to run with 8 threads and
+  // --m=8x analyzed on 8 processors. The whole token must parse.
+  EXPECT_EQ(exit_code(kConform + " --trials=10 --threads=8x"), 2);
+  EXPECT_EQ(exit_code(kCli + " --file=whatever --m=8x"), 2);
+  EXPECT_EQ(exit_code(kGen + " --tasks=3.5"), 2);
+  EXPECT_EQ(exit_code(kCli + " --file=whatever --m=99999999999999999999"), 2);
 }
 
 TEST(ToolsErrorsTest, MalformedInjectSpecsExitTwo) {
@@ -126,6 +132,9 @@ TEST(ToolsErrorsTest, MalformedWorkloadFilesFailCleanly) {
 TEST(ToolsErrorsTest, ValidInvocationsStillExitZero) {
   // Guard against over-eager rejection: the documented happy paths work.
   EXPECT_EQ(exit_code(kCli + " --example"), 0);
+  EXPECT_EQ(exit_code(kCli + " --file=" + valid_workload_path() +
+                      " --m=2 --variant=literal"),
+            0);
   EXPECT_EQ(exit_code(kGen + " --list-presets"), 0);
   EXPECT_EQ(exit_code(kConform + " --list"), 0);
 }

@@ -276,7 +276,7 @@ int run_injection(const TaskSystem& system, int m, const FaultPlan& plan,
 /// observable the O(changed-task) claim is judged on; the memo / bin-probe
 /// counters say where the saved work went. Exit 0 iff the final verdict is
 /// schedulable (matching the batch CLI's convention), 2 on bad input.
-int run_online(const Flags& flags) {
+int run_online(const Flags& flags, PartitionVariant variant) {
   const std::string path = flags.get_string("online", "");
   if (path.empty() || path == "true") {
     std::cerr << "error: --online needs a trace file (--online=FILE)\n";
@@ -315,9 +315,7 @@ int run_online(const Flags& flags) {
     std::cerr << "error: --m must be >= 1\n";
     return 2;
   }
-  if (flags.get_string("variant", "full") == "literal") {
-    config.partition.variant = PartitionVariant::kPaperLiteral;
-  }
+  config.partition.variant = variant;
 
   AdmissionSession session(config);
   std::vector<OnlineEventReport> reports;
@@ -438,7 +436,15 @@ int run(const Flags& flags) {
     return 0;
   }
   if (flags.has("list-algos")) return list_algos();
-  if (flags.has("online")) return run_online(flags);
+  const std::string variant_str = flags.get_string("variant", "full");
+  if (variant_str != "full" && variant_str != "literal") {
+    std::cerr << "error: --variant takes 'full' or 'literal'\n";
+    return 2;
+  }
+  const PartitionVariant variant = variant_str == "literal"
+                                       ? PartitionVariant::kPaperLiteral
+                                       : PartitionVariant::kFull;
+  if (flags.has("online")) return run_online(flags, variant);
   const std::string path = flags.get_string("file", "");
   const int m = static_cast<int>(flags.get_int("m", 0));
   if (path.empty() || m < 1) return usage();
@@ -481,9 +487,7 @@ int run(const Flags& flags) {
       return 2;
     }
     FedconsOptions inj_options;
-    if (flags.get_string("variant", "full") == "literal") {
-      inj_options.partition.variant = PartitionVariant::kPaperLiteral;
-    }
+    inj_options.partition.variant = variant;
     if (plan.processor_failure.processor >= 0) {
       if (plan.processor_failure.processor >= m) {
         std::cerr << "error: failed processor "
@@ -548,9 +552,7 @@ int run(const Flags& flags) {
 
   const std::string strategy = flags.get_string("strategy", "fedcons");
   FedconsOptions options;
-  if (flags.get_string("variant", "full") == "literal") {
-    options.partition.variant = PartitionVariant::kPaperLiteral;
-  }
+  options.partition.variant = variant;
   options.record_provenance = explain;
 
   if ((json || explain) && strategy != "fedcons") {
