@@ -127,11 +127,10 @@ fi  # serve_only
 
 # ---------------------------------------------------------------------------
 # Admission-control service: live fedcons_serve daemon on a unix socket,
-# driven by the closed-loop fedcons_loadgen. The daemon runs single-worker
-# (--threads=1, batch work inline) with eager dispatch — the fastest shape on
-# small boxes, where extra workers just add cross-core cache traffic. Two
-# resident-set sizes are recorded: per-event admission cost is linear in the
-# number of resident tasks, so "residents" is the load knob that matters.
+# driven by the closed-loop fedcons_loadgen. The daemon serves each
+# connection on its own thread (its only shape). Two resident-set sizes are
+# recorded: per-event admission cost is linear in the number of resident
+# tasks, so "residents" is the load knob that matters.
 # Acceptance bar (PR 8): the small-resident run sustains >= 100k verdicts/s.
 
 for bin in tools/fedcons_serve tools/fedcons_loadgen; do
@@ -156,8 +155,7 @@ serve_run() {
   local label="$1" residents="$2"
   shift 2
   local sock="$serve_tmp/serve_$label.sock"
-  "$build_dir/tools/fedcons_serve" --socket="$sock" \
-    --threads=1 --max-batch=256 --batch-timeout-us=0 "$@" \
+  "$build_dir/tools/fedcons_serve" --socket="$sock" "$@" \
     > "$serve_tmp/server_$label.out" &
   serve_pid=$!
   for _ in $(seq 1 100); do
@@ -212,7 +210,6 @@ doc = {
     "benchmark": "pr8_admission_service",
     "cmake_build_type": build_type,
     "transport": "unix",
-    "server_flags": {"threads": 1, "max_batch": 256, "batch_timeout_us": 0},
     "runs": runs,
     "verdicts_per_sec": head["qps"],
     "p99_us": head["latency_us"]["p99"],

@@ -60,7 +60,7 @@ void set_tracing_enabled(bool enabled);
 /// Current time on the trace clock (nanoseconds since the trace epoch) —
 /// for call sites that stamp stage timestamps themselves and emit spans
 /// after the fact via record_span_at (the serve pipeline stamps a request
-/// at enqueue on one thread and emits its spans from the dispatcher).
+/// at its socket read and emits its write span after the send()).
 [[nodiscard]] inline std::int64_t trace_now_ns() { return detail::now_ns(); }
 
 /// Record one completed span from explicit trace-clock timestamps, into the

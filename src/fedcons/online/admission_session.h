@@ -51,10 +51,9 @@
 // to be the *same* thread: the session caches no thread identity (no
 // thread_locals, no TID-keyed state), so an owner may hand it between
 // threads as long as hand-offs are externally serialized with a
-// happens-before edge (a mutex, a queue, a joined task). This is exactly how
-// serve/server.cpp runs sessions: each dispatcher batch routes all of a
-// session's events into one work item, and *which* BatchRunner worker
-// executes that item changes batch to batch.
+// happens-before edge (a mutex, a queue, a joined task). serve/server.cpp
+// needs none of that: a session belongs to one connection, and only that
+// connection's thread ever touches it.
 // (The memo cache underneath is itself thread-safe, but it is owned per
 // session here so hit/miss sequences stay deterministic per event sequence.)
 #pragma once

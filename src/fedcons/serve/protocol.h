@@ -32,13 +32,14 @@
 //   {"op": "stats",    "seq": N [, "format": "prometheus"]}
 //   {"op": "stats_series", "seq": N [, "last": K]}
 //   {"op": "ping",     "seq": N}
-//   {"op": "stall",    "seq": N, "us": U}      (diagnostic: occupy a worker)
+//   {"op": "stall",    "seq": N, "us": U}      (diagnostic: occupy the
+//                                               connection's thread)
 //   {"op": "shutdown", "seq": N}               (drain and exit)
 //
 // Any request may additionally carry "stages": 1 — the response then echoes
 // the server-side stage breakdown for that request (see below), so a client
-// can attribute its observed latency to queue wait vs batch formation vs
-// session handling without a server-side trace.
+// can attribute its observed latency to waiting vs session handling without
+// a server-side trace.
 //
 // TEXT is an escaped core/io.h task-system document (the same embedding the
 // online trace format uses). "register" uploads content once per
@@ -50,14 +51,16 @@
 //
 //   {"status": "ok", "seq": N, ...}            op-specific payload below
 //   {"status": "error", "seq": N, "error": MSG}
-//   {"status": "retry_after", "seq": N}        bounded queue full; re-send
+//   {"status": "retry_after", "seq": N}        reserved; the server no longer
+//                                              sends it
 //
 // ok payloads: open -> "session"; register -> "content"; admit/release/swap
 // -> "applied" 0/1, "schedulable" 0/1, "reject" (failure name, "accepted"
 // when schedulable), "task_ids" ("T T ..." ids assigned to admitted tasks),
-// "residents"; query -> "schedulable", "reject", "residents". RETRY_AFTER
-// is the protocol's backpressure: the server never buffers more than its
-// queue depth.
+// "residents"; query -> "schedulable", "reject", "residents". Backpressure
+// is socket flow control: a connection's requests are handled by its own
+// server thread in read order, and a client that stops reading stalls only
+// that connection.
 //
 // Stats grammar (all three documents carry "schema_version"):
 //
@@ -65,13 +68,19 @@
 //       "schema_version", "uptime_us" (us since the daemon started),
 //       "snapshot_monotonic_us" (us on the machine-wide monotonic clock at
 //       snapshot time — comparable across processes on one box), the
-//       counters (connections_accepted, requests_enqueued, requests_shed,
-//       requests_sampled, parse_errors, framing_errors, batches,
-//       queue_depth, queue_high_watermark, reader_busy_us, handle_us,
-//       write_us, dispatch_busy_us), and one nested obs::histogram_json
-//       object per distribution (batch_size, latency_us, admit_latency_us,
-//       release_latency_us — each with raw "buckets" counts, so two
-//       snapshots can be differenced exactly).
+//       counters (connections_accepted, requests_enqueued = requests read
+//       and parsed, requests_shed, requests_sampled, parse_errors,
+//       framing_errors, batches = socket reads that carried a request,
+//       queue_depth, queue_high_watermark, reader_busy_us = frame decode +
+//       request parse, handle_us = handle + response encode, write_us =
+//       every send(), dispatch_busy_us = the sum of those three; busy times
+//       are summed over the connection threads), and one nested
+//       obs::histogram_json object per distribution (batch_size = requests
+//       per socket read, latency_us = read -> response encoded,
+//       admit_latency_us, release_latency_us — each with raw "buckets"
+//       counts, so two snapshots can be differenced exactly).
+//       requests_shed, queue_depth and queue_high_watermark are always 0:
+//       nothing is queued or shed. They keep the schema stable.
 //   stats?format=prometheus  ->  {"status": "ok", "seq": N,
 //       "schema_version": V, "prometheus": TEXT} where TEXT is the same
 //       snapshot rendered in Prometheus text exposition 0.0.4 (JSON-escaped;
@@ -82,17 +91,18 @@
 //       ring (oldest first; "last" caps K). Each "sN" is one flat object of
 //       scalars: "snapshot_monotonic_us", "uptime_us", cumulative counters
 //       (requests_enqueued, requests_shed, batches, handle_us, write_us),
-//       the instantaneous "queue_depth", and the latency summary
+//       "queue_depth" (always 0), and the latency summary
 //       ("latency_count", "latency_p50", "latency_p99"). Differencing
 //       consecutive samples yields interval rates; the ring bounds series
 //       memory at C samples regardless of uptime.
 //
 // Stage echo ("stages": 1 on the request): the ok response additionally
-// carries "stage_queue_us" (enqueue -> dequeue), "stage_batch_us" (dequeue
-// -> batch seal), and "stage_handle_us" (session handling + response
-// encoding) for THAT request. The write stage cannot be echoed — a response
-// is encoded before it is written — so write attribution lives in the
-// trace/stats side only.
+// carries "stage_queue_us" (the socket read that delivered the request ->
+// start of its handling: decode and parse plus the requests ahead of it in
+// that read), "stage_batch_us" (always 0; kept for the schema), and
+// "stage_handle_us" (session handling) for THAT request. The write stage
+// cannot be echoed — a response is encoded before it is written — so write
+// attribution lives in the trace/stats side only.
 #pragma once
 
 #include <cstdint>
@@ -177,6 +187,7 @@ struct ServeRequest {
 /// Request -> payload (inverse of parse_serve_request; fixed field order).
 [[nodiscard]] std::string encode_serve_request(const ServeRequest& req);
 
+/// kRetryAfter still parses and encodes, but the server never sends it.
 enum class ServeStatus { kOk, kError, kRetryAfter };
 
 [[nodiscard]] const char* to_string(ServeStatus status) noexcept;
@@ -199,9 +210,9 @@ struct ServeResponse {
   std::uint64_t residents = 0;
 
   bool has_stages = false;  ///< request asked for the stage breakdown
-  std::uint64_t stage_queue_us = 0;   ///< enqueue -> dequeue
-  std::uint64_t stage_batch_us = 0;   ///< dequeue -> batch seal
-  std::uint64_t stage_handle_us = 0;  ///< handle + response encoding
+  std::uint64_t stage_queue_us = 0;   ///< socket read -> handling starts
+  std::uint64_t stage_batch_us = 0;   ///< always 0 (no batch window)
+  std::uint64_t stage_handle_us = 0;  ///< session handling
 
   /// Extra raw JSON members appended verbatim at encode time (", \"k\": v"
   /// fragments) — the stats payload. Parse keeps the whole payload in `raw`

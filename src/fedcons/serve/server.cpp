@@ -13,17 +13,13 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstring>
-#include <deque>
 #include <mutex>
-#include <unordered_map>
 
 #include "fedcons/core/io.h"
-#include "fedcons/engine/batch_runner.h"
 #include "fedcons/obs/prometheus.h"
 #include "fedcons/obs/snapshot_ring.h"
 #include "fedcons/obs/span_tracer.h"
 #include "fedcons/online/admission_session.h"
-#include "fedcons/serve/bounded_queue.h"
 #include "fedcons/util/check.h"
 #include "fedcons/util/mini_json.h"
 
@@ -50,7 +46,7 @@ std::uint64_t monotonic_us_now() noexcept {
           .count());
 }
 
-/// Trace-clock ns interval -> whole microseconds (stage echo fields).
+/// Trace-clock ns interval -> whole microseconds (latency, stage echo).
 std::uint64_t ns_delta_us(std::int64_t a, std::int64_t b) noexcept {
   return b > a ? static_cast<std::uint64_t>((b - a) / 1000) : 0;
 }
@@ -78,9 +74,21 @@ std::vector<DagTask> parse_embedded_tasks(const std::string& text) {
   return out;
 }
 
-/// The diagnostic "stall" op occupies a worker for a bounded time only; a
-/// client cannot wedge the dispatcher with a huge value.
+/// The diagnostic "stall" op occupies its connection's thread for a bounded
+/// time only; a client cannot wedge it with a huge value.
 constexpr std::uint64_t kMaxStallUs = 2'000'000;
+
+/// Per-connection read buffer: the most one recv() delivers.
+constexpr std::size_t kReadBufferBytes = 64 * 1024;
+
+/// Responses encoded before a send(); every recv()'s last frame also ends
+/// with one. With perfbench serve-low (two connections, 128 requests in
+/// flight on each; 20-s runs on a 4-vCPU x86-64 VM) flushing every 32
+/// responses gave 620k-1.01M verdicts/s. One send() per recv() gave
+/// 343-429k, because client and daemon took turns on each 128-request
+/// burst, and one send() per response 528k. Every 16 or 64 read the same
+/// as 32 within noise.
+constexpr std::size_t kFlushEvery = 32;
 
 }  // namespace
 
@@ -118,9 +126,10 @@ std::string ServerStats::to_prometheus() const {
   w.counter("fedcons_serve_connections_total", "Connections accepted",
             connections_accepted);
   w.counter("fedcons_serve_requests_total",
-            "Requests admitted to the dispatch queue", requests_enqueued);
+            "Requests read and parsed", requests_enqueued);
   w.counter("fedcons_serve_requests_shed_total",
-            "Requests answered RETRY_AFTER because the queue was full",
+            "Always 0: no request is shed; backpressure is socket flow "
+            "control",
             requests_shed);
   w.counter("fedcons_serve_requests_sampled_total",
             "Requests picked by trace sampling", requests_sampled);
@@ -129,11 +138,14 @@ std::string ServerStats::to_prometheus() const {
   w.counter("fedcons_serve_framing_errors_total",
             "Unrecoverable framing errors (connection closed)",
             framing_errors);
-  w.counter("fedcons_serve_batches_total", "Dispatcher batches run", batches);
-  w.gauge("fedcons_serve_queue_depth", "Requests queued at snapshot time",
+  w.counter("fedcons_serve_batches_total",
+            "Socket reads that carried at least one request", batches);
+  w.gauge("fedcons_serve_queue_depth",
+          "Always 0: each connection's thread handles what it reads, so "
+          "nothing is queued",
           queue_depth);
   w.gauge("fedcons_serve_queue_high_watermark",
-          "Highest queue depth ever observed", queue_high_watermark);
+          "Always 0: there is no request queue", queue_high_watermark);
   w.counter("fedcons_serve_stage_busy_us_total",
             "Busy microseconds by pipeline stage", reader_busy_us, "stage",
             "reader");
@@ -146,16 +158,16 @@ std::string ServerStats::to_prometheus() const {
   w.counter("fedcons_serve_stage_busy_us_total",
             "Busy microseconds by pipeline stage", dispatch_busy_us, "stage",
             "dispatch");
-  w.histogram("fedcons_serve_batch_size", "Requests per dispatcher batch",
+  w.histogram("fedcons_serve_batch_size", "Requests per socket read",
               batch_size);
   w.histogram("fedcons_serve_request_latency_us",
-              "Enqueue-to-response-encoded latency by op class", latency_us,
+              "Read-to-response-encoded latency by op class", latency_us,
               "op", "all");
   w.histogram("fedcons_serve_request_latency_us",
-              "Enqueue-to-response-encoded latency by op class",
+              "Read-to-response-encoded latency by op class",
               admit_latency_us, "op", "admit");
   w.histogram("fedcons_serve_request_latency_us",
-              "Enqueue-to-response-encoded latency by op class",
+              "Read-to-response-encoded latency by op class",
               release_latency_us, "op", "release");
   return w.str();
 }
@@ -176,9 +188,10 @@ std::string SeriesSample::to_json() const {
 }
 
 struct Server::Impl {
-  // One accepted socket: a reader thread feeding the shared queue, a write
-  // mutex serializing response buffers, and the connection-scoped admission
-  // state (sessions opened and contents registered over this socket).
+  // One accepted socket, the thread that serves it, and the admission state
+  // opened over it (sessions and registered content, both addressed by
+  // their index). Only that thread reads, handles and writes, so nothing
+  // here except `done` is shared.
   struct Connection {
     explicit Connection(int fd) : fd(fd) {}
     ~Connection() {
@@ -186,37 +199,44 @@ struct Server::Impl {
     }
 
     int fd;
-    std::mutex write_mu;
-    std::atomic<bool> dead{false};
-    std::atomic<bool> reader_done{false};
-    std::thread reader;
-
-    // Guards only the maps below (find/insert); the session OBJECTS are
-    // accessed lock-free under the one-group-per-session batch invariant.
-    std::mutex state_mu;
-    std::unordered_map<std::uint64_t, std::unique_ptr<AdmissionSession>>
-        sessions;
-    std::uint64_t next_session = 0;
-    std::deque<std::vector<DagTask>> contents;  ///< stable element addresses
+    std::vector<std::unique_ptr<AdmissionSession>> sessions;
+    std::vector<std::vector<DagTask>> contents;
+    std::string out;         ///< encoded responses not yet sent
+    std::size_t unsent = 0;  ///< responses in `out`
+    std::vector<std::uint64_t> sampled;  ///< trace ids of responses in `out`
+    std::atomic<bool> done{false};       ///< the thread is exiting
+    std::thread thread;
   };
 
-  struct Pending {
-    std::shared_ptr<Connection> conn;
-    ServeRequest req;
-    Clock::time_point enqueued;
-    // Observability: trace id is always assigned (one relaxed fetch_add);
-    // the ns stage stamps are only taken when this request is trace-sampled
-    // or asked for the stage echo — the default path reads no extra clocks.
-    std::uint64_t trace_id = 0;
-    bool sampled = false;
-    std::int64_t enq_ns = 0;   ///< parsed + entering the queue
-    std::int64_t deq_ns = 0;   ///< popped by the dispatcher
-    std::int64_t seal_ns = 0;  ///< batch collection window closed
+  // Stage accounting for the requests of one recv(). Every stage is charged
+  // from the end of the previous one (a running trace-clock mark), so the
+  // busy counters add up to the thread's working time and the stage stamps
+  // double as trace and echo stamps. Folded into the shared counters once
+  // per recv().
+  struct ReadTally {
+    explicit ReadTally(std::int64_t now) : read_ns(now), mark_ns(now) {}
+
+    /// Charge [mark, now) to `stage`; returns now.
+    std::int64_t charge(std::uint64_t& stage) {
+      const std::int64_t now = obs::trace_now_ns();
+      stage += static_cast<std::uint64_t>(now - mark_ns);
+      mark_ns = now;
+      return now;
+    }
+
+    std::int64_t read_ns;  ///< recv() returned
+    std::int64_t mark_ns;  ///< end of the last stage charged
+    std::uint64_t requests = 0;
+    std::uint64_t reader_ns = 0;  ///< frame decode + request parse
+    std::uint64_t handle_ns = 0;  ///< handle + response encode
+    std::uint64_t write_ns = 0;   ///< send()
+    obs::Histogram latency;
+    obs::Histogram admit_latency;
+    obs::Histogram release_latency;
   };
 
   explicit Impl(const ServerConfig& config)
-      : config(config), queue(static_cast<std::size_t>(config.queue_depth)),
-        runner(config.threads),
+      : config(config),
         series(static_cast<std::size_t>(
             config.stats_ring > 0 ? config.stats_ring : 1)) {}
 
@@ -234,9 +254,8 @@ struct Server::Impl {
   void start();
   void join_all() {
     if (acceptor.joinable()) acceptor.join();
-    if (dispatcher.joinable()) dispatcher.join();
-    // The snapshotter stops only after the dispatcher drained, so the ring's
-    // final sample can still see the tail of the workload.
+    // The snapshotter stops only after the connections drained, so the
+    // ring's final sample can still see the tail of the workload.
     series_stop.store(true, std::memory_order_release);
     series_cv.notify_all();
     if (snapshotter.joinable()) snapshotter.join();
@@ -253,20 +272,15 @@ struct Server::Impl {
     }
   }
 
-  // ---- socket plumbing ----------------------------------------------------
+  // ---- connections --------------------------------------------------------
 
   void accept_loop();
-  void reader_loop(const std::shared_ptr<Connection>& conn);
-  void write_frames(Connection& conn, const std::string& bytes);
-  void send_response(Connection& conn, const ServeResponse& resp) {
-    const std::string bytes = encode_frame(encode_serve_response(resp));
-    std::lock_guard<std::mutex> lock(conn.write_mu);
-    write_frames(conn, bytes);
-  }
-
-  // ---- dispatch -----------------------------------------------------------
-
-  void dispatch_loop();
+  void serve_connection(Connection& conn);
+  [[nodiscard]] bool serve_request(Connection& conn,
+                                   const std::string& payload,
+                                   ReadTally& tally);
+  [[nodiscard]] bool flush(Connection& conn, ReadTally& tally);
+  void record(const ReadTally& tally);
   [[nodiscard]] ServeResponse handle(Connection& conn,
                                      const ServeRequest& req);
 
@@ -277,17 +291,14 @@ struct Server::Impl {
     s.connections_accepted =
         connections_accepted.load(std::memory_order_relaxed);
     s.requests_enqueued = requests_enqueued.load(std::memory_order_relaxed);
-    s.requests_shed = requests_shed.load(std::memory_order_relaxed);
     s.requests_sampled = requests_sampled.load(std::memory_order_relaxed);
     s.parse_errors = parse_errors.load(std::memory_order_relaxed);
     s.framing_errors = framing_errors.load(std::memory_order_relaxed);
     s.batches = batches.load(std::memory_order_relaxed);
-    s.queue_depth = queue.size();
-    s.queue_high_watermark = queue.high_watermark();
-    s.reader_busy_us = reader_busy_us.load(std::memory_order_relaxed);
-    s.handle_us = handle_us.load(std::memory_order_relaxed);
-    s.write_us = write_us.load(std::memory_order_relaxed);
-    s.dispatch_busy_us = dispatch_busy_us.load(std::memory_order_relaxed);
+    s.reader_busy_us = reader_busy_ns.load(std::memory_order_relaxed) / 1000;
+    s.handle_us = handle_ns.load(std::memory_order_relaxed) / 1000;
+    s.write_us = write_ns.load(std::memory_order_relaxed) / 1000;
+    s.dispatch_busy_us = s.reader_busy_us + s.handle_us + s.write_us;
     {
       std::lock_guard<std::mutex> lock(hist_mu);
       s.batch_size = batch_size_hist;
@@ -304,11 +315,9 @@ struct Server::Impl {
     out.snapshot_monotonic_us = s.snapshot_monotonic_us;
     out.uptime_us = s.uptime_us;
     out.requests_enqueued = s.requests_enqueued;
-    out.requests_shed = s.requests_shed;
     out.batches = s.batches;
     out.handle_us = s.handle_us;
     out.write_us = s.write_us;
-    out.queue_depth = s.queue_depth;
     out.latency_count = s.latency_us.count();
     out.latency_p50 = s.latency_us.percentile(50.0);
     out.latency_p99 = s.latency_us.percentile(99.0);
@@ -337,28 +346,19 @@ struct Server::Impl {
   int bound_port = 0;
 
   std::atomic<bool> shutdown_flag{false};
-  std::atomic<bool> op_shutdown{false};  ///< set by the "shutdown" op
 
-  BoundedQueue<Pending> queue;
-  BatchRunner runner;
-
-  std::thread acceptor;
-  std::thread dispatcher;
-
-  std::mutex conns_mu;
-  std::vector<std::shared_ptr<Connection>> conns;
+  /// Touched only by the acceptor thread.
+  std::vector<std::unique_ptr<Connection>> conns;
 
   std::atomic<std::uint64_t> connections_accepted{0};
   std::atomic<std::uint64_t> requests_enqueued{0};
-  std::atomic<std::uint64_t> requests_shed{0};
   std::atomic<std::uint64_t> requests_sampled{0};
   std::atomic<std::uint64_t> parse_errors{0};
   std::atomic<std::uint64_t> framing_errors{0};
   std::atomic<std::uint64_t> batches{0};
-  std::atomic<std::uint64_t> reader_busy_us{0};
-  std::atomic<std::uint64_t> handle_us{0};
-  std::atomic<std::uint64_t> write_us{0};
-  std::atomic<std::uint64_t> dispatch_busy_us{0};
+  std::atomic<std::uint64_t> reader_busy_ns{0};
+  std::atomic<std::uint64_t> handle_ns{0};
+  std::atomic<std::uint64_t> write_ns{0};
   mutable std::mutex hist_mu;
   obs::Histogram batch_size_hist;
   obs::Histogram latency_hist;
@@ -368,10 +368,12 @@ struct Server::Impl {
   Clock::time_point start_time{};
   std::atomic<std::uint64_t> next_trace_id{0};
   obs::SnapshotRing<SeriesSample> series;
-  std::thread snapshotter;
   std::mutex series_mu;
   std::condition_variable series_cv;
   std::atomic<bool> series_stop{false};
+
+  std::thread acceptor;
+  std::thread snapshotter;
 };
 
 void Server::Impl::start() {
@@ -417,7 +419,6 @@ void Server::Impl::start() {
   FEDCONS_EXPECTS_MSG(::listen(listen_fd, 128) == 0,
                       "serve: listen failed: " + std::string(strerror(errno)));
   start_time = Clock::now();
-  dispatcher = std::thread([this] { dispatch_loop(); });
   acceptor = std::thread([this] { accept_loop(); });
   if (config.stats_interval_ms > 0) {
     snapshotter = std::thread([this] { series_loop(); });
@@ -433,7 +434,7 @@ void Server::Impl::accept_loop() {
       break;
     }
     if (fds[1].revents & POLLIN) {
-      // Drain reader nudges so the level-triggered pipe goes quiet again.
+      // Drain connection nudges so the level-triggered pipe goes quiet.
       char scratch[64];
       while (::read(wake_pipe[0], scratch, sizeof(scratch)) > 0) {
       }
@@ -446,289 +447,163 @@ void Server::Impl::accept_loop() {
           const int one = 1;
           ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
         }
-        auto conn = std::make_shared<Connection>(fd);
+        conns.push_back(std::make_unique<Connection>(fd));
+        Connection& conn = *conns.back();
         connections_accepted.fetch_add(1, std::memory_order_relaxed);
-        conn->reader = std::thread([this, conn] { reader_loop(conn); });
-        std::lock_guard<std::mutex> lock(conns_mu);
-        conns.push_back(std::move(conn));
+        conn.thread = std::thread([this, &conn] { serve_connection(conn); });
       }
     }
-    // Reap finished readers; drop connections nothing references anymore
-    // (no queued requests, reader exited), so a long-lived daemon does not
+    // Reap connections whose thread exited, so a long-lived daemon does not
     // accumulate dead connection state.
-    std::lock_guard<std::mutex> lock(conns_mu);
     for (auto it = conns.begin(); it != conns.end();) {
-      if ((*it)->reader_done.load(std::memory_order_acquire)) {
-        if ((*it)->reader.joinable()) (*it)->reader.join();
-        if (it->use_count() == 1) {
-          it = conns.erase(it);
-          continue;
-        }
+      if ((*it)->done.load(std::memory_order_acquire)) {
+        (*it)->thread.join();
+        it = conns.erase(it);
+      } else {
+        ++it;
       }
-      ++it;
     }
   }
-  // Drain: no new connections, stop the readers (recv -> 0), join them,
-  // then close the queue so the dispatcher finishes what was admitted.
-  {
-    std::lock_guard<std::mutex> lock(conns_mu);
-    for (const auto& conn : conns) ::shutdown(conn->fd, SHUT_RD);
-    for (const auto& conn : conns) {
-      if (conn->reader.joinable()) conn->reader.join();
-    }
-  }
-  queue.close();
+  // Drain: no new connections. Shutting each socket down for reading makes
+  // its recv() return 0 once the bytes already received are consumed, so
+  // every thread answers what it read, sends it, and exits.
+  for (const auto& conn : conns) ::shutdown(conn->fd, SHUT_RD);
+  for (const auto& conn : conns) conn->thread.join();
+  conns.clear();
 }
 
-void Server::Impl::reader_loop(const std::shared_ptr<Connection>& conn) {
+void Server::Impl::serve_connection(Connection& conn) {
   FrameDecoder decoder(config.max_frame_bytes);
-  char buf[65536];
+  char buf[kReadBufferBytes];
+  std::string payload;
   bool open = true;
   while (open) {
-    const ssize_t n = ::recv(conn->fd, buf, sizeof(buf), 0);
+    const ssize_t n = ::recv(conn.fd, buf, sizeof(buf), 0);
     if (n <= 0) break;
-    const auto busy_start = Clock::now();
+    ReadTally tally(obs::trace_now_ns());
     decoder.feed(buf, static_cast<std::size_t>(n));
-    std::string payload;
     try {
-      while (decoder.next(payload)) {
-        ServeRequest req;
-        try {
-          req = parse_serve_request(payload);
-        } catch (const ParseError& e) {
-          parse_errors.fetch_add(1, std::memory_order_relaxed);
-          ServeResponse resp;
-          resp.status = ServeStatus::kError;
-          resp.seq = guess_seq(payload);
-          resp.error = e.what();
-          send_response(*conn, resp);
-          continue;  // recoverable: framing is still in sync
-        }
-        Pending item{conn, std::move(req), Clock::now()};
-        item.trace_id = next_trace_id.fetch_add(1, std::memory_order_relaxed);
-        item.sampled = config.trace_sample > 0 && obs::tracing_enabled() &&
-                       item.trace_id %
-                               static_cast<std::uint64_t>(
-                                   config.trace_sample) ==
-                           0;
-        if (item.sampled) {
-          requests_sampled.fetch_add(1, std::memory_order_relaxed);
-        }
-        if (item.sampled || item.req.echo_stages) {
-          item.enq_ns = obs::trace_now_ns();
-        }
-        const std::uint64_t seq = item.req.seq;
-        if (queue.try_push(std::move(item))) {
-          requests_enqueued.fetch_add(1, std::memory_order_relaxed);
-        } else {
-          // Backpressure: the bounded queue is the ONLY buffer; a full
-          // queue sheds load here instead of growing memory.
-          requests_shed.fetch_add(1, std::memory_order_relaxed);
-          ServeResponse resp;
-          resp.status = ServeStatus::kRetryAfter;
-          resp.seq = seq;
-          send_response(*conn, resp);
-        }
+      while (open && decoder.next(payload)) {
+        open = serve_request(conn, payload, tally);
       }
     } catch (const ParseError& e) {
       // Framing error: the byte stream cannot be resynced.
       framing_errors.fetch_add(1, std::memory_order_relaxed);
       ServeResponse resp;
       resp.status = ServeStatus::kError;
-      resp.seq = 0;
       resp.error = e.what();
-      send_response(*conn, resp);
+      conn.out += encode_frame(encode_serve_response(resp));
+      tally.charge(tally.reader_ns);
       open = false;
     }
-    reader_busy_us.fetch_add(us_between(busy_start, Clock::now()),
-                             std::memory_order_relaxed);
+    if (!flush(conn, tally)) open = false;
+    record(tally);
   }
-  conn->reader_done.store(true, std::memory_order_release);
-  // Nudge the acceptor so it reaps this reader promptly.
+  conn.done.store(true, std::memory_order_release);
+  // Nudge the acceptor so it reaps this connection promptly.
   const char byte = 'x';
-  [[maybe_unused]] const ssize_t n = ::write(wake_pipe[1], &byte, 1);
+  [[maybe_unused]] const ssize_t w = ::write(wake_pipe[1], &byte, 1);
 }
 
-void Server::Impl::write_frames(Connection& conn, const std::string& bytes) {
-  if (conn.dead.load(std::memory_order_relaxed)) return;
-  std::size_t off = 0;
-  while (off < bytes.size()) {
-    const ssize_t n = ::send(conn.fd, bytes.data() + off, bytes.size() - off,
-                             MSG_NOSIGNAL);
+bool Server::Impl::serve_request(Connection& conn, const std::string& payload,
+                                 ReadTally& tally) {
+  ServeRequest req;
+  try {
+    req = parse_serve_request(payload);
+  } catch (const ParseError& e) {
+    // Recoverable: framing is still in sync.
+    parse_errors.fetch_add(1, std::memory_order_relaxed);
+    ServeResponse resp;
+    resp.status = ServeStatus::kError;
+    resp.seq = guess_seq(payload);
+    resp.error = e.what();
+    conn.out += encode_frame(encode_serve_response(resp));
+    tally.charge(tally.reader_ns);
+    return ++conn.unsent < kFlushEvery || flush(conn, tally);
+  }
+  const std::int64_t parsed_ns = tally.charge(tally.reader_ns);
+  ++tally.requests;
+  // Trace ids are drawn only while spans can be recorded; the default path
+  // pays this branch and no shared write.
+  std::uint64_t trace_id = 0;
+  bool sampled = false;
+  if (config.trace_sample > 0 && obs::tracing_enabled()) {
+    trace_id = next_trace_id.fetch_add(1, std::memory_order_relaxed);
+    sampled = trace_id % static_cast<std::uint64_t>(config.trace_sample) == 0;
+    if (sampled) requests_sampled.fetch_add(1, std::memory_order_relaxed);
+  }
+
+  ServeResponse resp = handle(conn, req);
+  const std::int64_t handled_ns =
+      sampled || req.echo_stages ? obs::trace_now_ns() : 0;
+  if (req.echo_stages) {
+    resp.has_stages = true;
+    resp.stage_queue_us = ns_delta_us(tally.read_ns, parsed_ns);
+    resp.stage_handle_us = ns_delta_us(parsed_ns, handled_ns);
+  }
+  conn.out += encode_frame(encode_serve_response(resp));
+  const std::int64_t encoded_ns = tally.charge(tally.handle_ns);
+
+  const std::uint64_t lat = ns_delta_us(tally.read_ns, encoded_ns);
+  tally.latency.add(lat);
+  if (req.op == ServeOp::kAdmit || req.op == ServeOp::kSwap) {
+    tally.admit_latency.add(lat);
+  } else if (req.op == ServeOp::kRelease) {
+    tally.release_latency.add(lat);
+  }
+  if (sampled) {
+    // One request's path as a span chain, all carrying the trace id —
+    // Perfetto groups them into one story. flush() adds the write span.
+    const auto id = static_cast<std::int64_t>(trace_id);
+    obs::record_span_at("serve", "queue", tally.read_ns,
+                        parsed_ns - tally.read_ns, "trace_id", id);
+    obs::record_span_at("serve", "handle", parsed_ns, handled_ns - parsed_ns,
+                        "trace_id", id);
+    conn.sampled.push_back(trace_id);
+  }
+  return ++conn.unsent < kFlushEvery || flush(conn, tally);
+}
+
+bool Server::Impl::flush(Connection& conn, ReadTally& tally) {
+  if (conn.out.empty()) return true;
+  const std::int64_t start_ns = tally.mark_ns;
+  bool sent = true;
+  for (std::size_t off = 0; off < conn.out.size();) {
+    const ssize_t n = ::send(conn.fd, conn.out.data() + off,
+                             conn.out.size() - off, MSG_NOSIGNAL);
+    if (n < 0 && errno == EINTR) continue;
     if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
-      conn.dead.store(true, std::memory_order_relaxed);
-      return;
+      sent = false;
+      break;
     }
     off += static_cast<std::size_t>(n);
   }
+  const std::int64_t end_ns = tally.charge(tally.write_ns);
+  // Sampled requests share the send(): their write spans cover the same
+  // interval, closing each trace chain.
+  for (const std::uint64_t id : conn.sampled) {
+    obs::record_span_at("serve", "write", start_ns, end_ns - start_ns,
+                        "trace_id", static_cast<std::int64_t>(id));
+  }
+  conn.sampled.clear();
+  conn.out.clear();
+  conn.unsent = 0;
+  return sent;
 }
 
-void Server::Impl::dispatch_loop() {
-  std::vector<Pending> batch;
-  while (true) {
-    batch.clear();
-    bool any_observed = false;  // any item sampled or stage-echoing
-    const auto stamp_dequeue = [&](Pending& item) {
-      if (item.sampled || item.req.echo_stages) {
-        item.deq_ns = obs::trace_now_ns();
-        any_observed = true;
-      }
-    };
-    Pending first;
-    if (!queue.pop(first)) break;  // closed and drained
-    stamp_dequeue(first);
-    batch.push_back(std::move(first));
-    // Dynamic batching: collect whatever arrives within the window, up to
-    // the cap. Under saturation the queue is never empty and the window
-    // never waits; under light load one request costs at most the window.
-    const auto deadline = Clock::now() + std::chrono::microseconds(
-                                             config.batch_timeout_us);
-    while (batch.size() < static_cast<std::size_t>(config.max_batch)) {
-      Pending item;
-      if (!queue.pop_until(item, deadline)) break;
-      stamp_dequeue(item);
-      batch.push_back(std::move(item));
-    }
-    if (any_observed) {
-      // Batch seal: the collection window just closed for everyone in it.
-      const std::int64_t seal = obs::trace_now_ns();
-      for (Pending& item : batch) {
-        if (item.sampled || item.req.echo_stages) item.seal_ns = seal;
-      }
-    }
+void Server::Impl::record(const ReadTally& tally) {
+  if (tally.requests > 0) {
+    requests_enqueued.fetch_add(tally.requests, std::memory_order_relaxed);
     batches.fetch_add(1, std::memory_order_relaxed);
-    const auto batch_start = Clock::now();
-
-    // Group by (connection, session). One group per session per batch is
-    // the invariant that lets sessions stay lock-free: a session is only
-    // ever touched by the single worker running its group. Non-session ops
-    // go to the connection's control group (key session slot ~0).
-    struct Group {
-      Connection* conn = nullptr;
-      std::vector<std::size_t> items;  ///< batch indices, queue order
-      std::string out;                 ///< encoded response frames
-      obs::Histogram latency;
-      obs::Histogram admit_latency;
-      obs::Histogram release_latency;
-      std::vector<std::uint64_t> sampled_ids;  ///< for write-stage spans
-    };
-    std::vector<Group> groups;
-    std::unordered_map<std::uint64_t, std::size_t> index;
-    std::unordered_map<Connection*, std::uint64_t> conn_ids;
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      Connection* conn = batch[i].conn.get();
-      const auto [cit, inserted] =
-          conn_ids.try_emplace(conn, conn_ids.size());
-      const ServeRequest& req = batch[i].req;
-      const bool session_op =
-          req.op == ServeOp::kRegister || req.op == ServeOp::kAdmit ||
-          req.op == ServeOp::kRelease || req.op == ServeOp::kSwap ||
-          req.op == ServeOp::kQuery;
-      const std::uint64_t slot = session_op ? req.session + 1 : 0;
-      const std::uint64_t key = (cit->second << 32) | (slot & 0xffffffffu);
-      const auto [git, fresh] = index.try_emplace(key, groups.size());
-      if (fresh) {
-        groups.emplace_back();
-        groups.back().conn = conn;
-      }
-      groups[git->second].items.push_back(i);
-    }
-
-    runner.parallel_for(groups.size(), [&](std::size_t g) {
-      Group& group = groups[g];
-      const auto handle_start = Clock::now();
-      for (const std::size_t i : group.items) {
-        Pending& item = batch[i];
-        const bool observed = item.sampled || item.req.echo_stages;
-        const std::int64_t h0 = observed ? obs::trace_now_ns() : 0;
-        ServeResponse resp = handle(*group.conn, item.req);
-        if (observed) {
-          const std::int64_t h1 = obs::trace_now_ns();
-          if (item.req.echo_stages) {
-            resp.has_stages = true;
-            resp.stage_queue_us = ns_delta_us(item.enq_ns, item.deq_ns);
-            resp.stage_batch_us = ns_delta_us(item.deq_ns, item.seal_ns);
-            resp.stage_handle_us = ns_delta_us(h0, h1);
-          }
-          if (item.sampled) {
-            // One request's path through the pipeline as a span chain, all
-            // carrying the trace id — Perfetto groups them into one story.
-            const auto id = static_cast<std::int64_t>(item.trace_id);
-            obs::record_span_at("serve", "queue", item.enq_ns,
-                                item.deq_ns - item.enq_ns, "trace_id", id);
-            obs::record_span_at("serve", "batch", item.deq_ns,
-                                item.seal_ns - item.deq_ns, "trace_id", id);
-            obs::record_span_at("serve", "handle", h0, h1 - h0, "trace_id",
-                                id);
-            group.sampled_ids.push_back(item.trace_id);
-          }
-        }
-        group.out += encode_frame(encode_serve_response(resp));
-        const std::uint64_t lat = us_between(item.enqueued, Clock::now());
-        group.latency.add(lat);
-        if (item.req.op == ServeOp::kAdmit ||
-            item.req.op == ServeOp::kSwap) {
-          group.admit_latency.add(lat);
-        } else if (item.req.op == ServeOp::kRelease) {
-          group.release_latency.add(lat);
-        }
-      }
-      handle_us.fetch_add(us_between(handle_start, Clock::now()),
-                          std::memory_order_relaxed);
-    });
-
-    // One send() per CONNECTION per batch, not per group: each send() to a
-    // blocked client costs a wakeup (~tens of µs on one core), so all of a
-    // connection's groups concatenate first. Per-session FIFO survives the
-    // merge because a session lives entirely inside one group.
-    {
-      const auto write_start = Clock::now();
-      std::string out;
-      std::vector<std::uint64_t> write_ids;
-      for (const auto& [conn, id] : conn_ids) {
-        out.clear();
-        write_ids.clear();
-        for (const Group& group : groups) {
-          if (group.conn == conn) {
-            out += group.out;
-            write_ids.insert(write_ids.end(), group.sampled_ids.begin(),
-                             group.sampled_ids.end());
-          }
-        }
-        // Sampled requests share the connection's single send() — their
-        // write spans cover the same interval, closing each trace chain.
-        const std::int64_t w0 =
-            write_ids.empty() ? 0 : obs::trace_now_ns();
-        {
-          std::lock_guard<std::mutex> lock(conn->write_mu);
-          write_frames(*conn, out);
-        }
-        if (!write_ids.empty()) {
-          const std::int64_t w1 = obs::trace_now_ns();
-          for (const std::uint64_t tid : write_ids) {
-            obs::record_span_at("serve", "write", w0, w1 - w0, "trace_id",
-                                static_cast<std::int64_t>(tid));
-          }
-        }
-      }
-      write_us.fetch_add(us_between(write_start, Clock::now()),
-                         std::memory_order_relaxed);
-    }
-    dispatch_busy_us.fetch_add(us_between(batch_start, Clock::now()),
-                               std::memory_order_relaxed);
-
-    {
-      std::lock_guard<std::mutex> lock(hist_mu);
-      batch_size_hist.add(batch.size());
-      for (const Group& group : groups) {
-        latency_hist.merge(group.latency);
-        admit_latency_hist.merge(group.admit_latency);
-        release_latency_hist.merge(group.release_latency);
-      }
-    }
-    if (op_shutdown.load(std::memory_order_acquire)) request_shutdown();
   }
+  reader_busy_ns.fetch_add(tally.reader_ns, std::memory_order_relaxed);
+  handle_ns.fetch_add(tally.handle_ns, std::memory_order_relaxed);
+  write_ns.fetch_add(tally.write_ns, std::memory_order_relaxed);
+  std::lock_guard<std::mutex> lock(hist_mu);
+  if (tally.requests > 0) batch_size_hist.add(tally.requests);
+  latency_hist.merge(tally.latency);
+  admit_latency_hist.merge(tally.admit_latency);
+  release_latency_hist.merge(tally.release_latency);
 }
 
 ServeResponse Server::Impl::handle(Connection& conn,
@@ -736,19 +611,14 @@ ServeResponse Server::Impl::handle(Connection& conn,
   ServeResponse resp;
   resp.seq = req.seq;
   try {
-    // Resolve the session pointer under state_mu; USE it lock-free — the
-    // one-group-per-session invariant makes that exclusive.
     const auto find_session = [&](std::uint64_t id) -> AdmissionSession& {
-      std::lock_guard<std::mutex> lock(conn.state_mu);
-      const auto it = conn.sessions.find(id);
-      FEDCONS_EXPECTS_MSG(it != conn.sessions.end(),
+      FEDCONS_EXPECTS_MSG(id < conn.sessions.size(),
                           "unknown session " + std::to_string(id));
-      return *it->second;
+      return *conn.sessions[static_cast<std::size_t>(id)];
     };
     // admit/swap task payload: registered content by handle, or inline text.
     const auto resolve_tasks = [&]() -> std::vector<DagTask> {
       if (req.has_content) {
-        std::lock_guard<std::mutex> lock(conn.state_mu);
         FEDCONS_EXPECTS_MSG(req.content < conn.contents.size(),
                             "unknown content handle " +
                                 std::to_string(req.content));
@@ -771,17 +641,14 @@ ServeResponse Server::Impl::handle(Connection& conn,
         AdmissionSession::Config cfg;
         cfg.processors = req.m;
         auto session = std::make_unique<AdmissionSession>(cfg);
-        std::lock_guard<std::mutex> lock(conn.state_mu);
-        const std::uint64_t id = conn.next_session++;
-        conn.sessions.emplace(id, std::move(session));
         resp.has_session = true;
-        resp.session = id;
+        resp.session = conn.sessions.size();
+        conn.sessions.push_back(std::move(session));
         break;
       }
       case ServeOp::kRegister: {
         find_session(req.session);  // validate the handle early
         std::vector<DagTask> tasks = parse_embedded_tasks(req.system);
-        std::lock_guard<std::mutex> lock(conn.state_mu);
         resp.has_content = true;
         resp.content = conn.contents.size();
         conn.contents.push_back(std::move(tasks));
@@ -860,7 +727,8 @@ ServeResponse Server::Impl::handle(Connection& conn,
             std::min(req.stall_us, kMaxStallUs)));
         break;
       case ServeOp::kShutdown:
-        op_shutdown.store(true, std::memory_order_release);
+        // The drain lets this thread send the answer before it exits.
+        request_shutdown();
         break;
     }
   } catch (const std::exception& e) {

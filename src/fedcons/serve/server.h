@@ -1,53 +1,51 @@
 // fedcons_serve daemon core: sockets in front, AdmissionSessions behind.
 //
-// Thread shape (fixed, independent of load):
+// Thread shape (fixed per connection, independent of load):
 //
-//   acceptor ──► one reader per connection ──► BoundedQueue ──► dispatcher
-//                                                                  │
-//                                                      BatchRunner workers
+//   acceptor ──► one thread per connection: recv ─► decode ─► parse ─►
+//                handle ─► encode ─► send
 //
-// Readers decode frames and parse requests; parsed requests enter the ONE
-// bounded queue. When it is full the reader answers RETRY_AFTER on the spot
-// — the server's memory is bounded by (queue depth + per-connection decode
-// buffers) no matter how fast clients push. The dispatcher batches
-// dynamically: it blocks for the first request, then keeps collecting until
-// either max_batch requests are in hand or batch_timeout_us has passed
-// since the first one — under light load a request waits for nobody, under
-// heavy load batches fill instantly and the window never matters.
+// Each connection's thread does all the work for what it reads, in read
+// order: it decodes the frames, parses each request, runs it against the
+// connection's own sessions and content, and encodes the response into one
+// outbound buffer that it send()s after every kFlushEvery (32) responses
+// and after the last frame of each recv(). Sessions are connection-scoped,
+// so no request ever waits for another connection's work, and two
+// connections run on two CPUs. Per-session FIFO order is read order. Only
+// the owning thread touches a connection's socket, sessions and content,
+// so none of them is locked; the threads share only the stats counters and
+// histograms, the trace-id counter and the snapshot ring.
 //
-// A batch is grouped by (connection, session); each group runs as one
-// BatchRunner work item. Per-session FIFO order is preserved (queue order
-// within a group), and because a session appears in exactly one group per
-// batch, AdmissionSession's single-threaded contract holds even though
-// *which* worker runs a given session changes batch to batch — sessions
-// must not cache thread identity (see the contract note in
-// online/admission_session.h). Each group's responses are encoded into one
-// buffer; after the fan-out joins, all of a connection's group buffers are
-// concatenated and written with ONE send() per connection per batch — each
-// send() to a blocked client costs a wakeup, so response syscalls amortize
-// with batch size exactly like the analysis fan-out does.
+// Backpressure is socket flow control. A client that stops reading (or
+// sends "stall") blocks its own thread and nobody else's. Per-connection
+// memory is one 64 KiB read buffer, the frame decoder (at most
+// max_frame_bytes of partial frame) and at most kFlushEvery encoded
+// responses.
 //
 // Shutdown: request_shutdown() is async-signal-safe (atomic flag + one
-// write() to a wake pipe). The acceptor then stops accepting, shuts down
-// every connection for reading, joins readers, and closes the queue; the
-// dispatcher drains what was admitted, answers it, and exits. Nothing
-// accepted is dropped.
+// write() to a wake pipe). The acceptor then stops accepting, shuts every
+// connection down for reading and joins the connection threads; each one
+// answers everything it has read, sends it, and exits. Nothing read is
+// dropped. A client that never reads can hold a thread in send() and so
+// hold up the drain.
 //
 // Observability plane (all of it strictly observational — verdicts,
 // PerfCounters, and response bytes are bit-identical with every knob on or
 // off unless a request explicitly asks for the stage echo):
 //
-//  * Request-scoped tracing: every request gets a trace id at enqueue; when
-//    span tracing is enabled and trace_sample = N > 0, every Nth request is
-//    SAMPLED — its enqueue/dequeue/batch-seal/handle/write boundaries are
-//    stamped on the obs trace clock and emitted as "serve"-category spans
-//    (queue -> batch -> handle -> write) all carrying the trace id as a
-//    span arg, so one request's wall-clock path through the pipeline reads
-//    as one chain in Perfetto. Unsampled requests pay one relaxed
-//    fetch_add and a branch — no clock reads.
-//  * Stage echo: a request carrying "stages": 1 gets the same boundary
-//    stamps regardless of sampling, echoed back as stage_*_us response
-//    fields (opt-in per request, so default response bytes never change).
+//  * Stage accounting: each thread stamps the trace clock once per recv()
+//    and once at the end of every stage (parse, handle + encode, send), so
+//    the busy counters partition its working time exactly and latency_us
+//    runs from the read to the encoded response.
+//  * Request-scoped tracing: when span tracing is enabled and
+//    trace_sample = N > 0, every parsed request draws a trace id and every
+//    Nth is SAMPLED — its read/handle/send stamps are emitted as "serve"-
+//    category spans (queue -> handle -> write) all carrying the trace id as
+//    a span arg, so one request's wall-clock path reads as one chain in
+//    Perfetto. With tracing off a request pays one branch.
+//  * Stage echo: a request carrying "stages": 1 gets its queue and handle
+//    stage times echoed back as stage_*_us response fields (opt-in per
+//    request, so default response bytes never change).
 //  * Time-series stats: a snapshot thread pushes a scalar SeriesSample into
 //    a bounded obs::SnapshotRing every stats_interval_ms; the stats_series
 //    op serves the tail. Memory is bounded by stats_ring samples.
@@ -72,14 +70,10 @@ struct ServerConfig {
   std::string unix_path;
   int tcp_port = 0;
 
-  int threads = 1;            ///< BatchRunner workers (1 = dispatcher inline)
-  int max_batch = 64;         ///< dispatcher batch cap
-  int batch_timeout_us = 200; ///< collection window after the first request
-  int queue_depth = 1024;     ///< bounded queue capacity (backpressure knob)
   std::size_t max_frame_bytes = kDefaultMaxFrameBytes;
 
   /// Trace sampling period: with span tracing enabled, every Nth request
-  /// (by trace id) emits the queue/batch/handle/write span chain. 0 turns
+  /// (by trace id) emits the queue/handle/write span chain. 0 turns
   /// request-scoped spans off even when tracing is otherwise on.
   int trace_sample = 0;
   /// Period of the stats snapshot thread feeding the stats_series ring.
@@ -100,11 +94,11 @@ struct SeriesSample {
   std::uint64_t snapshot_monotonic_us = 0;  ///< machine-wide monotonic clock
   std::uint64_t uptime_us = 0;
   std::uint64_t requests_enqueued = 0;  ///< cumulative, as of this sample
-  std::uint64_t requests_shed = 0;
+  std::uint64_t requests_shed = 0;      ///< always 0 (nothing is shed)
   std::uint64_t batches = 0;
   std::uint64_t handle_us = 0;
   std::uint64_t write_us = 0;
-  std::uint64_t queue_depth = 0;  ///< instantaneous
+  std::uint64_t queue_depth = 0;  ///< always 0 (there is no queue)
   std::uint64_t latency_count = 0;
   std::uint64_t latency_p50 = 0;  ///< bucket upper bound (<= 2x estimate)
   std::uint64_t latency_p99 = 0;
@@ -122,24 +116,24 @@ struct ServerStats {
   /// loadgen windows series samples to its own measurement interval.
   std::uint64_t snapshot_monotonic_us = 0;
   std::uint64_t connections_accepted = 0;
-  std::uint64_t requests_enqueued = 0;
-  std::uint64_t requests_shed = 0;   ///< RETRY_AFTER sent (queue full)
-  std::uint64_t requests_sampled = 0;  ///< requests picked by trace_sample
-  std::uint64_t parse_errors = 0;    ///< recoverable bad requests
-  std::uint64_t framing_errors = 0;  ///< unrecoverable; connection closed
-  std::uint64_t batches = 0;
-  std::uint64_t queue_depth = 0;  ///< instantaneous, at snapshot time
-  std::uint64_t queue_high_watermark = 0;
-  /// CPU accounting (busy time, not wall time): where a verdict's cost goes.
-  /// reader_busy_us covers decode+parse+enqueue; handle_us covers session
-  /// events + response encoding; write_us the response send() calls;
-  /// dispatch_busy_us the whole dispatcher batch (grouping + handle + write).
+  std::uint64_t requests_enqueued = 0;  ///< requests read and parsed
+  std::uint64_t requests_shed = 0;      ///< always 0 (nothing is shed)
+  std::uint64_t requests_sampled = 0;   ///< requests picked by trace_sample
+  std::uint64_t parse_errors = 0;       ///< recoverable bad requests
+  std::uint64_t framing_errors = 0;     ///< unrecoverable; connection closed
+  std::uint64_t batches = 0;            ///< recv() calls carrying a request
+  std::uint64_t queue_depth = 0;           ///< always 0 (there is no queue)
+  std::uint64_t queue_high_watermark = 0;  ///< always 0 (there is no queue)
+  /// CPU accounting (busy time, not wall time), summed over the connection
+  /// threads: reader_busy_us covers frame decode + request parse; handle_us
+  /// session events + response encoding; write_us every send();
+  /// dispatch_busy_us is their sum.
   std::uint64_t reader_busy_us = 0;
   std::uint64_t handle_us = 0;
   std::uint64_t write_us = 0;
   std::uint64_t dispatch_busy_us = 0;
-  obs::Histogram batch_size;
-  obs::Histogram latency_us;  ///< enqueue -> response encoded, per request
+  obs::Histogram batch_size;  ///< requests per recv()
+  obs::Histogram latency_us;  ///< read -> response encoded, per request
   obs::Histogram admit_latency_us;    ///< latency_us restricted to admit/swap
   obs::Histogram release_latency_us;  ///< latency_us restricted to release
 
@@ -163,7 +157,7 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// Bind + listen + spawn the acceptor and dispatcher. Throws
+  /// Bind + listen + spawn the acceptor (and the snapshotter). Throws
   /// ContractViolation on socket errors. On return the listener accepts.
   void start();
 
@@ -174,7 +168,7 @@ class Server {
   /// "shutdown" op). Idempotent.
   void request_shutdown() noexcept;
 
-  /// Block until the drain completes (all accepted requests answered).
+  /// Block until the drain completes (everything read is answered).
   void wait();
 
   [[nodiscard]] bool shutdown_requested() const noexcept;

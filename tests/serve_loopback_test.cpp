@@ -8,9 +8,9 @@
 //     (fedcons_loadgen --trace) yields byte-identical verdict files across
 //     daemon instances and event-for-event identical verdicts to the
 //     in-process `fedcons_cli --online --json` replay of the same trace.
-//  3. Backpressure — with a tiny queue and a stalled worker the daemon sheds
-//     load as RETRY_AFTER instead of buffering, and the connection keeps
-//     working once the queue drains.
+//  3. Isolation — every connection is served by its own thread, so a
+//     request that occupies one connection (a long stall) does not delay
+//     another connection's answers.
 //
 // Daemon/loadgen/cli binaries are injected as compile definitions by CMake.
 #include <gtest/gtest.h>
@@ -22,11 +22,13 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "fedcons/core/dag.h"
@@ -410,52 +412,43 @@ TEST(ServeLoopbackTest, VerdictsAreByteIdenticalWithObservabilityOn) {
   EXPECT_EQ(off_bytes, read_file(verdicts_on));
 }
 
-// ---- backpressure ----------------------------------------------------------
+// ---- isolation -------------------------------------------------------------
 
-TEST(ServeLoopbackTest, FullQueueShedsRetryAfterAndRecovers) {
-  // Tiny queue, one request per batch: a stalled worker makes the queue
-  // fill almost immediately.
-  Daemon daemon({"--queue-depth=4", "--max-batch=1", "--threads=1",
-                 "--batch-timeout-us=0"});
-  serve::ServeClient client = daemon.connect();
+TEST(ServeLoopbackTest, StalledConnectionDoesNotDelayAnother) {
+  Daemon daemon;
+  serve::ServeClient stalled = daemon.connect();
+  serve::ServeClient other = daemon.connect();
 
-  // Occupy the dispatcher, then flood. The stall response arrives first
-  // (FIFO), then a mix of ok and RETRY_AFTER for the pings.
+  // Occupy the first connection for a second, with pings pipelined behind
+  // the stall (more than one 32-response send's worth), and give the daemon
+  // time to start the stall before the second connection asks anything.
   serve::ServeRequest stall = make_request(serve::ServeOp::kStall, 0);
-  stall.stall_us = 200'000;
+  stall.stall_us = 1'000'000;
   std::string burst = serve::encode_frame(serve::encode_serve_request(stall));
-  const int kPings = 64;
-  for (int i = 1; i <= kPings; ++i) {
+  const std::uint64_t kPings = 64;
+  for (std::uint64_t seq = 1; seq <= kPings; ++seq) {
     burst += serve::encode_frame(
-        serve::encode_serve_request(make_request(serve::ServeOp::kPing, i)));
+        serve::encode_serve_request(make_request(serve::ServeOp::kPing, seq)));
   }
-  client.send_bytes(burst);
+  stalled.send_bytes(burst);
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
 
-  int ok = 0;
-  int shed = 0;
-  for (int i = 0; i <= kPings; ++i) {
-    const serve::ServeResponse resp = client.recv();
-    if (resp.seq == 0) {
-      EXPECT_EQ(resp.status, serve::ServeStatus::kOk);  // the stall itself
-      continue;
-    }
-    switch (resp.status) {
-      case serve::ServeStatus::kOk: ++ok; break;
-      case serve::ServeStatus::kRetryAfter: ++shed; break;
-      case serve::ServeStatus::kError:
-        FAIL() << "unexpected error: " << resp.error;
-    }
-  }
-  EXPECT_EQ(ok + shed, kPings);
-  // The queue (depth 4) cannot hold a 64-ping burst behind a 200ms stall.
-  EXPECT_GE(shed, 1) << "queue never filled; backpressure untested";
-  EXPECT_GE(ok, 1) << "nothing got through";
-
-  // RETRY_AFTER is advisory, not fatal: the same connection works again.
+  const auto asked = std::chrono::steady_clock::now();
   const serve::ServeResponse pong =
-      client.call(make_request(serve::ServeOp::kPing, 999));
+      other.call(make_request(serve::ServeOp::kPing, 1000));
+  const auto waited = std::chrono::steady_clock::now() - asked;
   EXPECT_EQ(pong.status, serve::ServeStatus::kOk);
-  EXPECT_EQ(pong.seq, 999u);
+  EXPECT_EQ(pong.seq, 1000u);
+  EXPECT_LT(waited, std::chrono::milliseconds(500))
+      << "the ping waited for another connection's stall";
+
+  // The stalled connection's answers all arrive once the stall ends: the
+  // stall first, then every pipelined ping, in request order.
+  for (std::uint64_t seq = 0; seq <= kPings; ++seq) {
+    const serve::ServeResponse resp = stalled.recv();
+    EXPECT_EQ(resp.status, serve::ServeStatus::kOk) << "seq " << seq;
+    EXPECT_EQ(resp.seq, seq);
+  }
 }
 
 }  // namespace

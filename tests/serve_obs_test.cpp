@@ -12,9 +12,8 @@
 //  5. fedcons_top — renders a lifetime frame plus interval frames against a
 //     live daemon and exits cleanly in --plain mode.
 //  6. Trace chain — with --trace-out and --trace-sample=1 every request's
-//     enqueue -> dequeue -> batch-seal -> handle -> write path lands in the
-//     Perfetto JSON as queue/batch/handle/write spans sharing one trace_id,
-//     in stage order.
+//     read -> handle -> encoded -> sent path lands in the Perfetto JSON as
+//     queue/handle/write spans sharing one trace_id, in stage order.
 //
 // Daemon/loadgen/top binaries are injected as compile definitions by CMake.
 #include <gtest/gtest.h>
@@ -418,19 +417,18 @@ TEST(ServeObsTest, TraceChainLinksAllStagesUnderOneTraceId) {
   std::size_t complete = 0;
   for (const auto& [id, chain] : chains) {
     const auto& ts = chain.stage_ts;
-    if (!ts.count("queue") || !ts.count("batch") || !ts.count("handle") ||
-        !ts.count("write")) {
+    EXPECT_EQ(ts.count("batch"), 0u) << "trace_id " << id;
+    if (!ts.count("queue") || !ts.count("handle") || !ts.count("write")) {
       continue;
     }
     ++complete;
     // The pipeline order is physical: each stage starts no earlier than its
     // predecessor.
-    EXPECT_LE(ts.at("queue"), ts.at("batch")) << "trace_id " << id;
-    EXPECT_LE(ts.at("batch"), ts.at("handle")) << "trace_id " << id;
+    EXPECT_LE(ts.at("queue"), ts.at("handle")) << "trace_id " << id;
     EXPECT_LE(ts.at("handle"), ts.at("write")) << "trace_id " << id;
   }
   EXPECT_GE(complete, issued - 1)
-      << "each pre-shutdown request must carry the full 4-span chain";
+      << "each pre-shutdown request must carry the full 3-span chain";
   std::remove(trace_path.c_str());
 }
 

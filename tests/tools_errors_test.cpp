@@ -43,17 +43,24 @@ TEST(ToolsErrorsTest, UnknownFlagsExitTwo) {
 }
 
 TEST(ToolsErrorsTest, ServeToolsValidateFlagValues) {
-  // --threads=8x is the canonical lax-parsing failure: stoll's silent
-  // prefix parse would run a daemon with 8 workers. Exit 2, loudly.
-  EXPECT_EQ(exit_code(kServe + " --socket=/tmp/x.sock --threads=8x"), 2);
-  EXPECT_EQ(exit_code(kServe + " --socket=/tmp/x.sock --max-batch=0x40"), 2);
+  // --stats-ring=8x is the canonical lax-parsing failure: stoll's silent
+  // prefix parse would run a daemon with an 8-slot ring. Exit 2, loudly.
+  EXPECT_EQ(exit_code(kServe + " --socket=/tmp/x.sock --stats-ring=8x"), 2);
+  EXPECT_EQ(exit_code(kServe + " --socket=/tmp/x.sock --max-frame-bytes=0x40"),
+            2);
   EXPECT_EQ(exit_code(kServe +
-                      " --socket=/tmp/x.sock --queue-depth=" +
+                      " --socket=/tmp/x.sock --stats-interval-ms=" +
                       "99999999999999999999"), 2);
   // Exactly one listener, and values must be in range.
   EXPECT_EQ(exit_code(kServe), 2);
   EXPECT_EQ(exit_code(kServe + " --socket=/tmp/x.sock --port=0"), 2);
-  EXPECT_EQ(exit_code(kServe + " --socket=/tmp/x.sock --threads=0"), 2);
+  EXPECT_EQ(exit_code(kServe + " --socket=/tmp/x.sock --stats-ring=0"), 2);
+  // Flags of the removed dispatcher are unknown flags.
+  for (const char* removed : {"--threads=1", "--max-batch=64",
+                              "--batch-timeout-us=0", "--queue-depth=1024"}) {
+    EXPECT_EQ(exit_code(kServe + " --socket=/tmp/x.sock " + removed), 2)
+        << removed;
+  }
   EXPECT_EQ(exit_code(kLoadgen + " --socket=/tmp/x.sock --pipeline=16x"), 2);
   EXPECT_EQ(exit_code(kLoadgen + " --socket=/tmp/x.sock --duration-s=2s"), 2);
   EXPECT_EQ(exit_code(kLoadgen), 2);  // needs --socket or --port

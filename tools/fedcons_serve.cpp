@@ -1,9 +1,7 @@
 // fedcons_serve — the admission-control daemon.
 //
 // Usage:
-//   fedcons_serve --socket=PATH | --port=N
-//                 [--threads=N] [--max-batch=N] [--batch-timeout-us=N]
-//                 [--queue-depth=N] [--max-frame-bytes=N]
+//   fedcons_serve --socket=PATH | --port=N [--max-frame-bytes=N]
 //                 [--trace-out=FILE] [--trace-sample=N]
 //                 [--stats-interval-ms=N] [--stats-ring=N]
 //
@@ -12,23 +10,26 @@
 // admit/release/swap/query events; every accepted request gets exactly one
 // response. --socket binds an AF_UNIX listener at PATH; --port binds TCP on
 // 127.0.0.1 (0 picks a free port). Exactly one of the two must be given.
+// Each connection gets its own thread, which handles its requests in the
+// order it reads them; a client that stops reading blocks only its own
+// connection (socket flow control is the backpressure).
 //
 // Once listening the daemon prints a single readiness line to stdout —
 //
 //   fedcons_serve listening unix=PATH    (or tcp=PORT)
 //
 // — and serves until SIGTERM/SIGINT or a protocol "shutdown" request, then
-// drains: accepted requests are all answered before exit, new ones are
-// refused. On exit it prints the stats snapshot (server counters +
-// latency/batch histograms) as one JSON line to stdout.
+// drains: every request already read is answered before exit, new
+// connections are refused. On exit it prints the stats snapshot (server
+// counters + latency/batch histograms) as one JSON line to stdout.
 //
 // Observability (all optional; verdicts and default responses are
 // bit-identical with these on or off):
 //   --trace-out=FILE enables span tracing and writes a Chrome trace-event
 //     JSON on exit (open in Perfetto / chrome://tracing). Request-scoped
 //     spans are SAMPLED: every --trace-sample'th request (default 256 once
-//     --trace-out is given) records its queue -> batch -> handle -> write
-//     chain under one trace id.
+//     --trace-out is given) records its queue -> handle -> write chain
+//     under one trace id.
 //   --stats-interval-ms (default 250; 0 disables) sets the cadence of the
 //     stats_series snapshot ring; --stats-ring (default 256) its capacity.
 //
@@ -55,8 +56,6 @@ void on_signal(int) {
 int usage() {
   std::cerr
       << "usage: fedcons_serve --socket=PATH | --port=N\n"
-         "                     [--threads=N] [--max-batch=N]\n"
-         "                     [--batch-timeout-us=N] [--queue-depth=N]\n"
          "                     [--max-frame-bytes=N]\n"
          "                     [--trace-out=FILE] [--trace-sample=N]\n"
          "                     [--stats-interval-ms=N] [--stats-ring=N]\n";
@@ -83,9 +82,8 @@ int main(int argc, char** argv) {
   try {
     const Flags flags(argc, argv);
     static constexpr std::string_view kAllowed[] = {
-        "socket",      "port",        "threads", "max-batch",
-        "batch-timeout-us", "queue-depth", "max-frame-bytes",
-        "trace-out",   "trace-sample", "stats-interval-ms", "stats-ring"};
+        "socket",       "port",              "max-frame-bytes", "trace-out",
+        "trace-sample", "stats-interval-ms", "stats-ring"};
     const auto unknown = flags.unknown_keys(kAllowed);
     if (!unknown.empty() || !flags.positional().empty()) {
       for (const auto& key : unknown) {
@@ -105,11 +103,6 @@ int main(int argc, char** argv) {
     serve::ServerConfig config;
     config.unix_path = flags.get_string("socket", "");
     config.tcp_port = static_cast<int>(flags.get_int("port", 0));
-    config.threads = static_cast<int>(flags.get_int("threads", 1));
-    config.max_batch = static_cast<int>(flags.get_int("max-batch", 64));
-    config.batch_timeout_us =
-        static_cast<int>(flags.get_int("batch-timeout-us", 200));
-    config.queue_depth = static_cast<int>(flags.get_int("queue-depth", 1024));
     config.max_frame_bytes = static_cast<std::size_t>(
         flags.get_int("max-frame-bytes",
                       static_cast<std::int64_t>(serve::kDefaultMaxFrameBytes)));
@@ -122,9 +115,7 @@ int main(int argc, char** argv) {
     config.stats_interval_ms =
         static_cast<int>(flags.get_int("stats-interval-ms", 250));
     config.stats_ring = static_cast<int>(flags.get_int("stats-ring", 256));
-    if (config.threads < 1 || config.max_batch < 1 ||
-        config.batch_timeout_us < 0 || config.queue_depth < 1 ||
-        config.trace_sample < 0 || config.stats_interval_ms < 0 ||
+    if (config.trace_sample < 0 || config.stats_interval_ms < 0 ||
         config.stats_ring < 1) {
       std::cerr << "fedcons_serve: flag values out of range\n";
       return usage();
