@@ -181,8 +181,8 @@ class IncrementalPartition {
   /// physically placed, and a bin is synchronized with the walk (its
   /// not-yet-reached members unplaced) only when it must actually be probed.
   /// Bins no probe touches keep their aggregates untouched, so a
-  /// standing-decision suffix costs no BigRational work at all — the
-  /// O(changed-task) property bench_online measures. `dirty` is directional
+  /// standing-decision suffix costs no BigRational work at all, and an
+  /// event's work grows with the tasks it changes. `dirty` is directional
   /// (0 untouched / 1 grew / 2 shrunk): rejections of grown bins stand by
   /// first-fit monotonicity, so an admission re-probes only each later
   /// member of the bin it landed in, not every entry placed above it.

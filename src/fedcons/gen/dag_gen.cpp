@@ -4,13 +4,11 @@
 #include <cmath>
 #include <vector>
 
-#include "fedcons/simd/batch_rng.h"
 #include "fedcons/util/check.h"
 
 namespace fedcons {
 
-template <typename RngT>
-Dag generate_layered_dag(RngT& rng, const LayeredDagParams& p) {
+Dag generate_layered_dag(Rng& rng, const LayeredDagParams& p) {
   FEDCONS_EXPECTS(p.min_layers >= 1 && p.max_layers >= p.min_layers);
   FEDCONS_EXPECTS(p.min_width >= 1 && p.max_width >= p.min_width);
   FEDCONS_EXPECTS(p.min_wcet >= 1 && p.max_wcet >= p.min_wcet);
@@ -60,8 +58,7 @@ namespace {
 
 // Emits a fork–join block between fresh source/sink vertices; returns
 // (source, sink).
-template <typename RngT>
-std::pair<VertexId, VertexId> emit_fork_join(Dag& g, RngT& rng,
+std::pair<VertexId, VertexId> emit_fork_join(Dag& g, Rng& rng,
                                              const ForkJoinParams& p,
                                              int depth) {
   VertexId src = g.add_vertex(rng.uniform_int(p.min_wcet, p.max_wcet));
@@ -84,8 +81,7 @@ std::pair<VertexId, VertexId> emit_fork_join(Dag& g, RngT& rng,
 
 }  // namespace
 
-template <typename RngT>
-Dag generate_fork_join_dag(RngT& rng, const ForkJoinParams& p) {
+Dag generate_fork_join_dag(Rng& rng, const ForkJoinParams& p) {
   FEDCONS_EXPECTS(p.max_depth >= 1);
   FEDCONS_EXPECTS(p.min_branches >= 1 && p.max_branches >= p.min_branches);
   FEDCONS_EXPECTS(p.min_wcet >= 1 && p.max_wcet >= p.min_wcet);
@@ -110,12 +106,5 @@ Dag rescale_volume(const Dag& dag, Time target_vol) {
   }
   return g;
 }
-
-template Dag generate_layered_dag<Rng>(Rng&, const LayeredDagParams&);
-template Dag generate_layered_dag<simd::LaneRng>(simd::LaneRng&,
-                                                 const LayeredDagParams&);
-template Dag generate_fork_join_dag<Rng>(Rng&, const ForkJoinParams&);
-template Dag generate_fork_join_dag<simd::LaneRng>(simd::LaneRng&,
-                                                   const ForkJoinParams&);
 
 }  // namespace fedcons

@@ -17,10 +17,6 @@
 
 namespace fedcons {
 
-namespace simd {
-class LaneRng;  // batched lane stream (simd/batch_rng.h)
-}  // namespace simd
-
 /// Parameters for the layered Erdős–Rényi generator.
 struct LayeredDagParams {
   int min_layers = 2;
@@ -36,10 +32,8 @@ struct LayeredDagParams {
 /// Draw a layered DAG. Every vertex in layer k > 0 is guaranteed at least one
 /// predecessor in layer k−1 (so layering is honest and the graph has no
 /// spurious sources), which also keeps the graph weakly connected enough to
-/// behave like a single parallel computation. Templated over the RNG type
-/// (Rng or simd::LaneRng; instantiated in the .cpp).
-template <typename RngT>
-[[nodiscard]] Dag generate_layered_dag(RngT& rng, const LayeredDagParams& p);
+/// behave like a single parallel computation.
+[[nodiscard]] Dag generate_layered_dag(Rng& rng, const LayeredDagParams& p);
 
 /// Parameters for the recursive fork–join generator.
 struct ForkJoinParams {
@@ -52,15 +46,7 @@ struct ForkJoinParams {
 };
 
 /// Draw a (possibly nested) fork–join DAG with a single source and sink.
-template <typename RngT>
-[[nodiscard]] Dag generate_fork_join_dag(RngT& rng, const ForkJoinParams& p);
-
-extern template Dag generate_layered_dag<Rng>(Rng&, const LayeredDagParams&);
-extern template Dag generate_layered_dag<simd::LaneRng>(simd::LaneRng&,
-                                                        const LayeredDagParams&);
-extern template Dag generate_fork_join_dag<Rng>(Rng&, const ForkJoinParams&);
-extern template Dag generate_fork_join_dag<simd::LaneRng>(
-    simd::LaneRng&, const ForkJoinParams&);
+[[nodiscard]] Dag generate_fork_join_dag(Rng& rng, const ForkJoinParams& p);
 
 /// Rescale every WCET by factor `target_vol / current vol` (with rounding,
 /// each vertex kept ≥ 1) so the graph's volume approximates target_vol; the

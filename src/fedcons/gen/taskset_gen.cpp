@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "fedcons/gen/uunifast.h"
-#include "fedcons/simd/batch_rng.h"
 #include "fedcons/util/check.h"
 
 namespace fedcons {
@@ -18,8 +17,7 @@ const char* to_string(DagTopology t) noexcept {
   return "?";
 }
 
-template <typename RngT>
-TaskSystem generate_task_system(RngT& rng, const TaskSetParams& params,
+TaskSystem generate_task_system(Rng& rng, const TaskSetParams& params,
                                 GenerationInfo* info) {
   FEDCONS_EXPECTS(params.num_tasks >= 1);
   FEDCONS_EXPECTS(params.total_utilization > 0.0);
@@ -80,11 +78,5 @@ TaskSystem generate_task_system(RngT& rng, const TaskSetParams& params,
   if (info != nullptr) *info = local;
   return sys;
 }
-
-template TaskSystem generate_task_system<Rng>(Rng&, const TaskSetParams&,
-                                              GenerationInfo*);
-template TaskSystem generate_task_system<simd::LaneRng>(simd::LaneRng&,
-                                                        const TaskSetParams&,
-                                                        GenerationInfo*);
 
 }  // namespace fedcons

@@ -54,17 +54,9 @@ struct GenerationInfo {
 
 /// Draw one task system. Always succeeds for valid parameters; the achieved
 /// U_sum differs from the target only by integer-rounding of volumes
-/// (reported in `info` when non-null). Templated over the RNG type (Rng or
-/// simd::LaneRng — the batched campaign path; instantiated in the .cpp).
-template <typename RngT>
-[[nodiscard]] TaskSystem generate_task_system(RngT& rng,
+/// (reported in `info` when non-null).
+[[nodiscard]] TaskSystem generate_task_system(Rng& rng,
                                               const TaskSetParams& params,
                                               GenerationInfo* info = nullptr);
-
-extern template TaskSystem generate_task_system<Rng>(Rng&,
-                                                     const TaskSetParams&,
-                                                     GenerationInfo*);
-extern template TaskSystem generate_task_system<simd::LaneRng>(
-    simd::LaneRng&, const TaskSetParams&, GenerationInfo*);
 
 }  // namespace fedcons

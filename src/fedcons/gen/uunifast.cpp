@@ -3,13 +3,11 @@
 #include <algorithm>
 #include <cmath>
 
-#include "fedcons/simd/batch_rng.h"
 #include "fedcons/util/check.h"
 
 namespace fedcons {
 
-template <typename RngT>
-std::vector<double> uunifast(RngT& rng, int n, double total) {
+std::vector<double> uunifast(Rng& rng, int n, double total) {
   FEDCONS_EXPECTS(n >= 1);
   FEDCONS_EXPECTS(total > 0.0);
   std::vector<double> u(static_cast<std::size_t>(n));
@@ -24,8 +22,7 @@ std::vector<double> uunifast(RngT& rng, int n, double total) {
   return u;
 }
 
-template <typename RngT>
-std::vector<double> uunifast_discard(RngT& rng, int n, double total, double cap,
+std::vector<double> uunifast_discard(Rng& rng, int n, double total, double cap,
                                      int max_attempts) {
   FEDCONS_EXPECTS(n >= 1);
   FEDCONS_EXPECTS(total > 0.0);
@@ -42,14 +39,5 @@ std::vector<double> uunifast_discard(RngT& rng, int n, double total, double cap,
   FEDCONS_EXPECTS_MSG(false, "uunifast_discard rejection budget exhausted");
   return {};  // unreachable
 }
-
-template std::vector<double> uunifast<Rng>(Rng&, int, double);
-template std::vector<double> uunifast<simd::LaneRng>(simd::LaneRng&, int,
-                                                     double);
-template std::vector<double> uunifast_discard<Rng>(Rng&, int, double, double,
-                                                   int);
-template std::vector<double> uunifast_discard<simd::LaneRng>(simd::LaneRng&,
-                                                             int, double,
-                                                             double, int);
 
 }  // namespace fedcons

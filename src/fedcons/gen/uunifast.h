@@ -14,37 +14,19 @@
 
 namespace fedcons {
 
-namespace simd {
-class LaneRng;  // batched lane stream (simd/batch_rng.h)
-}  // namespace simd
-
-// The generators are templated over the RNG type so the batched lane streams
-// (simd::LaneRng) run the identical algorithms as Rng — instantiated in the
-// .cpp for exactly those two types (extern declarations below).
-
 /// UUniFast: n utilizations > 0 summing (to floating accuracy) to total.
 /// Preconditions: n >= 1, total > 0. For unbiased simplex sampling the
 /// caller should keep total <= 1; use uunifast_discard otherwise.
-template <typename RngT>
-[[nodiscard]] std::vector<double> uunifast(RngT& rng, int n, double total);
+[[nodiscard]] std::vector<double> uunifast(Rng& rng, int n, double total);
 
 /// UUniFast-Discard: like uunifast but resamples until every utilization is
 /// at most `cap` (cap defaults to 1, the classic multiprocessor convention).
 /// Preconditions: n >= 1, total > 0, cap > 0, total <= n*cap (otherwise no
 /// valid vector exists — rejected via contract). `max_attempts` bounds the
 /// rejection loop; throws when exceeded (degenerate parameter corner).
-template <typename RngT>
-[[nodiscard]] std::vector<double> uunifast_discard(RngT& rng, int n,
+[[nodiscard]] std::vector<double> uunifast_discard(Rng& rng, int n,
                                                    double total,
                                                    double cap = 1.0,
                                                    int max_attempts = 10000);
-
-extern template std::vector<double> uunifast<Rng>(Rng&, int, double);
-extern template std::vector<double> uunifast<simd::LaneRng>(simd::LaneRng&,
-                                                            int, double);
-extern template std::vector<double> uunifast_discard<Rng>(Rng&, int, double,
-                                                          double, int);
-extern template std::vector<double> uunifast_discard<simd::LaneRng>(
-    simd::LaneRng&, int, double, double, int);
 
 }  // namespace fedcons

@@ -109,7 +109,7 @@ struct MetricsRegistry {
 };
 
 /// One histogram as a flat JSON object with fixed key order — the snapshot
-/// form the serve layer's STATS scrape and the loadgen report both emit.
+/// form the serve layer's stats op and Metrics::to_json both emit.
 /// Includes the tail quantiles a latency distribution is judged on
 /// (p50/p90/p99/p999; log2 buckets make each a ≤2× upper-bound estimate)
 /// plus the raw per-bucket counts as one space-joined string ("buckets",

@@ -14,9 +14,8 @@
 // Session ids referenced by release/swap lines are the deterministic
 // sequential ids AdmissionSession assigns in admit order (rejected admits and
 // rolled-back swap admits consume ids too), so a trace replays identically
-// everywhere. The same format backs the `fedcons_cli --online=FILE` driver,
-// the `fedcons_conform --online` fuzzer's pinned repro artifacts, and
-// bench_online's generated workloads.
+// everywhere. The same format backs the `fedcons_cli --online=FILE` driver
+// and the `fedcons_conform --online` fuzzer's pinned repro artifacts.
 #pragma once
 
 #include <cstdint>

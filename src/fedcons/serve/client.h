@@ -2,11 +2,11 @@
 //
 // One ServeClient is one socket: frames out, frames in, with the same
 // FrameDecoder the server uses. The API is deliberately split into
-// send/recv halves rather than only call() — the loadgen keeps K requests
-// in flight per connection (deep pipelining is how a single box amortizes
-// syscalls into >100k verdicts/sec), and tests batch many frames into one
-// write to provoke backpressure. call() is the convenience for strictly
-// serial use. Not thread-safe; one client per thread.
+// send/recv halves rather than only call() — the benchmark driver keeps
+// many requests in flight per connection (deep pipelining is how a single
+// box amortizes syscalls into >100k verdicts/sec), and tests batch many
+// frames into one write to provoke backpressure. call() is the convenience
+// for strictly serial use. Not thread-safe; one client per thread.
 #pragma once
 
 #include <cstdint>

@@ -64,7 +64,6 @@ const char* to_string(ServeOp op) noexcept {
     case ServeOp::kSwap: return "swap";
     case ServeOp::kQuery: return "query";
     case ServeOp::kStats: return "stats";
-    case ServeOp::kStatsSeries: return "stats_series";
     case ServeOp::kPing: return "ping";
     case ServeOp::kStall: return "stall";
     case ServeOp::kShutdown: return "shutdown";
@@ -173,11 +172,6 @@ ServeRequest parse_serve_request(const std::string& payload) {
       }
       req.prometheus = true;
     }
-  } else if (op == "stats_series") {
-    req.op = ServeOp::kStatsSeries;
-    if (has_field(fields, "last")) {
-      req.series_last = uint_field(fields, "last");
-    }
   } else if (op == "ping") {
     req.op = ServeOp::kPing;
   } else if (op == "stall") {
@@ -232,11 +226,6 @@ std::string encode_serve_request(const ServeRequest& req) {
       break;
     case ServeOp::kStats:
       if (req.prometheus) out += ", \"format\": \"prometheus\"";
-      break;
-    case ServeOp::kStatsSeries:
-      if (req.series_last != 0) {
-        out += ", \"last\": " + std::to_string(req.series_last);
-      }
       break;
     case ServeOp::kPing:
     case ServeOp::kShutdown:

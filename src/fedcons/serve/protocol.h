@@ -30,7 +30,6 @@
 //                      "system": TEXT | "content": C}
 //   {"op": "query",    "seq": N, "session": S}
 //   {"op": "stats",    "seq": N [, "format": "prometheus"]}
-//   {"op": "stats_series", "seq": N [, "last": K]}
 //   {"op": "ping",     "seq": N}
 //   {"op": "stall",    "seq": N, "us": U}      (diagnostic: occupy the
 //                                               connection's thread)
@@ -62,7 +61,7 @@
 // server thread in read order, and a client that stops reading stalls only
 // that connection.
 //
-// Stats grammar (all three documents carry "schema_version"):
+// Stats grammar (both documents carry "schema_version"):
 //
 //   stats (default)  ->  the ServerStats block spliced into the response:
 //       "schema_version", "uptime_us" (us since the daemon started),
@@ -85,16 +84,6 @@
 //       "schema_version": V, "prometheus": TEXT} where TEXT is the same
 //       snapshot rendered in Prometheus text exposition 0.0.4 (JSON-escaped;
 //       counters + cumulative le-bucket histograms).
-//   stats_series  ->  {"status": "ok", "seq": N, "schema_version": V,
-//       "interval_us": I, "ring_capacity": C, "count": K, "s0": {...}, ...,
-//       "s<K-1>": {...}} — the newest K snapshots from the daemon's periodic
-//       ring (oldest first; "last" caps K). Each "sN" is one flat object of
-//       scalars: "snapshot_monotonic_us", "uptime_us", cumulative counters
-//       (requests_enqueued, requests_shed, batches, handle_us, write_us),
-//       "queue_depth" (always 0), and the latency summary
-//       ("latency_count", "latency_p50", "latency_p99"). Differencing
-//       consecutive samples yields interval rates; the ring bounds series
-//       memory at C samples regardless of uptime.
 //
 // Stage echo ("stages": 1 on the request): the ok response additionally
 // carries "stage_queue_us" (the socket read that delivered the request ->
@@ -156,7 +145,6 @@ enum class ServeOp {
   kSwap,
   kQuery,
   kStats,
-  kStatsSeries,
   kPing,
   kStall,
   kShutdown,
@@ -175,7 +163,6 @@ struct ServeRequest {
   std::vector<SessionTaskId> release_ids;  ///< release (one) / swap (any)
   std::uint64_t stall_us = 0;              ///< stall
   bool prometheus = false;     ///< stats: "format": "prometheus"
-  std::uint64_t series_last = 0;  ///< stats_series: newest K only (0 = all)
   bool echo_stages = false;    ///< any op: "stages": 1 -> stage breakdown
 };
 

@@ -11,13 +11,11 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
-#include <condition_variable>
 #include <cstring>
 #include <mutex>
 
 #include "fedcons/core/io.h"
 #include "fedcons/obs/prometheus.h"
-#include "fedcons/obs/snapshot_ring.h"
 #include "fedcons/obs/span_tracer.h"
 #include "fedcons/online/admission_session.h"
 #include "fedcons/util/check.h"
@@ -37,8 +35,8 @@ std::uint64_t us_between(Clock::time_point a, Clock::time_point b) noexcept {
 
 /// Machine-wide monotonic clock in microseconds. On Linux, steady_clock is
 /// CLOCK_MONOTONIC, whose epoch is shared by every process on the box — so
-/// a client can window the daemon's series samples against its own steady
-/// clock (how loadgen drops warmup-time samples from its report).
+/// a client can window the daemon's stats snapshots against its own steady
+/// clock.
 std::uint64_t monotonic_us_now() noexcept {
   return static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::microseconds>(
@@ -172,21 +170,6 @@ std::string ServerStats::to_prometheus() const {
   return w.str();
 }
 
-std::string SeriesSample::to_json() const {
-  return "{\"snapshot_monotonic_us\": " +
-         std::to_string(snapshot_monotonic_us) +
-         ", \"uptime_us\": " + std::to_string(uptime_us) +
-         ", \"requests_enqueued\": " + std::to_string(requests_enqueued) +
-         ", \"requests_shed\": " + std::to_string(requests_shed) +
-         ", \"batches\": " + std::to_string(batches) +
-         ", \"handle_us\": " + std::to_string(handle_us) +
-         ", \"write_us\": " + std::to_string(write_us) +
-         ", \"queue_depth\": " + std::to_string(queue_depth) +
-         ", \"latency_count\": " + std::to_string(latency_count) +
-         ", \"latency_p50\": " + std::to_string(latency_p50) +
-         ", \"latency_p99\": " + std::to_string(latency_p99) + "}";
-}
-
 struct Server::Impl {
   // One accepted socket, the thread that serves it, and the admission state
   // opened over it (sessions and registered content, both addressed by
@@ -235,10 +218,7 @@ struct Server::Impl {
     obs::Histogram release_latency;
   };
 
-  explicit Impl(const ServerConfig& config)
-      : config(config),
-        series(static_cast<std::size_t>(
-            config.stats_ring > 0 ? config.stats_ring : 1)) {}
+  explicit Impl(const ServerConfig& config) : config(config) {}
 
   ~Impl() {
     request_shutdown();
@@ -254,11 +234,6 @@ struct Server::Impl {
   void start();
   void join_all() {
     if (acceptor.joinable()) acceptor.join();
-    // The snapshotter stops only after the connections drained, so the
-    // ring's final sample can still see the tail of the workload.
-    series_stop.store(true, std::memory_order_release);
-    series_cv.notify_all();
-    if (snapshotter.joinable()) snapshotter.join();
   }
 
   void request_shutdown() noexcept {
@@ -309,37 +284,6 @@ struct Server::Impl {
     return s;
   }
 
-  [[nodiscard]] SeriesSample make_series_sample() const {
-    const ServerStats s = snapshot();
-    SeriesSample out;
-    out.snapshot_monotonic_us = s.snapshot_monotonic_us;
-    out.uptime_us = s.uptime_us;
-    out.requests_enqueued = s.requests_enqueued;
-    out.batches = s.batches;
-    out.handle_us = s.handle_us;
-    out.write_us = s.write_us;
-    out.latency_count = s.latency_us.count();
-    out.latency_p50 = s.latency_us.percentile(50.0);
-    out.latency_p99 = s.latency_us.percentile(99.0);
-    return out;
-  }
-
-  void series_loop() {
-    // cv wait_for instead of sleep: request_shutdown() must stay
-    // async-signal-safe, so the stop flag is set (and the cv notified) from
-    // join_all() on the waiting thread's side — the loop still exits within
-    // one interval even if a notification races the wait.
-    std::unique_lock<std::mutex> lock(series_mu);
-    const auto interval = std::chrono::milliseconds(config.stats_interval_ms);
-    while (!series_cv.wait_for(lock, interval, [this] {
-      return series_stop.load(std::memory_order_acquire);
-    })) {
-      lock.unlock();
-      series.push(make_series_sample());
-      lock.lock();
-    }
-  }
-
   ServerConfig config;
   int listen_fd = -1;
   int wake_pipe[2] = {-1, -1};
@@ -367,13 +311,8 @@ struct Server::Impl {
 
   Clock::time_point start_time{};
   std::atomic<std::uint64_t> next_trace_id{0};
-  obs::SnapshotRing<SeriesSample> series;
-  std::mutex series_mu;
-  std::condition_variable series_cv;
-  std::atomic<bool> series_stop{false};
 
   std::thread acceptor;
-  std::thread snapshotter;
 };
 
 void Server::Impl::start() {
@@ -420,9 +359,6 @@ void Server::Impl::start() {
                       "serve: listen failed: " + std::string(strerror(errno)));
   start_time = Clock::now();
   acceptor = std::thread([this] { accept_loop(); });
-  if (config.stats_interval_ms > 0) {
-    snapshotter = std::thread([this] { series_loop(); });
-  }
 }
 
 void Server::Impl::accept_loop() {
@@ -700,26 +636,6 @@ ServeResponse Server::Impl::handle(Connection& conn,
         resp.extra = ", " + body.substr(1, body.size() - 2);
         break;
       }
-      case ServeOp::kStatsSeries: {
-        const std::vector<SeriesSample> samples =
-            series.tail(static_cast<std::size_t>(req.series_last));
-        resp.extra = ", \"schema_version\": " +
-                     std::to_string(kStatsSchemaVersion) +
-                     ", \"interval_us\": " +
-                     std::to_string(config.stats_interval_ms > 0
-                                        ? static_cast<std::uint64_t>(
-                                              config.stats_interval_ms) *
-                                              1000
-                                        : 0) +
-                     ", \"ring_capacity\": " +
-                     std::to_string(series.capacity()) +
-                     ", \"count\": " + std::to_string(samples.size());
-        for (std::size_t i = 0; i < samples.size(); ++i) {
-          resp.extra +=
-              ", \"s" + std::to_string(i) + "\": " + samples[i].to_json();
-        }
-        break;
-      }
       case ServeOp::kPing:
         break;
       case ServeOp::kStall:
@@ -758,10 +674,6 @@ bool Server::shutdown_requested() const noexcept {
 }
 
 ServerStats Server::stats_snapshot() const { return impl_->snapshot(); }
-
-std::vector<SeriesSample> Server::stats_series(std::size_t last) const {
-  return impl_->series.tail(last);
-}
 
 }  // namespace serve
 }  // namespace fedcons

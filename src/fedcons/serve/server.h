@@ -14,7 +14,7 @@
 // connections run on two CPUs. Per-session FIFO order is read order. Only
 // the owning thread touches a connection's socket, sessions and content,
 // so none of them is locked; the threads share only the stats counters and
-// histograms, the trace-id counter and the snapshot ring.
+// histograms and the trace-id counter.
 //
 // Backpressure is socket flow control. A client that stops reading (or
 // sends "stall") blocks its own thread and nobody else's. Per-connection
@@ -46,9 +46,6 @@
 //  * Stage echo: a request carrying "stages": 1 gets its queue and handle
 //    stage times echoed back as stage_*_us response fields (opt-in per
 //    request, so default response bytes never change).
-//  * Time-series stats: a snapshot thread pushes a scalar SeriesSample into
-//    a bounded obs::SnapshotRing every stats_interval_ms; the stats_series
-//    op serves the tail. Memory is bounded by stats_ring samples.
 #pragma once
 
 #include <atomic>
@@ -56,7 +53,6 @@
 #include <memory>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "fedcons/obs/metrics.h"
 #include "fedcons/serve/protocol.h"
@@ -76,44 +72,18 @@ struct ServerConfig {
   /// (by trace id) emits the queue/handle/write span chain. 0 turns
   /// request-scoped spans off even when tracing is otherwise on.
   int trace_sample = 0;
-  /// Period of the stats snapshot thread feeding the stats_series ring.
-  /// 0 disables the thread (stats_series then answers with count = 0).
-  int stats_interval_ms = 250;
-  /// Snapshot ring capacity — bounds series memory at stats_ring samples.
-  int stats_ring = 256;
 };
 
-/// Version of the stats / stats_series / prometheus response schemas; bumped
-/// whenever a field is renamed or removed (additions keep the version).
+/// Version of the stats / prometheus response schemas; bumped whenever a
+/// field is renamed or removed (additions keep the version).
 constexpr int kStatsSchemaVersion = 1;
-
-/// One periodic scalar sample of the server's state — what the stats_series
-/// op serves. Flat scalars only (the wire dialect nests one level), sized so
-/// the ring's memory bound is trivial: stats_ring * sizeof(SeriesSample).
-struct SeriesSample {
-  std::uint64_t snapshot_monotonic_us = 0;  ///< machine-wide monotonic clock
-  std::uint64_t uptime_us = 0;
-  std::uint64_t requests_enqueued = 0;  ///< cumulative, as of this sample
-  std::uint64_t requests_shed = 0;      ///< always 0 (nothing is shed)
-  std::uint64_t batches = 0;
-  std::uint64_t handle_us = 0;
-  std::uint64_t write_us = 0;
-  std::uint64_t queue_depth = 0;  ///< always 0 (there is no queue)
-  std::uint64_t latency_count = 0;
-  std::uint64_t latency_p50 = 0;  ///< bucket upper bound (<= 2x estimate)
-  std::uint64_t latency_p99 = 0;
-
-  /// One flat mini_json object, deterministic key order (the "sN" members
-  /// of a stats_series response).
-  [[nodiscard]] std::string to_json() const;
-};
 
 /// Counters + distributions scraped by the "stats" op and by tests.
 struct ServerStats {
   std::uint64_t uptime_us = 0;  ///< daemon start -> this snapshot
   /// Machine-wide monotonic clock (CLOCK_MONOTONIC) at snapshot time, in
-  /// microseconds — comparable across processes on one box, which is how
-  /// loadgen windows series samples to its own measurement interval.
+  /// microseconds — comparable across processes on one box, so a client
+  /// can difference two snapshots over its own measurement interval.
   std::uint64_t snapshot_monotonic_us = 0;
   std::uint64_t connections_accepted = 0;
   std::uint64_t requests_enqueued = 0;  ///< requests read and parsed
@@ -157,7 +127,7 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// Bind + listen + spawn the acceptor (and the snapshotter). Throws
+  /// Bind + listen + spawn the acceptor. Throws
   /// ContractViolation on socket errors. On return the listener accepts.
   void start();
 
@@ -175,11 +145,6 @@ class Server {
 
   /// Consistent snapshot of the counters (also what the "stats" op emits).
   [[nodiscard]] ServerStats stats_snapshot() const;
-
-  /// Newest `last` samples from the periodic snapshot ring, oldest first
-  /// (0 = everything retained). What the "stats_series" op serves.
-  [[nodiscard]] std::vector<SeriesSample> stats_series(
-      std::size_t last = 0) const;
 
  private:
   struct Impl;

@@ -18,16 +18,12 @@ std::uint64_t rotl(std::uint64_t x, int k) {
 
 }  // namespace
 
-namespace detail {
-
-void xoshiro_seed(std::uint64_t seed, std::uint64_t s[4]) noexcept {
+void Rng::reseed(std::uint64_t seed) {
   std::uint64_t sm = seed;
-  for (int i = 0; i < 4; ++i) s[i] = splitmix64(sm);
+  for (int i = 0; i < 4; ++i) s_[i] = splitmix64(sm);
   // Guard against the (astronomically unlikely) all-zero state.
-  if ((s[0] | s[1] | s[2] | s[3]) == 0) s[0] = 1;
+  if ((s_[0] | s_[1] | s_[2] | s_[3]) == 0) s_[0] = 1;
 }
-
-}  // namespace detail
 
 std::uint64_t Rng::next_u64() {
   const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;

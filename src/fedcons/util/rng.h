@@ -5,11 +5,6 @@
 // distributions ourselves instead of relying on <random>'s
 // implementation-defined distribution algorithms. All experiment binaries
 // take an explicit seed.
-//
-// The distribution layer is a CRTP mixin over any `next_u64()` source so the
-// batched lane streams (simd/batch_rng.h) consume draws through the exact
-// same algorithms as Rng — one implementation, pinned equal by the simd
-// tests, no copy to drift.
 #pragma once
 
 #include <cmath>
@@ -20,19 +15,21 @@
 
 namespace fedcons {
 
-namespace detail {
-/// SplitMix64-expand `seed` into a well-mixed non-zero xoshiro256** state —
-/// the one seeding rule shared by Rng and the batched lanes.
-void xoshiro_seed(std::uint64_t seed, std::uint64_t s[4]) noexcept;
-}  // namespace detail
-
-/// The distribution algorithms over a 64-bit uniform source. Derived provides
-/// `std::uint64_t next_u64()`; every method consumes draws exclusively
-/// through it, so two sources emitting the same u64 stream yield bit-equal
-/// distribution sequences.
-template <class Derived>
-class RngDistributions {
+/// xoshiro256** by Blackman & Vigna — fast, high-quality, 2^256-1 period.
+/// Seeded through SplitMix64 so that any 64-bit seed yields a well-mixed
+/// initial state.
+class Rng {
  public:
+  explicit Rng(std::uint64_t seed) { reseed(seed); }
+
+  void reseed(std::uint64_t seed);
+
+  /// Uniform 64-bit word.
+  std::uint64_t next_u64();
+
+  /// Derive an independent child generator (for per-trial streams).
+  [[nodiscard]] Rng split();
+
   /// Uniform integer in [lo, hi] (inclusive). Precondition: lo <= hi.
   /// Uses rejection sampling (Lemire-style bounded draw) — no modulo bias.
   std::int64_t uniform_int(std::int64_t lo, std::int64_t hi) {
@@ -40,13 +37,13 @@ class RngDistributions {
     const std::uint64_t range = static_cast<std::uint64_t>(hi) -
                                 static_cast<std::uint64_t>(lo) + 1;
     if (range == 0) {  // full 64-bit range
-      return static_cast<std::int64_t>(self().next_u64());
+      return static_cast<std::int64_t>(next_u64());
     }
     // Rejection sampling on the top of the range to eliminate modulo bias.
     const std::uint64_t limit = ~std::uint64_t{0} - (~std::uint64_t{0} % range);
     std::uint64_t draw;
     do {
-      draw = self().next_u64();
+      draw = next_u64();
     } while (draw >= limit);
     return static_cast<std::int64_t>(static_cast<std::uint64_t>(lo) +
                                      draw % range);
@@ -55,7 +52,7 @@ class RngDistributions {
   /// Uniform real in [0, 1).
   double uniform01() {
     // 53 uniform mantissa bits → [0,1).
-    return static_cast<double>(self().next_u64() >> 11) * 0x1.0p-53;
+    return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
   }
 
   /// Uniform real in [lo, hi). Precondition: lo < hi.
@@ -88,25 +85,6 @@ class RngDistributions {
       swap(v[i - 1], v[j]);
     }
   }
-
- private:
-  Derived& self() noexcept { return static_cast<Derived&>(*this); }
-};
-
-/// xoshiro256** by Blackman & Vigna — fast, high-quality, 2^256-1 period.
-/// Seeded through SplitMix64 so that any 64-bit seed yields a well-mixed
-/// initial state.
-class Rng : public RngDistributions<Rng> {
- public:
-  explicit Rng(std::uint64_t seed) { reseed(seed); }
-
-  void reseed(std::uint64_t seed) { detail::xoshiro_seed(seed, s_); }
-
-  /// Uniform 64-bit word.
-  std::uint64_t next_u64();
-
-  /// Derive an independent child generator (for per-trial streams).
-  [[nodiscard]] Rng split();
 
  private:
   std::uint64_t s_[4];

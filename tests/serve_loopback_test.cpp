@@ -4,15 +4,15 @@
 //  1. Protocol semantics over a live socket — open/register/admit/release/
 //     swap/query/stats behave per serve/protocol.h, request-level errors are
 //     recoverable, framing errors close only the offending connection.
-//  2. Verdict parity — replaying an online trace through the daemon
-//     (fedcons_loadgen --trace) yields byte-identical verdict files across
-//     daemon instances and event-for-event identical verdicts to the
-//     in-process `fedcons_cli --online --json` replay of the same trace.
+//  2. Verdict parity — replaying an online trace through the daemon yields
+//     byte-identical verdict lines across daemon instances and
+//     event-for-event identical verdicts to the in-process
+//     `fedcons_cli --online --json` replay of the same trace.
 //  3. Isolation — every connection is served by its own thread, so a
 //     request that occupies one connection (a long stall) does not delay
 //     another connection's answers.
 //
-// Daemon/loadgen/cli binaries are injected as compile definitions by CMake.
+// Daemon/cli binaries are injected as compile definitions by CMake.
 #include <gtest/gtest.h>
 
 #ifdef _WIN32
@@ -44,7 +44,6 @@ namespace fedcons {
 namespace {
 
 const std::string kServeBin = FEDCONS_SERVE_BIN;
-const std::string kLoadgenBin = FEDCONS_LOADGEN_BIN;
 const std::string kCliBin = FEDCONS_CLI_BIN;
 
 /// A daemon child process bound to a per-test unix socket. The destructor
@@ -304,12 +303,50 @@ OnlineTrace make_parity_trace() {
   return trace;
 }
 
+/// Replay the online trace at `trace_path` through one session on the daemon
+/// at `socket`, one request per event, and return one verdict line per
+/// event: its index and kind, and the daemon's applied, schedulable,
+/// task_ids and residents.
+std::string replay_verdicts(const std::string& socket,
+                            const std::string& trace_path) {
+  const OnlineTrace trace = parse_online_trace(read_file(trace_path));
+  serve::ServeClient client = serve::ServeClient::connect_unix(socket);
+  std::uint64_t seq = 0;
+  serve::ServeRequest open = make_request(serve::ServeOp::kOpen, seq++);
+  open.m = trace.processors;
+  const serve::ServeResponse opened = client.call(open);
+  EXPECT_EQ(opened.status, serve::ServeStatus::kOk) << opened.error;
+
+  std::string verdicts;
+  for (std::size_t i = 0; i < trace.events.size(); ++i) {
+    const OnlineEvent& e = trace.events[i];
+    serve::ServeRequest req = make_request(serve::ServeOp::kAdmit, seq++);
+    req.session = opened.session;
+    if (e.kind != OnlineEvent::Kind::kAdmit) {
+      req.op = e.kind == OnlineEvent::Kind::kRelease ? serve::ServeOp::kRelease
+                                                      : serve::ServeOp::kSwap;
+      req.release_ids = e.release_ids;
+    }
+    if (e.kind != OnlineEvent::Kind::kRelease) {
+      req.system = serialize_task_system(TaskSystem(e.admits));
+    }
+    const serve::ServeResponse resp = client.call(req);
+    EXPECT_EQ(resp.status, serve::ServeStatus::kOk)
+        << "event " << i << ": " << resp.error;
+    verdicts += "{\"index\": " + std::to_string(i) + ", \"event\": \"" +
+                to_string(e.kind) + "\", \"applied\": " +
+                (resp.applied ? "1" : "0") + ", \"schedulable\": " +
+                (resp.schedulable ? "1" : "0") + ", \"task_ids\": \"" +
+                serve::join_ids(resp.task_ids) + "\", \"residents\": " +
+                std::to_string(resp.residents) + "}\n";
+  }
+  return verdicts;
+}
+
 TEST(ServeLoopbackTest, TraceReplayMatchesCliVerdicts) {
   const std::string dir = ::testing::TempDir();
   const std::string trace_path = dir + "/serve_parity.trace";
   const std::string cli_json_path = dir + "/serve_parity_cli.json";
-  const std::string verdicts_a = dir + "/serve_parity_a.jsonl";
-  const std::string verdicts_b = dir + "/serve_parity_b.jsonl";
 
   const OnlineTrace trace = make_parity_trace();
   {
@@ -323,19 +360,16 @@ TEST(ServeLoopbackTest, TraceReplayMatchesCliVerdicts) {
                             .c_str()),
             0);
 
-  // Daemon replay, twice against fresh daemons: the verdict files must be
+  // Daemon replay, twice against fresh daemons: the verdicts must be
   // byte-identical (replay determinism through the whole serve stack).
-  for (const std::string* path : {&verdicts_a, &verdicts_b}) {
+  std::string bytes_a;
+  std::string bytes_b;
+  for (std::string* bytes : {&bytes_a, &bytes_b}) {
     Daemon daemon;
-    ASSERT_EQ(std::system((kLoadgenBin + " --socket=" +
-                           daemon.socket_path() + " --trace=" + trace_path +
-                           " --verdicts-out=" + *path + " >/dev/null 2>&1")
-                              .c_str()),
-              0);
+    *bytes = replay_verdicts(daemon.socket_path(), trace_path);
   }
-  const std::string bytes_a = read_file(verdicts_a);
   ASSERT_FALSE(bytes_a.empty());
-  EXPECT_EQ(bytes_a, read_file(verdicts_b));
+  EXPECT_EQ(bytes_a, bytes_b);
 
   // Event-for-event parity with the CLI: kind, applied, schedulable, and
   // the resident count after every event.
@@ -375,41 +409,29 @@ TEST(ServeLoopbackTest, TraceReplayMatchesCliVerdicts) {
 
 TEST(ServeLoopbackTest, VerdictsAreByteIdenticalWithObservabilityOn) {
   // The PR-4 contract, extended to the serve pipeline: tracing (with
-  // sample=1, every request stamped and emitting spans) and an aggressive
-  // stats-series cadence must not perturb a single verdict byte. Replay the
-  // parity trace against a plain daemon and a fully-instrumented one; the
-  // verdict files must be byte-identical.
+  // sample=1, every request stamped and emitting spans) must not perturb a
+  // single verdict byte. Replay the parity trace against a plain daemon and
+  // a fully-instrumented one; the verdicts must be byte-identical.
   const std::string dir = ::testing::TempDir();
   const std::string trace_path = dir + "/serve_obs_parity.trace";
-  const std::string verdicts_off = dir + "/serve_obs_off.jsonl";
-  const std::string verdicts_on = dir + "/serve_obs_on.jsonl";
   const std::string chrome_trace = dir + "/serve_obs_parity_trace.json";
   {
     std::ofstream out(trace_path);
     out << write_online_trace(make_parity_trace());
   }
 
+  std::string off_bytes;
+  std::string on_bytes;
   {
-    Daemon plain({"--stats-interval-ms=0"});
-    ASSERT_EQ(std::system((kLoadgenBin + " --socket=" + plain.socket_path() +
-                           " --trace=" + trace_path + " --verdicts-out=" +
-                           verdicts_off + " >/dev/null 2>&1")
-                              .c_str()),
-              0);
+    Daemon plain;
+    off_bytes = replay_verdicts(plain.socket_path(), trace_path);
   }
   {
-    Daemon traced({"--trace-out=" + chrome_trace, "--trace-sample=1",
-                   "--stats-interval-ms=10", "--stats-ring=8"});
-    ASSERT_EQ(std::system((kLoadgenBin + " --socket=" +
-                           traced.socket_path() + " --trace=" + trace_path +
-                           " --verdicts-out=" + verdicts_on +
-                           " >/dev/null 2>&1")
-                              .c_str()),
-              0);
+    Daemon traced({"--trace-out=" + chrome_trace, "--trace-sample=1"});
+    on_bytes = replay_verdicts(traced.socket_path(), trace_path);
   }
-  const std::string off_bytes = read_file(verdicts_off);
   ASSERT_FALSE(off_bytes.empty());
-  EXPECT_EQ(off_bytes, read_file(verdicts_on));
+  EXPECT_EQ(off_bytes, on_bytes);
 }
 
 // ---- isolation -------------------------------------------------------------

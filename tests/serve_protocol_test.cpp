@@ -287,19 +287,13 @@ TEST(ServeRequestTest, RoundTripsStatsFormatAndSeriesWindow) {
   EXPECT_EQ(prom_back.op, ServeOp::kStats);
   EXPECT_TRUE(prom_back.prometheus);
 
-  ServeRequest series;
-  series.op = ServeOp::kStatsSeries;
-  series.seq = 21;
-  series.series_last = 16;
-  const ServeRequest series_back =
-      parse_serve_request(encode_serve_request(series));
-  EXPECT_EQ(series_back.op, ServeOp::kStatsSeries);
-  EXPECT_EQ(series_back.series_last, 16u);
-
-  // Omitted window = 0 = the whole ring.
-  const ServeRequest whole =
-      parse_serve_request(R"({"op": "stats_series", "seq": 22})");
-  EXPECT_EQ(whole.series_last, 0u);
+  // The series window op is gone: a window is the difference of two stats
+  // snapshots. It now gets the recoverable unknown-op error.
+  EXPECT_THROW(parse_serve_request(R"({"op": "stats_series", "seq": 21})"),
+               ParseError);
+  EXPECT_THROW(
+      parse_serve_request(R"({"op": "stats_series", "seq": 22, "last": 16})"),
+      ParseError);
 }
 
 TEST(ServeRequestTest, StatsFormatRejectsUnknownValues) {

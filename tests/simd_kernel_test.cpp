@@ -4,9 +4,8 @@
 // The dispatch contract says every kernel is a pure function of its inputs,
 // independent of the backend that computed it. These tests pin that contract
 // at three levels:
-//   * kernel level — scalar and AVX2 variants of dbf_scan, the fill/copy
-//     primitives, and the batched xoshiro core produce bit-identical outputs
-//     on identical inputs (fuzzed);
+//   * kernel level — scalar and AVX2 variants of dbf_scan and the fill/copy
+//     primitives produce bit-identical outputs on identical inputs (fuzzed);
 //   * certification level — a certain DBF* lane class (kFit / kReject) always
 //     agrees with the exact rational comparison, audited at every aggregate
 //     breakpoint ±2 (the band where slope changes make rounding most likely
@@ -31,7 +30,6 @@
 #include "fedcons/federated/minprocs.h"
 #include "fedcons/federated/partition.h"
 #include "fedcons/gen/dag_gen.h"
-#include "fedcons/simd/batch_rng.h"
 #include "fedcons/simd/dbf_kernel.h"
 #include "fedcons/simd/dispatch.h"
 #include "fedcons/simd/fill.h"
@@ -334,99 +332,6 @@ TEST(DbfCertificationTest, CertainClassesAgreeWithExactAtEveryBreakpointBand) {
   // The kernel must actually decide things for well-scaled inputs — an
   // always-uncertain kernel would pass the agreement checks vacuously.
   EXPECT_GT(certain, uncertain * 10);
-}
-
-// ---------------------------------------------------------------------------
-// Batched RNG: lane streams ≡ Rng(seed)
-// ---------------------------------------------------------------------------
-
-TEST(BatchRngTest, Xoshiro4LanesMatchRngStreams) {
-  const std::uint64_t seeds[4] = {1, 0xdeadbeef, 42, ~std::uint64_t{0}};
-  simd::Xoshiro4 xo(seeds);
-  constexpr int kN = 1000;
-  std::vector<std::uint64_t> lanes[4];
-  std::uint64_t* out[4];
-  for (int l = 0; l < 4; ++l) {
-    lanes[l].resize(kN);
-    out[l] = lanes[l].data();
-  }
-  xo.fill(out, kN);
-  for (int l = 0; l < 4; ++l) {
-    Rng ref(seeds[l]);
-    for (int i = 0; i < kN; ++i) {
-      ASSERT_EQ(lanes[l][static_cast<std::size_t>(i)], ref.next_u64())
-          << "lane " << l << " draw " << i;
-    }
-  }
-}
-
-TEST(BatchRngTest, ScalarAndAvx2CoresEmitIdenticalBlocks) {
-  if (!simd::backend_supported(SimdBackend::kAvx2)) {
-    GTEST_SKIP() << "CPU lacks AVX2";
-  }
-  // Hand-seed each lane through the shared rule, laid out SoA
-  // (s[word][lane]) so both cores start from identical state.
-  std::uint64_t s_scalar[4][4];
-  for (int l = 0; l < 4; ++l) {
-    std::uint64_t s[4];
-    detail::xoshiro_seed(static_cast<std::uint64_t>(l) + 99, s);
-    for (int w = 0; w < 4; ++w) s_scalar[w][l] = s[w];
-  }
-  std::uint64_t s_avx2[4][4];
-  std::copy(&s_scalar[0][0], &s_scalar[0][0] + 16, &s_avx2[0][0]);
-
-  constexpr int kN = 257;  // odd length: exercises any tail handling
-  std::vector<std::uint64_t> a[4], b[4];
-  std::uint64_t* pa[4];
-  std::uint64_t* pb[4];
-  for (int l = 0; l < 4; ++l) {
-    a[l].resize(kN);
-    b[l].resize(kN);
-    pa[l] = a[l].data();
-    pb[l] = b[l].data();
-  }
-  simd::detail::xo4_fill_scalar(s_scalar, pa, kN);
-  simd::detail::xo4_fill_avx2(s_avx2, pb, kN);
-  for (int l = 0; l < 4; ++l) EXPECT_EQ(a[l], b[l]) << "lane " << l;
-  EXPECT_TRUE(std::equal(&s_scalar[0][0], &s_scalar[0][0] + 16,
-                         &s_avx2[0][0]));  // final states advance identically
-}
-
-TEST(BatchRngTest, UnevenLaneConsumptionStaysBitIdentical) {
-  const std::uint64_t seeds[4] = {7, 7, 1234, 0};  // equal seeds allowed
-  simd::BatchRng batch(seeds, /*block=*/32);
-  Rng ref[4] = {Rng(seeds[0]), Rng(seeds[1]), Rng(seeds[2]), Rng(seeds[3])};
-  Rng sched(99);
-  int drawn[4] = {};
-  for (int step = 0; step < 20'000; ++step) {
-    const int lane = static_cast<int>(sched.uniform_int(0, 3));
-    // Skew consumption hard: lane 0 draws in bursts, lane 3 rarely.
-    const int burst = lane == 0 ? 7 : (lane == 3 && step % 5 != 0 ? 0 : 1);
-    for (int k = 0; k < burst; ++k) {
-      ASSERT_EQ(batch.draw(lane), ref[lane].next_u64())
-          << "lane " << lane << " draw " << drawn[lane];
-      ++drawn[lane];
-    }
-  }
-}
-
-TEST(BatchRngTest, LaneRngDistributionsMatchRng) {
-  const std::uint64_t seeds[4] = {11, 22, 33, 44};
-  simd::BatchRng batch(seeds);
-  simd::LaneRng lane(batch, 2);
-  Rng ref(seeds[2]);
-  for (int i = 0; i < 2000; ++i) {
-    ASSERT_EQ(lane.uniform_int(-5, 1000), ref.uniform_int(-5, 1000));
-    ASSERT_EQ(lane.uniform01(), ref.uniform01());
-    ASSERT_EQ(lane.log_uniform_real(1.0, 1e6), ref.log_uniform_real(1.0, 1e6));
-    ASSERT_EQ(lane.bernoulli(0.3), ref.bernoulli(0.3));
-  }
-  std::vector<int> va(37), vb(37);
-  for (int i = 0; i < 37; ++i) va[static_cast<std::size_t>(i)] =
-      vb[static_cast<std::size_t>(i)] = i;
-  lane.shuffle(va);
-  ref.shuffle(vb);
-  EXPECT_EQ(va, vb);
 }
 
 // ---------------------------------------------------------------------------

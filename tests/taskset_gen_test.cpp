@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+
+#include "fedcons/core/io.h"
 #include "fedcons/util/check.h"
 
 namespace fedcons {
@@ -97,6 +101,46 @@ TEST(TasksetGenTest, DeterministicGivenSeed) {
     EXPECT_EQ(s1[i].len(), s2[i].len());
     EXPECT_EQ(s1[i].deadline(), s2[i].deadline());
     EXPECT_EQ(s1[i].period(), s2[i].period());
+  }
+}
+
+/// FNV-1a over the bytes of `text`.
+std::uint64_t fnv1a(const std::string& text) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const unsigned char c : text) {
+    h ^= c;
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+TEST(TasksetGenTest, GeneratedSystemsArePinned) {
+  // Every campaign, preset and benchmark input is drawn through this path,
+  // so any change to an Rng draw or to a generator's use of the draws moves
+  // a digest here. The constants were captured from the generators as
+  // first pinned; update them only for a deliberate change of inputs.
+  struct Pin {
+    DagTopology topology;
+    std::uint64_t seed;
+    std::uint64_t digest;
+  };
+  const Pin pins[] = {
+      {DagTopology::kLayered, 1, 0xf0a1c8aa66034a7cull},
+      {DagTopology::kLayered, 2, 0x03815a496994b6deull},
+      {DagTopology::kForkJoin, 1, 0xae274fa31e494badull},
+      {DagTopology::kForkJoin, 2, 0x1791f85397fc8be4ull},
+      {DagTopology::kMixed, 1, 0x412f8672605fb2ceull},
+      {DagTopology::kMixed, 2, 0x39ee75afdc746a66ull},
+  };
+  for (const Pin& pin : pins) {
+    TaskSetParams p;
+    p.topology = pin.topology;
+    Rng rng(pin.seed);
+    const std::string text =
+        serialize_task_system(generate_task_system(rng, p));
+    EXPECT_EQ(fnv1a(text), pin.digest)
+        << to_string(pin.topology) << " seed " << pin.seed << " 0x"
+        << std::hex << fnv1a(text);
   }
 }
 

@@ -1,4 +1,4 @@
-// CLI error-path tests: all three tools must exit 2 with usage on unknown or
+// CLI error-path tests: every tool must exit 2 with usage on unknown or
 // malformed flags, and nonzero on malformed input — never crash or silently
 // succeed. Binaries are injected as compile definitions by CMake.
 #include <gtest/gtest.h>
@@ -26,44 +26,57 @@ const std::string kCli = FEDCONS_CLI_BIN;
 const std::string kGen = FEDCONS_GEN_BIN;
 const std::string kConform = FEDCONS_CONFORM_BIN;
 const std::string kServe = FEDCONS_SERVE_BIN;
-const std::string kLoadgen = FEDCONS_LOADGEN_BIN;
+const std::string kTop = FEDCONS_TOP_BIN;
 
 TEST(ToolsErrorsTest, UnknownFlagsExitTwo) {
   EXPECT_EQ(exit_code(kCli + " --no-such-flag"), 2);
   EXPECT_EQ(exit_code(kGen + " --no-such-flag"), 2);
   EXPECT_EQ(exit_code(kConform + " --no-such-flag"), 2);
   EXPECT_EQ(exit_code(kServe + " --no-such-flag"), 2);
-  EXPECT_EQ(exit_code(kLoadgen + " --no-such-flag"), 2);
+  EXPECT_EQ(exit_code(kTop + " --no-such-flag"), 2);
   // A typo'd known flag must not fall through to a default mode.
   EXPECT_EQ(exit_code(kCli + " --exmple"), 2);
   EXPECT_EQ(exit_code(kGen + " --presets=avionics"), 2);
   EXPECT_EQ(exit_code(kConform + " --trails=10"), 2);
   EXPECT_EQ(exit_code(kServe + " --sockets=/tmp/x.sock"), 2);
-  EXPECT_EQ(exit_code(kLoadgen + " --connection=4"), 2);
+  EXPECT_EQ(exit_code(kTop + " --socket=/tmp/x.sock --interval=100"), 2);
 }
 
 TEST(ToolsErrorsTest, ServeToolsValidateFlagValues) {
-  // --stats-ring=8x is the canonical lax-parsing failure: stoll's silent
-  // prefix parse would run a daemon with an 8-slot ring. Exit 2, loudly.
-  EXPECT_EQ(exit_code(kServe + " --socket=/tmp/x.sock --stats-ring=8x"), 2);
+  // --trace-sample=8x is the canonical lax-parsing failure: stoll's silent
+  // prefix parse would sample every 8th request. Exit 2, loudly.
+  EXPECT_EQ(exit_code(kServe + " --socket=/tmp/x.sock --trace-sample=8x"), 2);
   EXPECT_EQ(exit_code(kServe + " --socket=/tmp/x.sock --max-frame-bytes=0x40"),
             2);
-  EXPECT_EQ(exit_code(kServe +
-                      " --socket=/tmp/x.sock --stats-interval-ms=" +
-                      "99999999999999999999"), 2);
-  // Exactly one listener, and values must be in range.
+  EXPECT_EQ(exit_code(kServe + " --socket=/tmp/x.sock --max-frame-bytes=" +
+                      "99999999999999999999"),
+            2);
+  // Exactly one listener, and values must be in range: each of these used
+  // to narrow silently (port 70000 listened on 4464, a frame cap of -1
+  // became SIZE_MAX, and a sampling period of 2^32 + 1 became 1).
   EXPECT_EQ(exit_code(kServe), 2);
   EXPECT_EQ(exit_code(kServe + " --socket=/tmp/x.sock --port=0"), 2);
-  EXPECT_EQ(exit_code(kServe + " --socket=/tmp/x.sock --stats-ring=0"), 2);
-  // Flags of the removed dispatcher are unknown flags.
-  for (const char* removed : {"--threads=1", "--max-batch=64",
-                              "--batch-timeout-us=0", "--queue-depth=1024"}) {
+  EXPECT_EQ(exit_code(kServe + " --port=70000"), 2);
+  EXPECT_EQ(exit_code(kServe + " --port=-1"), 2);
+  EXPECT_EQ(exit_code(kServe + " --socket=/tmp/x.sock --max-frame-bytes=0"),
+            2);
+  EXPECT_EQ(exit_code(kServe + " --socket=/tmp/x.sock --max-frame-bytes=-1"),
+            2);
+  EXPECT_EQ(exit_code(kServe + " --socket=/tmp/x.sock --trace-sample=-1"), 2);
+  EXPECT_EQ(exit_code(kServe +
+                      " --socket=/tmp/x.sock --trace-sample=4294967297"),
+            2);
+  // Flags of the removed dispatcher and stats series are unknown flags.
+  for (const char* removed :
+       {"--threads=1", "--max-batch=64", "--batch-timeout-us=0",
+        "--queue-depth=1024", "--stats-interval-ms=10", "--stats-ring=4"}) {
     EXPECT_EQ(exit_code(kServe + " --socket=/tmp/x.sock " + removed), 2)
         << removed;
   }
-  EXPECT_EQ(exit_code(kLoadgen + " --socket=/tmp/x.sock --pipeline=16x"), 2);
-  EXPECT_EQ(exit_code(kLoadgen + " --socket=/tmp/x.sock --duration-s=2s"), 2);
-  EXPECT_EQ(exit_code(kLoadgen), 2);  // needs --socket or --port
+  // fedcons_top: usage errors exit 2 (1 means the daemon went away).
+  EXPECT_EQ(exit_code(kTop + " --socket=/tmp/x.sock --interval-ms=8x"), 2);
+  EXPECT_EQ(exit_code(kTop + " --port=70000"), 2);
+  EXPECT_EQ(exit_code(kTop), 2);  // needs --socket or --port
 }
 
 TEST(ToolsErrorsTest, StrayPositionalArgumentsExitTwo) {

@@ -3,13 +3,13 @@
 // Usage:
 //   fedcons_serve --socket=PATH | --port=N [--max-frame-bytes=N]
 //                 [--trace-out=FILE] [--trace-sample=N]
-//                 [--stats-interval-ms=N] [--stats-ring=N]
 //
 // Serves the serve/protocol.h length-prefixed newline-JSON protocol:
 // clients open AdmissionSessions, register task-system content, and stream
 // admit/release/swap/query events; every accepted request gets exactly one
 // response. --socket binds an AF_UNIX listener at PATH; --port binds TCP on
 // 127.0.0.1 (0 picks a free port). Exactly one of the two must be given.
+// --max-frame-bytes caps one inbound frame (default 1 MiB).
 // Each connection gets its own thread, which handles its requests in the
 // order it reads them; a client that stops reading blocks only its own
 // connection (socket flow control is the backpressure).
@@ -30,10 +30,11 @@
 //     spans are SAMPLED: every --trace-sample'th request (default 256 once
 //     --trace-out is given) records its queue -> handle -> write chain
 //     under one trace id.
-//   --stats-interval-ms (default 250; 0 disables) sets the cadence of the
-//     stats_series snapshot ring; --stats-ring (default 256) its capacity.
 //
-// Unknown or malformed flags exit 2 with usage. Exit 0 on a clean drain.
+// Unknown or malformed flags, and values out of range (--port outside
+// [0, 65535], --max-frame-bytes below 1, --trace-sample outside
+// [0, INT_MAX]), exit 2 with usage. Exit 0 on a clean drain.
+#include <climits>
 #include <csignal>
 #include <fstream>
 #include <iostream>
@@ -57,8 +58,7 @@ int usage() {
   std::cerr
       << "usage: fedcons_serve --socket=PATH | --port=N\n"
          "                     [--max-frame-bytes=N]\n"
-         "                     [--trace-out=FILE] [--trace-sample=N]\n"
-         "                     [--stats-interval-ms=N] [--stats-ring=N]\n";
+         "                     [--trace-out=FILE] [--trace-sample=N]\n";
   return 2;
 }
 
@@ -82,8 +82,7 @@ int main(int argc, char** argv) {
   try {
     const Flags flags(argc, argv);
     static constexpr std::string_view kAllowed[] = {
-        "socket",       "port",              "max-frame-bytes", "trace-out",
-        "trace-sample", "stats-interval-ms", "stats-ring"};
+        "socket", "port", "max-frame-bytes", "trace-out", "trace-sample"};
     const auto unknown = flags.unknown_keys(kAllowed);
     if (!unknown.empty() || !flags.positional().empty()) {
       for (const auto& key : unknown) {
@@ -100,26 +99,29 @@ int main(int argc, char** argv) {
       return usage();
     }
 
-    serve::ServerConfig config;
-    config.unix_path = flags.get_string("socket", "");
-    config.tcp_port = static_cast<int>(flags.get_int("port", 0));
-    config.max_frame_bytes = static_cast<std::size_t>(
-        flags.get_int("max-frame-bytes",
-                      static_cast<std::int64_t>(serve::kDefaultMaxFrameBytes)));
-    TraceDump trace_dump;
-    trace_dump.path = flags.get_string("trace-out", "");
+    const std::string trace_out = flags.get_string("trace-out", "");
+    const std::int64_t port = flags.get_int("port", 0);
+    const std::int64_t max_frame_bytes = flags.get_int(
+        "max-frame-bytes",
+        static_cast<std::int64_t>(serve::kDefaultMaxFrameBytes));
     // Sampling defaults on with the trace sink: 1-in-256 keeps the span
     // buffers bounded under load while still catching requests steadily.
-    config.trace_sample = static_cast<int>(
-        flags.get_int("trace-sample", trace_dump.path.empty() ? 0 : 256));
-    config.stats_interval_ms =
-        static_cast<int>(flags.get_int("stats-interval-ms", 250));
-    config.stats_ring = static_cast<int>(flags.get_int("stats-ring", 256));
-    if (config.trace_sample < 0 || config.stats_interval_ms < 0 ||
-        config.stats_ring < 1) {
+    const std::int64_t trace_sample =
+        flags.get_int("trace-sample", trace_out.empty() ? 0 : 256);
+    // Range-check before narrowing: a wrapped value would bind another
+    // port, lift the frame cap or change the sampling period.
+    if (port < 0 || port > 65535 || max_frame_bytes < 1 || trace_sample < 0 ||
+        trace_sample > INT_MAX) {
       std::cerr << "fedcons_serve: flag values out of range\n";
       return usage();
     }
+    serve::ServerConfig config;
+    config.unix_path = flags.get_string("socket", "");
+    config.tcp_port = static_cast<int>(port);
+    config.max_frame_bytes = static_cast<std::size_t>(max_frame_bytes);
+    config.trace_sample = static_cast<int>(trace_sample);
+    TraceDump trace_dump;
+    trace_dump.path = trace_out;
     if (!trace_dump.path.empty()) obs::set_tracing_enabled(true);
 
     serve::Server server(config);

@@ -23,7 +23,8 @@
 // difference against); every later frame is the delta. Rates divide by the
 // server's own snapshot_monotonic_us delta, not the client's sleep time, so
 // a slow poll never inflates a rate. Exit 0 on a clean finish, 1 when the
-// daemon disappears mid-run, 2 on usage errors.
+// daemon disappears mid-run, 2 on usage errors (unknown or malformed flags,
+// --port outside [1, 65535], --interval-ms below 1, --iterations below 0).
 #include <chrono>
 #include <iostream>
 #include <string_view>
@@ -198,6 +199,13 @@ void render(const Snapshot& now, const Snapshot* prev, bool plain) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  std::string socket;
+  std::int64_t port = 0;
+  std::chrono::milliseconds interval{};
+  std::int64_t iterations = 0;
+  bool plain = false;
+  // Usage errors are decided here, apart from the run's own failures, so a
+  // malformed flag exits 2 and never reads as a vanished daemon (exit 1).
   try {
     const Flags flags(argc, argv);
     static constexpr std::string_view kAllowed[] = {
@@ -216,20 +224,26 @@ int main(int argc, char** argv) {
       std::cerr << "fedcons_top: exactly one of --socket/--port required\n";
       return usage();
     }
-    const std::string socket = flags.get_string("socket", "");
-    const int port = static_cast<int>(flags.get_int("port", 0));
-    const auto interval = std::chrono::milliseconds(
-        flags.get_int("interval-ms", 1000));
-    const std::int64_t iterations = flags.get_int("iterations", 0);
-    const bool plain = flags.get_bool("plain", false);
-    if (interval.count() < 1 || iterations < 0) {
+    socket = flags.get_string("socket", "");
+    port = flags.get_int("port", 0);
+    interval = std::chrono::milliseconds(flags.get_int("interval-ms", 1000));
+    iterations = flags.get_int("iterations", 0);
+    plain = flags.get_bool("plain", false);
+    if ((socket.empty() && (port < 1 || port > 65535)) ||
+        interval.count() < 1 || iterations < 0) {
       std::cerr << "fedcons_top: flag values out of range\n";
       return usage();
     }
+  } catch (const std::exception& e) {
+    std::cerr << "fedcons_top: " << e.what() << "\n";
+    return usage();
+  }
 
+  try {
     serve::ServeClient client =
-        socket.empty() ? serve::ServeClient::connect_tcp(port)
-                       : serve::ServeClient::connect_unix(socket);
+        socket.empty()
+            ? serve::ServeClient::connect_tcp(static_cast<int>(port))
+            : serve::ServeClient::connect_unix(socket);
     Snapshot prev;
     bool have_prev = false;
     std::uint64_t seq = 0;
