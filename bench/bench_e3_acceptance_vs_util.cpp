@@ -9,9 +9,9 @@
 // and dominates the non-federated baselines whenever high-density tasks are
 // present.
 //
-// Algorithms are resolved by name through the engine registry, and trials
-// run on the engine's deterministic batch runner: --threads=N parallelizes
-// the sweep while --json output stays byte-identical for every N.
+// Algorithms are rows of the engine's algorithm table, and trials run on the
+// engine's deterministic batch runner: --threads=N parallelizes the sweep
+// while --json output stays byte-identical for every N.
 //
 // Observability flags:
 //   --metrics          collect per-trial latency / μ / bins-touched
@@ -24,7 +24,6 @@
 #include <fstream>
 #include <iostream>
 
-#include "fedcons/engine/registry.h"
 #include "fedcons/expr/acceptance.h"
 #include "fedcons/expr/reports.h"
 #include "fedcons/obs/metrics.h"
@@ -39,28 +38,25 @@ namespace {
 /// Optimistic empirical bracket for the global approach: survive a
 /// synchronous-periodic WCET global-EDF simulation over a bounded horizon.
 /// NOT a schedulability proof (see baselines/global_edf.h) — listed last and
-/// flagged in the caption. Registered as an ad-hoc engine test (experiment
-/// binaries can extend the registry without touching the library).
-AlgorithmSpec gedf_simulation_bracket() {
-  return make_algorithm_spec(make_function_test(
-      "GEDF-sim*",
-      "empirical survival of a synchronous-periodic global-EDF simulation "
-      "(optimistic bracket, not a proof)",
-      [](const TaskSystem& s, int m) {
-        if (s.empty()) return true;
-        SimConfig cfg;
-        Time max_period = 1;
-        for (const auto& t : s) max_period = std::max(max_period, t.period());
-        cfg.horizon = checked_mul(4, max_period);
-        std::vector<std::vector<DagJobRelease>> releases;
-        Rng rng(12345);
-        for (const auto& t : s) {
-          Rng child = rng.split();
-          releases.push_back(generate_releases(t, cfg, child));
-        }
-        return simulate_global_edf(s, releases, m, cfg).deadline_misses == 0;
-      }));
-}
+/// flagged in the caption.
+const Algorithm kGedfSimulationBracket{
+    "GEDF-sim*",
+    "empirical survival of a synchronous-periodic global-EDF simulation "
+    "(optimistic bracket, not a proof)",
+    DeadlineClass::kConstrained, [](const TaskSystem& s, int m) {
+      if (s.empty()) return true;
+      SimConfig cfg;
+      Time max_period = 1;
+      for (const auto& t : s) max_period = std::max(max_period, t.period());
+      cfg.horizon = checked_mul(4, max_period);
+      std::vector<std::vector<DagJobRelease>> releases;
+      Rng rng(12345);
+      for (const auto& t : s) {
+        Rng child = rng.split();
+        releases.push_back(generate_releases(t, cfg, child));
+      }
+      return simulate_global_edf(s, releases, m, cfg).deadline_misses == 0;
+    }};
 
 }  // namespace
 
@@ -78,7 +74,7 @@ int main(int argc, char** argv) {
   if (!trace_out.empty()) obs::set_tracing_enabled(true);
 
   auto algorithms = standard_algorithms();
-  algorithms.push_back(gedf_simulation_bracket());
+  algorithms.push_back(kGedfSimulationBracket);
   std::vector<SweepSection> sections;
   for (int m : {4, 8, 16}) {
     SweepConfig cfg;

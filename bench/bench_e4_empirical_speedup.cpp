@@ -5,7 +5,7 @@
 // the worst-case bound "is conservative" — empirical minimum speeds cluster
 // far below 3 − 1/m.
 //
-// The measured algorithm is selected by engine-registry name (--algo=...),
+// The measured algorithm is selected by engine-table name (--algo=...),
 // and candidate attempts are evaluated in parallel (--threads=N) with
 // results independent of the thread count.
 #include <iostream>

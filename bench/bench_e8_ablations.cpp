@@ -12,12 +12,11 @@
 //      reproducing the paper's §III observation that the PARTITION phase is
 //      the constrained-deadline bottleneck.
 //
-// All ablation entries are engine adapters (make_fedcons_test) evaluated on
-// the deterministic batch runner; --threads=N parallelizes every section
-// without changing any count.
+// All ablation entries are FEDCONS variants (plain engine Algorithm values)
+// evaluated on the deterministic batch runner; --threads=N parallelizes every
+// section without changing any count.
 #include <iostream>
 
-#include "fedcons/engine/adapters.h"
 #include "fedcons/engine/batch_runner.h"
 #include "fedcons/expr/acceptance.h"
 #include "fedcons/expr/reports.h"
@@ -26,6 +25,18 @@
 #include "fedcons/util/flags.h"
 
 using namespace fedcons;
+
+namespace {
+
+/// FEDCONS with non-default options under an ablation label.
+Algorithm fedcons_variant(std::string name, const FedconsOptions& options) {
+  return {std::move(name), "", DeadlineClass::kConstrained,
+          [options](const TaskSystem& s, int m) {
+            return fedcons_schedulable(s, m, options);
+          }};
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   Flags flags(argc, argv);
@@ -45,31 +56,25 @@ int main(int argc, char** argv) {
   cfg.base.topology = DagTopology::kMixed;
 
   // (a)+(b): partition variants, fits, orders.
-  std::vector<AlgorithmSpec> partition_ablation;
+  std::vector<Algorithm> partition_ablation;
   {
     FedconsOptions base;
-    partition_ablation.push_back(
-        make_algorithm_spec(make_fedcons_test("full/FF/DM", base)));
+    partition_ablation.push_back(fedcons_variant("full/FF/DM", base));
     FedconsOptions lit = base;
     lit.partition.variant = PartitionVariant::kPaperLiteral;
-    partition_ablation.push_back(
-        make_algorithm_spec(make_fedcons_test("literal/FF/DM", lit)));
+    partition_ablation.push_back(fedcons_variant("literal/FF/DM", lit));
     FedconsOptions bf = base;
     bf.partition.fit = FitStrategy::kBestFit;
-    partition_ablation.push_back(
-        make_algorithm_spec(make_fedcons_test("full/BF/DM", bf)));
+    partition_ablation.push_back(fedcons_variant("full/BF/DM", bf));
     FedconsOptions wf = base;
     wf.partition.fit = FitStrategy::kWorstFit;
-    partition_ablation.push_back(
-        make_algorithm_spec(make_fedcons_test("full/WF/DM", wf)));
+    partition_ablation.push_back(fedcons_variant("full/WF/DM", wf));
     FedconsOptions dens = base;
     dens.partition.order = PartitionOrder::kDensityDescending;
-    partition_ablation.push_back(
-        make_algorithm_spec(make_fedcons_test("full/FF/density", dens)));
+    partition_ablation.push_back(fedcons_variant("full/FF/density", dens));
     FedconsOptions util = base;
     util.partition.order = PartitionOrder::kUtilizationDescending;
-    partition_ablation.push_back(
-        make_algorithm_spec(make_fedcons_test("full/FF/util", util)));
+    partition_ablation.push_back(fedcons_variant("full/FF/util", util));
   }
   print_report(std::cout,
                "E8a/b: PARTITION ablation (variant / fit / order)",
@@ -78,13 +83,13 @@ int main(int argc, char** argv) {
                csv);
 
   // (c): list policy in MINPROCS.
-  std::vector<AlgorithmSpec> policy_ablation;
+  std::vector<Algorithm> policy_ablation;
   for (auto policy : {ListPolicy::kVertexOrder, ListPolicy::kCriticalPath,
                       ListPolicy::kLongestWcet}) {
     FedconsOptions opt;
     opt.list_policy = policy;
-    policy_ablation.push_back(make_algorithm_spec(
-        make_fedcons_test(std::string("LS:") + to_string(policy), opt)));
+    policy_ablation.push_back(
+        fedcons_variant(std::string("LS:") + to_string(policy), opt));
   }
   SweepConfig heavy = cfg;
   heavy.base.utilization_cap = 8.0;  // encourage high-density tasks

@@ -5,7 +5,6 @@
 #include <utility>
 #include <vector>
 
-#include "fedcons/conform/shrinker.h"
 #include "fedcons/core/io.h"
 #include "fedcons/engine/batch_runner.h"
 #include "fedcons/obs/span_tracer.h"
@@ -129,24 +128,12 @@ ConformReport run_conformance(const ConformConfig& config,
       record.system_text = r.system_text;
 
       FEDCONS_SPAN_V("conform", "shrink", "trial", i);
-      ShrinkResult shrunk =
-          shrink_violation(entries[e], parse_task_system(r.system_text),
-                           config.m, r.sim, config.shrink_budget);
-      record.minimized_text = serialize_task_system(shrunk.system);
-      record.minimized_m = shrunk.m;
-      record.shrink_probes = shrunk.probes;
-
       record.artifact.algorithm = entries[e].name;
-      record.artifact.m = shrunk.m;
-      record.artifact.sim = r.sim;
-      record.artifact.note =
+      record.shrink_probes = pin_violation(
+          entries[e], r.system_text, config.m, r.sim, config.shrink_budget,
           "found by run_conformance trial " + std::to_string(i) +
-          " (master_seed " + std::to_string(config.master_seed) +
-          "), minimized in " + std::to_string(shrunk.reductions) +
-          " reductions / " + std::to_string(shrunk.probes) + " probes";
-      record.artifact.observed =
-          entries[e].run(shrunk.system, shrunk.m, r.sim).sim;
-      record.artifact.system_text = record.minimized_text;
+              " (master_seed " + std::to_string(config.master_seed) + ")",
+          record.artifact);
       report.violations.push_back(std::move(record));
     }
   }

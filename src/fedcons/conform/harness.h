@@ -77,10 +77,8 @@ struct ViolationRecord {
   SimConfig sim;             ///< exact per-trial config (seed included)
   SimStats observed;         ///< replay stats on the ORIGINAL system
   std::string system_text;   ///< original violating system (core/io.h)
-  std::string minimized_text;  ///< after shrinking
-  int minimized_m = 0;
   std::size_t shrink_probes = 0;
-  ViolationArtifact artifact;  ///< pinned repro (minimized system)
+  ViolationArtifact artifact;  ///< pinned repro (minimized system and m)
 };
 
 struct ConformReport {

@@ -1,11 +1,10 @@
-#include "fedcons/fault/isolation.h"
+#include "fedcons/conform/isolation.h"
 
 #include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "fedcons/conform/shrinker.h"
 #include "fedcons/core/io.h"
 #include "fedcons/engine/batch_runner.h"
 #include "fedcons/federated/fedcons_algorithm.h"
@@ -165,26 +164,15 @@ IsolationReport run_isolation_fuzz(const IsolationConfig& config) {
     incident.system_text = r.system_text;
 
     FEDCONS_SPAN_V("fault", "isolation-shrink", "trial", i);
-    const ConformanceEntry entry =
-        make_isolation_entry(r.plan, config.supervision);
-    ShrinkResult shrunk =
-        shrink_violation(entry, parse_task_system(r.system_text), config.m,
-                         r.sim, config.shrink_budget);
-    incident.minimized_text = serialize_task_system(shrunk.system);
-    incident.minimized_m = shrunk.m;
-    incident.shrink_probes = shrunk.probes;
-
-    incident.artifact.m = shrunk.m;
+    incident.artifact.fault_plan = r.plan;
     incident.artifact.supervision = config.supervision;
-    incident.artifact.plan = r.plan;
-    incident.artifact.sim = r.sim;
-    incident.artifact.note =
+    incident.shrink_probes = pin_violation(
+        make_isolation_entry(r.plan, config.supervision), r.system_text,
+        config.m, r.sim, config.shrink_budget,
         "found by run_isolation_fuzz trial " + std::to_string(i) +
-        " (master_seed " + std::to_string(config.master_seed) + ", target " +
-        r.target + "), minimized in " + std::to_string(shrunk.reductions) +
-        " reductions / " + std::to_string(shrunk.probes) + " probes";
-    incident.artifact.observed = entry.run(shrunk.system, shrunk.m, r.sim).sim;
-    incident.artifact.system_text = incident.minimized_text;
+            " (master_seed " + std::to_string(config.master_seed) +
+            ", target " + r.target + ")",
+        incident.artifact);
     report.incidents.push_back(std::move(incident));
   }
   report.counters += perf_counters() - before_shrink;
@@ -209,7 +197,7 @@ std::string isolation_report_json(const IsolationReport& report) {
     os << "    {\"trial\": " << inc.trial << ", \"target\": \""
        << json_escape(inc.target) << "\", \"plan\": \""
        << json_escape(format_fault_plan(inc.plan))
-       << "\", \"minimized_m\": " << inc.minimized_m
+       << "\", \"minimized_m\": " << inc.artifact.m
        << ", \"shrink_probes\": " << inc.shrink_probes << "}"
        << (i + 1 < report.incidents.size() ? "," : "") << "\n";
   }

@@ -18,7 +18,8 @@
 // A cross-task miss is an INCIDENT: it is minimized with the conformance
 // shrinker (dropping the target task or the victim task makes the candidate
 // non-violating, so shrinking converges toward a minimal {target, victim}
-// pair) and packaged as a pinned fault artifact (fault/fault_artifact.h).
+// pair) and packaged as a pinned fedcons-fault-repro-v1 artifact
+// (conform/artifact.h) by the step the conformance harness also uses.
 // With supervision OFF the same harness demonstrates the cascade the
 // enforcement exists to prevent — the demo battery expects incidents there.
 //
@@ -32,8 +33,8 @@
 #include <string>
 #include <vector>
 
+#include "fedcons/conform/artifact.h"
 #include "fedcons/conform/oracle.h"
-#include "fedcons/fault/fault_artifact.h"
 #include "fedcons/fault/fault_plan.h"
 #include "fedcons/gen/taskset_gen.h"
 #include "fedcons/util/perf_counters.h"
@@ -67,10 +68,8 @@ struct IsolationIncident {
   SimConfig sim;             ///< exact per-trial config (seed included)
   SimStats cross_observed;   ///< non-target stats on the ORIGINAL system
   std::string system_text;   ///< original system (core/io.h)
-  std::string minimized_text;  ///< after shrinking
-  int minimized_m = 0;
   std::size_t shrink_probes = 0;
-  FaultArtifact artifact;    ///< pinned repro (minimized system)
+  ViolationArtifact artifact;  ///< pinned repro (minimized system and m)
 };
 
 struct IsolationReport {

@@ -77,9 +77,10 @@ struct ConformanceEntry {
 [[nodiscard]] ConformanceEntry make_arbitrary_conformance_entry(
     std::string name, ArbitraryStrategy strategy);
 
-/// The default battery: one entry per algorithm in the engine registry
-/// (engine/adapters.h), each replaying its own composition. Every entry here
-/// is believed sound — a violation is a bug by definition.
+/// The default battery: one entry per row of the engine's algorithm table
+/// (engine/algorithms.h), of the same name and supporting exactly the
+/// systems the row does, each replaying its own composition. Every entry
+/// here is believed sound — a violation is a bug by definition.
 [[nodiscard]] std::vector<ConformanceEntry> builtin_conformance_entries();
 
 /// Deliberately unsound entries for exercising the violation path end-to-end

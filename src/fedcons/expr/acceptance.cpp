@@ -5,28 +5,15 @@
 
 #include "fedcons/analysis/feasibility.h"
 #include "fedcons/engine/batch_runner.h"
-#include "fedcons/engine/registry.h"
 #include "fedcons/util/check.h"
 
 namespace fedcons {
 
-AlgorithmSpec make_algorithm_spec(TestPtr test) {
-  FEDCONS_EXPECTS(test != nullptr);
-  std::string name = test->name();
-  return {std::move(name), [test = std::move(test)](const TaskSystem& s,
-                                                    int m) {
-            return test->admits(s, m);
-          }};
-}
-
-std::vector<AlgorithmSpec> standard_algorithms() {
-  static const char* const kBattery[] = {"FEDCONS", "FEDCONS-lit",
-                                         "FED-LI-adapt", "P-SEQ",
-                                         "P-DM", "GEDF-density"};
-  std::vector<AlgorithmSpec> algos;
-  algos.reserve(std::size(kBattery));
-  for (const char* name : kBattery) {
-    algos.push_back(make_algorithm_spec(TestRegistry::global().make(name)));
+std::vector<Algorithm> standard_algorithms() {
+  std::vector<Algorithm> algos;
+  for (const char* name : {"FEDCONS", "FEDCONS-lit", "FED-LI-adapt", "P-SEQ",
+                           "P-DM", "GEDF-density"}) {
+    algos.push_back(find_algorithm(name));
   }
   return algos;
 }
@@ -48,7 +35,7 @@ struct TrialOutcome {
 }  // namespace
 
 std::vector<AcceptancePoint> run_acceptance_sweep(
-    const SweepConfig& config, const std::vector<AlgorithmSpec>& algorithms) {
+    const SweepConfig& config, const std::vector<Algorithm>& algorithms) {
   FEDCONS_EXPECTS(config.m >= 1);
   FEDCONS_EXPECTS(config.trials >= 1);
   FEDCONS_EXPECTS(config.num_threads >= 0);
@@ -74,7 +61,7 @@ std::vector<AcceptancePoint> run_acceptance_sweep(
           out.feasible = passes_necessary_conditions(sys, config.m);
           out.verdicts.resize(algorithms.size());
           for (std::size_t a = 0; a < algorithms.size(); ++a) {
-            out.verdicts[a] = algorithms[a].test(sys, config.m) ? 1 : 0;
+            out.verdicts[a] = algorithms[a].admits(sys, config.m) ? 1 : 0;
           }
           out.counters = perf_counters() - before;
           if (config.collect_metrics) {

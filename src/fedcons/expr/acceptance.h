@@ -3,10 +3,10 @@
 // concrete and reproducible.
 //
 // For each normalized-utilization grid point U_sum/m, `trials` task systems
-// are drawn and every registered acceptance test is run on each; the sweep
-// reports per-algorithm acceptance ratios plus the fraction passing the
-// necessary-feasibility conditions (the clairvoyant-optimal proxy that upper
-// bounds every algorithm — see analysis/feasibility.h).
+// are drawn and every listed algorithm (engine/algorithms.h) is run on each;
+// the sweep reports per-algorithm acceptance ratios plus the fraction passing
+// the necessary-feasibility conditions (the clairvoyant-optimal proxy that
+// upper bounds every algorithm — see analysis/feasibility.h).
 //
 // Execution goes through the engine's deterministic batch runner
 // (engine/batch_runner.h): trials run in parallel across
@@ -15,36 +15,26 @@
 // for every thread count.
 #pragma once
 
-#include <functional>
 #include <string>
 #include <vector>
 
 #include "fedcons/core/task_system.h"
-#include "fedcons/engine/schedulability_test.h"
+#include "fedcons/engine/algorithms.h"
 #include "fedcons/gen/taskset_gen.h"
 #include "fedcons/obs/metrics.h"
 #include "fedcons/util/perf_counters.h"
 
 namespace fedcons {
 
-/// A named acceptance test over (system, m).
-struct AlgorithmSpec {
-  std::string name;
-  std::function<bool(const TaskSystem&, int)> test;
-};
-
-/// Wrap an engine test as a sweep entry (name taken from the test).
-[[nodiscard]] AlgorithmSpec make_algorithm_spec(TestPtr test);
-
-/// The standard comparison battery used across E3/E5, resolved by name from
-/// the engine registry:
+/// The standard comparison battery used across E3/E5, rows of the engine's
+/// algorithm table:
 ///   FEDCONS        — the paper's algorithm (full PARTITION variant)
 ///   FEDCONS-lit    — paper-literal Fig. 4 PARTITION (demand check only)
 ///   FED-LI-adapt   — Li et al. closed-form federated, constrained adaptation
 ///   P-SEQ          — fully-partitioned EDF, no federation (sequentialized)
 ///   P-DM           — fully-partitioned deadline-monotonic FP with exact RTA
 ///   GEDF-density   — analytical global-EDF density test
-[[nodiscard]] std::vector<AlgorithmSpec> standard_algorithms();
+[[nodiscard]] std::vector<Algorithm> standard_algorithms();
 
 struct SweepConfig {
   int m = 8;                      ///< platform size
@@ -76,7 +66,7 @@ struct AcceptancePoint {
 
 /// Run the sweep. accepted[i][a] corresponds to algorithms[a].
 [[nodiscard]] std::vector<AcceptancePoint> run_acceptance_sweep(
-    const SweepConfig& config, const std::vector<AlgorithmSpec>& algorithms);
+    const SweepConfig& config, const std::vector<Algorithm>& algorithms);
 
 /// Weighted schedulability (Bastoni–Brandenburg–Anderson): collapses a sweep
 /// into one scalar per algorithm by weighting each grid point's acceptance

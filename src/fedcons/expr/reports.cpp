@@ -4,12 +4,13 @@
 
 #include "fedcons/federated/speedup.h"
 #include "fedcons/simd/dispatch.h"
+#include "fedcons/util/mini_json.h"
 #include "fedcons/util/stats.h"
 
 namespace fedcons {
 
 Table acceptance_table(const std::vector<AcceptancePoint>& points,
-                       const std::vector<AlgorithmSpec>& algorithms,
+                       const std::vector<Algorithm>& algorithms,
                        bool with_ci) {
   std::vector<std::string> header{"U/m", "trials", "NEC-upper"};
   for (const auto& a : algorithms) header.push_back(a.name);
@@ -65,21 +66,6 @@ void print_report(std::ostream& os, const std::string& caption,
 
 namespace {
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default: out += c; break;
-    }
-  }
-  return out;
-}
-
 void append_counters_json(std::string& out, const PerfCounters& c) {
   out += "{\"ls_invocations\": " + fmt_int(static_cast<long long>(
                                        c.ls_invocations)) +
@@ -97,7 +83,7 @@ void append_counters_json(std::string& out, const PerfCounters& c) {
 
 std::string sweep_report_json(const std::string& experiment,
                               std::uint64_t seed,
-                              const std::vector<AlgorithmSpec>& algorithms,
+                              const std::vector<Algorithm>& algorithms,
                               const std::vector<SweepSection>& sections) {
   std::string out;
   out += "{\n  \"schema_version\": 1,\n";

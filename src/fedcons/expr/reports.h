@@ -16,7 +16,7 @@ namespace fedcons {
 /// at the configured trial count.
 [[nodiscard]] Table acceptance_table(
     const std::vector<AcceptancePoint>& points,
-    const std::vector<AlgorithmSpec>& algorithms, bool with_ci = false);
+    const std::vector<Algorithm>& algorithms, bool with_ci = false);
 
 /// Speedup experiment → distribution summary rows (mean/percentiles/max vs
 /// the theoretical 3 − 1/m bound).
@@ -43,7 +43,7 @@ struct SweepSection {
 /// documents regardless of how many threads produced them.
 [[nodiscard]] std::string sweep_report_json(
     const std::string& experiment, std::uint64_t seed,
-    const std::vector<AlgorithmSpec>& algorithms,
+    const std::vector<Algorithm>& algorithms,
     const std::vector<SweepSection>& sections);
 
 /// Machine-readable results for the speedup experiment (E4).

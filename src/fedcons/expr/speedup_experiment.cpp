@@ -3,8 +3,8 @@
 #include <algorithm>
 
 #include "fedcons/analysis/feasibility.h"
+#include "fedcons/engine/algorithms.h"
 #include "fedcons/engine/batch_runner.h"
-#include "fedcons/engine/registry.h"
 #include "fedcons/federated/speedup.h"
 #include "fedcons/util/check.h"
 
@@ -27,10 +27,7 @@ SpeedupExperimentResult run_speedup_experiment(
   FEDCONS_EXPECTS(config.normalized_util > 0.0);
   FEDCONS_EXPECTS(config.num_threads >= 0);
 
-  TestPtr test = TestRegistry::global().make(config.algorithm);
-  const AcceptanceTest accept = [&test](const TaskSystem& s, int m) {
-    return test->admits(s, m);
-  };
+  const AcceptanceTest& accept = find_algorithm(config.algorithm).admits;
 
   TaskSetParams params = config.base;
   params.total_utilization =

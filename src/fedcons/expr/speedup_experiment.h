@@ -29,7 +29,7 @@ struct SpeedupExperimentConfig {
   double max_speed = 8.0;
   double resolution = 1.0 / 64.0;
   std::uint64_t seed = 7;
-  std::string algorithm = "FEDCONS";  ///< engine registry name to measure
+  std::string algorithm = "FEDCONS";  ///< engine table name to measure
   int num_threads = 0;                ///< batch-runner width; 0 = all cores
   TaskSetParams base;
 };

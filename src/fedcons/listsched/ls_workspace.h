@@ -136,9 +136,8 @@ void ls_run_prepared(LsWorkspace& ws, const Dag& dag, int num_processors,
 /// or mus.size() when none fits; makespans beyond that count are untouched.
 ///
 /// The probe sequence, per-probe results, and ls_invocations credits are
-/// identical to the caller looping ls_run_prepared itself — the block entry
-/// point exists so the whole scan's state resets run through the dispatched
-/// fill/copy primitives and are credited in ls_probes_blocked.
+/// identical to the caller looping ls_run_prepared itself; the block entry
+/// point additionally credits its probes in ls_probes_blocked.
 /// Preconditions: ls_prepare ran for this dag; makespans.size() >= mus.size().
 [[nodiscard]] std::size_t ls_run_blocked(LsWorkspace& ws, const Dag& dag,
                                          std::span<const int> mus,

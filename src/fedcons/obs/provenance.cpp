@@ -2,6 +2,7 @@
 
 #include <sstream>
 
+#include "fedcons/util/mini_json.h"
 #include "fedcons/util/table.h"
 
 namespace fedcons {
@@ -16,21 +17,6 @@ const char* to_string(BinRejectReason r) noexcept {
 }
 
 namespace {
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default: out += c; break;
-    }
-  }
-  return out;
-}
 
 std::string task_label(const TaskSystem& system, TaskId i) {
   std::string s = "τ" + std::to_string(i + 1);

@@ -1,7 +1,7 @@
 // Stable wire names for the sim-config enums, used by the pinned-artifact
-// writers (conform/artifact.cpp, fault/fault_artifact.cpp). Lives in the sim
-// module — not with the generic JSON helpers in util — because the names are
-// part of the simulator's configuration surface, not of the JSON dialect.
+// writer and parser (conform/artifact.cpp). Lives in the sim module — not
+// with the generic JSON helpers in util — because the names are part of the
+// simulator's configuration surface, not of the JSON dialect.
 #pragma once
 
 #include <string>

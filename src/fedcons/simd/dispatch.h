@@ -8,11 +8,11 @@
 // programmatically via force_backend() (tests and per-kernel benchmarks).
 //
 // The dispatch contract (DESIGN.md §13): a kernel's output is a pure function
-// of its inputs, independent of the backend that computed it. Integer kernels
-// are trivially so; the floating-point DBF* kernel specifies one canonical
-// per-lane IEEE-754 operation sequence (no FMA contraction, no cross-lane
-// reduction) that the scalar variant executes literally and the AVX2 variant
-// executes lane-parallel with the same ops — vaddpd/vmulpd/vandpd round
+// of its inputs, independent of the backend that computed it. The
+// floating-point DBF* kernel specifies one canonical per-lane IEEE-754
+// operation sequence (no FMA contraction, no cross-lane reduction) that the
+// scalar variant executes literally and the AVX2 variant executes
+// lane-parallel with the same ops — vaddpd/vmulpd/vandpd round
 // identically to their scalar counterparts, so classifications are
 // bit-identical. Verdicts additionally never depend on rounding at all: the
 // FP kernels only *classify* with a certified error margin, and every

@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
@@ -214,6 +215,22 @@ std::uint64_t mini_json_uint(const std::string& raw) {
   }
   if (errno == ERANGE) {
     throw ParseError(1, "artifact JSON: integer out of range: '" + raw + "'");
+  }
+  return value;
+}
+
+double mini_json_double(const std::string& raw) {
+  const bool json_number =
+      !raw.empty() &&
+      (std::isdigit(static_cast<unsigned char>(raw[0])) || raw[0] == '-') &&
+      raw.find_first_not_of("0123456789+-.eE") == std::string::npos;
+  char* end = nullptr;
+  const double value = json_number ? std::strtod(raw.c_str(), &end) : 0.0;
+  if (!json_number || end != raw.c_str() + raw.size()) {
+    throw ParseError(1, "artifact JSON: not a number: '" + raw + "'");
+  }
+  if (!std::isfinite(value)) {
+    throw ParseError(1, "artifact JSON: number out of range: '" + raw + "'");
   }
   return value;
 }

@@ -1,6 +1,6 @@
-// Minimal JSON helpers shared by the pinned-artifact readers/writers
-// (conform/artifact.h, fault/fault_artifact.h) and the online trace format
-// (online/trace.h).
+// Minimal JSON helpers shared by the pinned-artifact reader/writer
+// (conform/artifact.h), the online trace format (online/trace.h) and the
+// JSON reports.
 //
 // The dialect is deliberately tiny: objects nested at most one level, string
 // and number values, no arrays. Writers emit exactly this subset with a fixed
@@ -45,5 +45,8 @@ namespace fedcons {
 /// instead of becoming 0 and overflow must not saturate silently.
 [[nodiscard]] std::int64_t mini_json_int(const std::string& raw);
 [[nodiscard]] std::uint64_t mini_json_uint(const std::string& raw);
+/// The same contract for a finite JSON number: strtod alone also takes
+/// "inf", "nan", hex floats and leading blanks, and overflows to ±inf.
+[[nodiscard]] double mini_json_double(const std::string& raw);
 
 }  // namespace fedcons

@@ -56,8 +56,8 @@ struct PerfCounters {
   /// deferrals, and template-slot clamps (zero whenever no fault plan is in
   /// effect — enforcement never fires on within-contract behaviour).
   std::uint64_t fault_enforcements = 0;
-  /// Isolation-property evaluations: full-system replays under an active
-  /// fault plan (fault/isolation.h), including shrinker re-probes.
+  /// Isolation fuzz trials (conform/isolation.h run_isolation_fuzz), one per
+  /// trial whether or not FEDCONS admits its system.
   std::uint64_t fault_isolation_trials = 0;
   /// Online admission layer (federated/minprocs_memo.h, online/): MINPROCS
   /// memo-cache lookups answered from a cached scan vs. scans actually run.
@@ -80,8 +80,7 @@ struct PerfCounters {
   /// pure function of the trial's inputs.
   std::uint64_t simd_breakpoints_vectorized = 0;
   /// LS probes executed through the blocked μ-scan entry point
-  /// (listsched/ls_workspace.h ls_run_blocked) — probes whose per-run state
-  /// resets went through the dispatched fill/copy primitives.
+  /// (listsched/ls_workspace.h ls_run_blocked), i.e. MINPROCS's scan probes.
   std::uint64_t ls_probes_blocked = 0;
 
   PerfCounters& operator+=(const PerfCounters& rhs) noexcept {

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <string>
 #include <vector>
 
@@ -12,6 +13,7 @@
 #include "fedcons/conform/oracle.h"
 #include "fedcons/conform/shrinker.h"
 #include "fedcons/core/io.h"
+#include "fedcons/engine/algorithms.h"
 #include "fedcons/util/check.h"
 #include "fedcons/util/perf_counters.h"
 
@@ -41,12 +43,16 @@ SimConfig witness_sim_config() {
 }
 
 TEST(ConformanceEntryTest, BatteriesExposeExpectedNames) {
+  // One built-in entry per row of the engine's algorithm table, and no more.
   const auto builtin = builtin_conformance_entries();
-  EXPECT_GE(builtin.size(), 9u);
+  std::set<std::string> entry_names;
   for (const auto& e : builtin) {
-    EXPECT_FALSE(e.name.empty());
+    EXPECT_TRUE(entry_names.insert(e.name).second) << e.name;
     EXPECT_TRUE(static_cast<bool>(e.run));
   }
+  std::set<std::string> row_names;
+  for (const Algorithm& a : builtin_algorithms()) row_names.insert(a.name);
+  EXPECT_EQ(entry_names, row_names);
   const auto demo = demonstration_conformance_entries();
   ASSERT_EQ(demo.size(), 2u);
   // The demonstration battery must never leak into the default one.
@@ -56,6 +62,32 @@ TEST(ConformanceEntryTest, BatteriesExposeExpectedNames) {
   EXPECT_NO_THROW(find_conformance_entry("FEDCONS"));
   EXPECT_NO_THROW(find_conformance_entry("FEDCONS-lit-udo"));
   EXPECT_THROW(find_conformance_entry("no-such-entry"), ContractViolation);
+}
+
+// Each built-in entry replays exactly the systems its table row accepts.
+TEST(ConformanceEntryTest, BuiltinEntriesHonourTableDeadlineClasses) {
+  const auto one_task = [](Time deadline, Time period) {
+    Dag g;
+    g.add_vertex(2);
+    TaskSystem s;
+    s.add(DagTask(std::move(g), deadline, period, "t"));
+    return s;
+  };
+  const TaskSystem systems[] = {one_task(10, 10), one_task(8, 10),
+                                one_task(15, 10)};
+  ASSERT_EQ(systems[0].deadline_class(), DeadlineClass::kImplicit);
+  ASSERT_EQ(systems[1].deadline_class(), DeadlineClass::kConstrained);
+  ASSERT_EQ(systems[2].deadline_class(), DeadlineClass::kArbitrary);
+  SimConfig cfg;
+  cfg.horizon = 100;
+  for (const auto& e : builtin_conformance_entries()) {
+    const Algorithm& row = find_algorithm(e.name);
+    for (const TaskSystem& system : systems) {
+      EXPECT_EQ(e.run(system, 2, cfg).supported, row.supports(system))
+          << e.name << " on a " << to_string(system.deadline_class())
+          << "-deadline system";
+    }
+  }
 }
 
 TEST(ConformanceEntryTest, HandcraftedWitnessRefutesLiteralUdoOnly) {
@@ -129,13 +161,13 @@ TEST(HarnessTest, FindsAndMinimizesUnsoundEntry) {
 
   for (const auto& v : report.violations) {
     EXPECT_EQ(v.algorithm, "FEDCONS-lit-udo");
-    EXPECT_LE(v.minimized_m, config.m);
+    EXPECT_LE(v.artifact.m, config.m);
     EXPECT_GT(v.shrink_probes, 0u);
     // Minimization never loses the violation: the pinned artifact replays.
     const ConformanceOutcome replayed = replay_artifact(v.artifact);
     EXPECT_TRUE(replayed.violation()) << "trial " << v.trial;
     // A minimized system is never larger than the original.
-    EXPECT_LE(v.minimized_text.size(), v.system_text.size());
+    EXPECT_LE(v.artifact.system_text.size(), v.system_text.size());
     // And the artifact survives a serialize/parse round trip.
     const ViolationArtifact reparsed = parse_artifact(to_json(v.artifact));
     EXPECT_EQ(reparsed.system_text, v.artifact.system_text);
@@ -171,10 +203,8 @@ TEST(HarnessTest, ReportIsBitIdenticalAcrossThreadCounts) {
     EXPECT_EQ(serial.violations[i].trial, parallel.violations[i].trial);
     EXPECT_EQ(serial.violations[i].system_text,
               parallel.violations[i].system_text);
-    EXPECT_EQ(serial.violations[i].minimized_text,
-              parallel.violations[i].minimized_text);
-    EXPECT_EQ(serial.violations[i].minimized_m,
-              parallel.violations[i].minimized_m);
+    EXPECT_EQ(serial.violations[i].shrink_probes,
+              parallel.violations[i].shrink_probes);
     EXPECT_EQ(to_json(serial.violations[i].artifact),
               to_json(parallel.violations[i].artifact));
   }
@@ -283,6 +313,17 @@ TEST(ArtifactTest, ParserRejectsMalformedInput) {
                ParseError);  // wrong schema tag
   EXPECT_THROW(parse_artifact("{\"algorithm\": \"FEDCONS\"}"),
                ParseError);  // schema field missing entirely
+  // Simulation doubles must convert in full and be finite.
+  const auto with_value = [&](const std::string& key, const std::string& v) {
+    std::string json = good;
+    const std::size_t at = json.find("\"" + key + "\": ") + key.size() + 4;
+    json.replace(at, json.find(',', at) - at, v);
+    return json;
+  };
+  EXPECT_NO_THROW(parse_artifact(with_value("jitter_frac", "0.25")));
+  EXPECT_THROW(parse_artifact(with_value("jitter_frac", "\"half\"")),
+               ParseError);
+  EXPECT_THROW(parse_artifact(with_value("exec_lo", "1e999")), ParseError);
   // Valid JSON whose embedded system text is garbage must also fail.
   std::string bad_system = good;
   const std::string needle = "task hand-A";

@@ -1,5 +1,5 @@
-// Engine layer: registry lookup, adapters, batch runner, and the
-// determinism contract (parallel == serial, bit for bit).
+// Engine layer: the algorithm table, batch runner, and the determinism
+// contract (parallel == serial, bit for bit).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -9,9 +9,8 @@
 #include <stdexcept>
 
 #include "fedcons/core/builders.h"
-#include "fedcons/engine/adapters.h"
+#include "fedcons/engine/algorithms.h"
 #include "fedcons/engine/batch_runner.h"
-#include "fedcons/engine/registry.h"
 #include "fedcons/expr/acceptance.h"
 #include "fedcons/expr/speedup_experiment.h"
 #include "fedcons/federated/fedcons_algorithm.h"
@@ -40,60 +39,57 @@ TaskSystem arbitrary_system() {
   return sys;
 }
 
-// ---------------------------------------------------------------- registry
+std::string lower(std::string s) {
+  for (char& c : s) c = static_cast<char>(std::tolower(c));
+  return s;
+}
+
+// ------------------------------------------------------------------- table
 
 TEST(RegistryTest, GlobalContainsBuiltinBattery) {
-  TestRegistry& reg = TestRegistry::global();
+  EXPECT_EQ(builtin_algorithms().size(), 9u);
   for (const char* name :
        {"FEDCONS", "FEDCONS-lit", "FED-LI-implicit", "FED-LI-adapt", "P-SEQ",
         "P-DM", "GEDF-density", "ARBFED", "ARBFED-clamp"}) {
-    EXPECT_TRUE(reg.contains(name)) << name;
-    EXPECT_EQ(reg.make(name)->name(), name);
+    const Algorithm& a = find_algorithm(name);
+    EXPECT_EQ(a.name, name);
+    EXPECT_FALSE(a.description.empty()) << name;
+    EXPECT_TRUE(static_cast<bool>(a.admits)) << name;
   }
 }
 
 TEST(RegistryTest, LookupIsCaseInsensitive) {
-  TestRegistry& reg = TestRegistry::global();
-  EXPECT_TRUE(reg.contains("fedcons"));
-  EXPECT_TRUE(reg.contains("Gedf-Density"));
   // Display capitalization is preserved regardless of the query's.
-  EXPECT_EQ(reg.make("fedcons")->name(), "FEDCONS");
+  EXPECT_EQ(find_algorithm("fedcons").name, "FEDCONS");
+  EXPECT_EQ(find_algorithm("Gedf-Density").name, "GEDF-density");
+  EXPECT_EQ(&find_algorithm("p-seq"), &find_algorithm("P-SEQ"));
 }
 
 TEST(RegistryTest, UnknownNameThrows) {
-  EXPECT_FALSE(TestRegistry::global().contains("no-such-algorithm"));
-  EXPECT_THROW(TestRegistry::global().make("no-such-algorithm"),
-               ContractViolation);
+  EXPECT_THROW((void)find_algorithm("no-such-algorithm"), ContractViolation);
+  // A prefix of a real name is not a match.
+  EXPECT_THROW((void)find_algorithm("FEDCONS-l"), ContractViolation);
 }
 
-TEST(RegistryTest, DuplicateAddThrows) {
-  TestRegistry reg;
-  register_builtin_tests(reg);
-  EXPECT_THROW(
-      reg.add(make_function_test("fedcons", "case-insensitive clash",
-                                 [](const TaskSystem&, int) { return true; })),
-      ContractViolation);
+TEST(RegistryTest, NamesAreUniqueCaseInsensitively) {
+  std::set<std::string> seen;
+  for (const Algorithm& a : builtin_algorithms()) {
+    EXPECT_TRUE(seen.insert(lower(a.name)).second) << a.name;
+  }
 }
 
 TEST(RegistryTest, NamesAreSorted) {
-  TestRegistry reg;
-  register_builtin_tests(reg);
-  auto names = reg.names();
-  EXPECT_EQ(names.size(), 9u);
-  auto lower = [](std::string s) {
-    for (char& c : s) c = static_cast<char>(std::tolower(c));
-    return s;
-  };
-  EXPECT_TRUE(std::is_sorted(names.begin(), names.end(),
-                             [&](const std::string& a, const std::string& b) {
-                               return lower(a) < lower(b);
+  const auto table = builtin_algorithms();
+  EXPECT_TRUE(std::is_sorted(table.begin(), table.end(),
+                             [](const Algorithm& a, const Algorithm& b) {
+                               return lower(a.name) < lower(b.name);
                              }));
 }
 
-// ---------------------------------------------------------------- adapters
+// -------------------------------------------------------------------- rows
 
 TEST(AdapterTest, FedconsAdapterMatchesDirectCall) {
-  TestPtr test = TestRegistry::global().make("FEDCONS");
+  const Algorithm& fedcons = find_algorithm("FEDCONS");
   TaskSetParams params;
   params.num_tasks = 8;
   params.total_utilization = 3.0;
@@ -101,39 +97,30 @@ TEST(AdapterTest, FedconsAdapterMatchesDirectCall) {
   for (int i = 0; i < 20; ++i) {
     Rng sys_rng = rng.split();
     TaskSystem sys = generate_task_system(sys_rng, params);
-    EXPECT_EQ(test->admits(sys, 4), fedcons_schedulable(sys, 4)) << i;
+    EXPECT_EQ(fedcons.admits(sys, 4), fedcons_schedulable(sys, 4)) << i;
   }
 }
 
 TEST(AdapterTest, DeadlineClassGating) {
-  TestRegistry& reg = TestRegistry::global();
-  EXPECT_EQ(reg.make("FEDCONS")->max_deadline_class(),
+  EXPECT_EQ(find_algorithm("FEDCONS").max_deadline_class,
             DeadlineClass::kConstrained);
-  EXPECT_EQ(reg.make("FED-LI-implicit")->max_deadline_class(),
+  EXPECT_EQ(find_algorithm("FED-LI-implicit").max_deadline_class,
             DeadlineClass::kImplicit);
-  EXPECT_EQ(reg.make("ARBFED")->max_deadline_class(),
+  EXPECT_EQ(find_algorithm("ARBFED").max_deadline_class,
             DeadlineClass::kArbitrary);
 
   TaskSystem constrained = constrained_system();
   TaskSystem arbitrary = arbitrary_system();
-  EXPECT_TRUE(reg.make("FEDCONS")->supports(constrained));
-  EXPECT_FALSE(reg.make("FEDCONS")->supports(arbitrary));
-  EXPECT_FALSE(reg.make("FED-LI-implicit")->supports(constrained));
-  EXPECT_TRUE(reg.make("ARBFED")->supports(arbitrary));
+  EXPECT_TRUE(find_algorithm("FEDCONS").supports(constrained));
+  EXPECT_FALSE(find_algorithm("FEDCONS").supports(arbitrary));
+  EXPECT_FALSE(find_algorithm("FED-LI-implicit").supports(constrained));
+  EXPECT_TRUE(find_algorithm("ARBFED").supports(arbitrary));
+  EXPECT_TRUE(find_algorithm("ARBFED").supports(constrained));
 
-  // admits_checked turns the contract into a rejection instead of a throw.
-  EXPECT_FALSE(reg.make("FEDCONS")->admits_checked(arbitrary, 4));
-  EXPECT_TRUE(reg.make("ARBFED")->admits_checked(constrained, 4));
-}
-
-TEST(AdapterTest, FunctionTestCarriesMetadata) {
-  TestPtr t = make_function_test(
-      "always-yes", "accepts everything",
-      [](const TaskSystem&, int) { return true; }, DeadlineClass::kArbitrary);
-  EXPECT_EQ(t->name(), "always-yes");
-  EXPECT_EQ(t->description(), "accepts everything");
-  EXPECT_EQ(t->max_deadline_class(), DeadlineClass::kArbitrary);
-  EXPECT_TRUE(t->admits(constrained_system(), 1));
+  // Outside its class an algorithm's own contract fires.
+  EXPECT_THROW((void)find_algorithm("FEDCONS").admits(arbitrary, 4),
+               ContractViolation);
+  EXPECT_TRUE(find_algorithm("ARBFED").admits(constrained, 4));
 }
 
 // ------------------------------------------------------------ batch runner

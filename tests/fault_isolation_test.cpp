@@ -1,8 +1,8 @@
 // Tests for the isolation property checker: the fuzzed claim that under
 // enforcement no fault plan targeting one task can cost a DIFFERENT task a
 // deadline, the enforcement-off cascade demonstration, thread-count
-// determinism, and the pinned fault-artifact replay loop.
-#include "fedcons/fault/isolation.h"
+// determinism, and the pinned isolation-repro replay loop.
+#include "fedcons/conform/isolation.h"
 
 #include <gtest/gtest.h>
 
@@ -12,9 +12,9 @@
 #include <sstream>
 #include <string>
 
+#include "fedcons/conform/artifact.h"
 #include "fedcons/core/builders.h"
 #include "fedcons/core/io.h"
-#include "fedcons/fault/fault_artifact.h"
 
 namespace fedcons {
 namespace {
@@ -55,20 +55,23 @@ TEST(IsolationFuzzTest, UnsupervisedRunsDemonstrateTheCascade) {
   for (const IsolationIncident& incident : report.incidents) {
     EXPECT_FALSE(incident.target.empty());
     EXPECT_FALSE(incident.system_text.empty());
-    EXPECT_FALSE(incident.minimized_text.empty());
-    EXPECT_GE(incident.minimized_m, 1);
+    EXPECT_FALSE(incident.artifact.system_text.empty());
+    EXPECT_GE(incident.artifact.m, 1);
     EXPECT_GT(incident.shrink_probes, 0u);
     // The minimized witness still parses and still targets a surviving task.
-    const TaskSystem minimized = parse_task_system(incident.minimized_text);
+    const TaskSystem minimized =
+        parse_task_system(incident.artifact.system_text);
     EXPECT_GE(minimized.size(), 2u);  // a target and at least one victim
     // The pinned artifact reproduces the violation from scratch.
-    const ConformanceOutcome replay = replay_fault_artifact(incident.artifact);
+    const ConformanceOutcome replay = replay_artifact(incident.artifact);
     EXPECT_TRUE(replay.supported);
     EXPECT_TRUE(replay.admitted);
     EXPECT_TRUE(replay.violation());
     // And it survives a serialize → parse → serialize round trip unchanged.
     const std::string json = to_json(incident.artifact);
-    EXPECT_EQ(to_json(parse_fault_artifact(json)), json);
+    EXPECT_NE(json.find("\"schema\": \"fedcons-fault-repro-v1\""),
+              std::string::npos);
+    EXPECT_EQ(to_json(parse_artifact(json)), json);
   }
 }
 
@@ -118,17 +121,24 @@ TEST(IsolationEntryTest, ArbitraryDeadlineSystemsAreUnsupported) {
 }
 
 TEST(FaultArtifactTest, MalformedDocumentsThrowParseError) {
-  EXPECT_THROW((void)parse_fault_artifact("not json"), ParseError);
-  EXPECT_THROW((void)parse_fault_artifact("{\"schema\": \"wrong-schema\"}"),
+  EXPECT_THROW((void)parse_artifact("not json"), ParseError);
+  EXPECT_THROW((void)parse_artifact("{\"schema\": \"wrong-schema\"}"),
                ParseError);
   // A well-formed envelope with a malformed embedded plan must also fail.
-  FaultArtifact artifact;
+  ViolationArtifact artifact;
+  artifact.fault_plan = FaultPlan{};
   artifact.system_text = "task a\n  deadline 5\n  period 5\n  vertex 1\nend\n";
-  std::string json = to_json(artifact);
+  const std::string good = to_json(artifact);
+  EXPECT_NO_THROW((void)parse_artifact(good));
+  std::string json = good;
   const auto pos = json.find("\"plan\": \"\"");
   ASSERT_NE(pos, std::string::npos);
   json.replace(pos, 10, "\"plan\": \"bogus:1\"");
-  EXPECT_THROW((void)parse_fault_artifact(json), ParseError);
+  EXPECT_THROW((void)parse_artifact(json), ParseError);
+  // So must an unknown supervision mode.
+  json = good;
+  json.replace(json.find("\"none\""), 6, "\"lax\"");
+  EXPECT_THROW((void)parse_artifact(json), ParseError);
 }
 
 // Every artifact pinned under tests/fault_corpus/ must keep reproducing its
@@ -145,8 +155,9 @@ TEST(FaultCorpusTest, PinnedArtifactsStillReproduce) {
     ASSERT_TRUE(in) << entry.path();
     std::ostringstream text;
     text << in.rdbuf();
-    const FaultArtifact artifact = parse_fault_artifact(text.str());
-    const ConformanceOutcome outcome = replay_fault_artifact(artifact);
+    const ViolationArtifact artifact = parse_artifact(text.str());
+    ASSERT_TRUE(artifact.fault_plan.has_value()) << entry.path();
+    const ConformanceOutcome outcome = replay_artifact(artifact);
     EXPECT_TRUE(outcome.supported) << entry.path();
     EXPECT_TRUE(outcome.admitted) << entry.path();
     EXPECT_TRUE(outcome.violation())

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 
 #include "fedcons/core/builders.h"
@@ -233,6 +234,24 @@ TEST(ProvenanceTest, ExplainJsonRejectionCarriesWitness) {
   ASSERT_EQ(attempts.array.size(), 1u);
   EXPECT_EQ(attempts.array[0]->at("reason").string, "demand");
   EXPECT_EQ(attempts.array[0]->at("breakpoint").number, 5.0);
+}
+
+// Task names are caller input: a control byte in one must leave as a \u
+// escape, or the document is not JSON. (test_json.h accepts raw control
+// bytes, so this checks the bytes rather than parsing.)
+TEST(ProvenanceTest, ExplainJsonEscapesControlBytesInNames) {
+  TaskSystem sys;
+  sys.add(wide_task(4, 2, 3, 4, std::string("a\x01" "b")));
+  sys.add(simple_task(3, 5, 10, "low"));
+  FedconsResult r = run_with_provenance(sys, 4);
+  const std::string json = explain_json(sys, *r.provenance);
+  EXPECT_NE(json.find("\"name\": \"a\\u0001b\""), std::string::npos);
+  EXPECT_EQ(std::count_if(json.begin(), json.end(),
+                          [](char c) {
+                            return c != '\n' &&
+                                   static_cast<unsigned char>(c) < 0x20;
+                          }),
+            0);
 }
 
 TEST(ProvenanceTest, RecordingDoesNotPerturbVerdictsOrCounters) {

@@ -4,14 +4,14 @@
 // The dispatch contract says every kernel is a pure function of its inputs,
 // independent of the backend that computed it. These tests pin that contract
 // at three levels:
-//   * kernel level — scalar and AVX2 variants of dbf_scan and the fill/copy
-//     primitives produce bit-identical outputs on identical inputs (fuzzed);
+//   * kernel level — scalar and AVX2 variants of dbf_scan produce
+//     bit-identical outputs on identical inputs (fuzzed);
 //   * certification level — a certain DBF* lane class (kFit / kReject) always
 //     agrees with the exact rational comparison, audited at every aggregate
 //     breakpoint ±2 (the band where slope changes make rounding most likely
 //     to matter);
-//   * verdict level — PARTITION and MINPROCS runs forced onto each backend
-//     produce identical results and identical perf-counter deltas.
+//   * verdict level — PARTITION runs forced onto each backend produce
+//     identical results and identical perf-counter deltas.
 // Plus the dispatcher itself: FEDCONS_FORCE_BACKEND and force_backend() pins
 // are honored and reversible.
 #include <gtest/gtest.h>
@@ -27,12 +27,9 @@
 
 #include "fedcons/analysis/dbf.h"
 #include "fedcons/core/sequential_task.h"
-#include "fedcons/federated/minprocs.h"
 #include "fedcons/federated/partition.h"
-#include "fedcons/gen/dag_gen.h"
 #include "fedcons/simd/dbf_kernel.h"
 #include "fedcons/simd/dispatch.h"
-#include "fedcons/simd/fill.h"
 #include "fedcons/util/perf_counters.h"
 #include "fedcons/util/rng.h"
 
@@ -335,57 +332,7 @@ TEST(DbfCertificationTest, CertainClassesAgreeWithExactAtEveryBreakpointBand) {
 }
 
 // ---------------------------------------------------------------------------
-// Fill/copy primitives
-// ---------------------------------------------------------------------------
-
-TEST(FillTest, BackendsWriteIdenticalBytesAndRespectBounds) {
-  const bool have_avx2 = simd::backend_supported(SimdBackend::kAvx2);
-  Rng rng(0xf111u);
-  for (std::size_t n : {0u, 1u, 3u, 7u, 8u, 31u, 64u, 100u, 1024u}) {
-    for (std::size_t off : {0u, 1u, 3u}) {
-      // u32 fill + copy
-      {
-        std::vector<std::uint32_t> a(n + off + 8, 0xcccccccc);
-        std::vector<std::uint32_t> b = a, expect = a;
-        std::vector<std::uint32_t> src(n);
-        for (auto& v : src) {
-          v = static_cast<std::uint32_t>(rng.next_u64());
-        }
-        const std::uint32_t fill = 0x1234abcd;
-        std::fill_n(expect.data() + off, n, fill);
-        simd::detail::fill_u32_scalar(a.data() + off, n, fill);
-        EXPECT_EQ(a, expect) << "fill_u32 scalar n=" << n << " off=" << off;
-        if (have_avx2) {
-          simd::detail::fill_u32_avx2(b.data() + off, n, fill);
-          EXPECT_EQ(b, expect) << "fill_u32 avx2 n=" << n << " off=" << off;
-        }
-        std::copy_n(src.data(), n, expect.data() + off);
-        simd::detail::copy_u32_scalar(a.data() + off, src.data(), n);
-        EXPECT_EQ(a, expect) << "copy_u32 scalar n=" << n;
-        if (have_avx2) {
-          simd::detail::copy_u32_avx2(b.data() + off, src.data(), n);
-          EXPECT_EQ(b, expect) << "copy_u32 avx2 n=" << n;
-        }
-      }
-      // u64 fill
-      {
-        std::vector<std::uint64_t> a(n + off + 8, 0xdddddddddddddddd);
-        std::vector<std::uint64_t> b = a, expect = a;
-        const std::uint64_t fill = rng.next_u64();
-        std::fill_n(expect.data() + off, n, fill);
-        simd::detail::fill_u64_scalar(a.data() + off, n, fill);
-        EXPECT_EQ(a, expect) << "fill_u64 scalar n=" << n << " off=" << off;
-        if (have_avx2) {
-          simd::detail::fill_u64_avx2(b.data() + off, n, fill);
-          EXPECT_EQ(b, expect) << "fill_u64 avx2 n=" << n << " off=" << off;
-        }
-      }
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Verdict-level sweep: PARTITION and MINPROCS under each forced backend
+// Verdict-level sweep: PARTITION under each forced backend
 // ---------------------------------------------------------------------------
 
 std::vector<SporadicTask> random_sequential_tasks(Rng& rng, int n) {
@@ -434,45 +381,6 @@ TEST(BackendSweepTest, PartitionVerdictsAndCountersInvariant) {
         EXPECT_EQ(delta, *first_delta)
             << "perf-counter delta diverged on trial " << trial;
       }
-    }
-  }
-}
-
-TEST(BackendSweepTest, MinprocsVerdictsAndCountersInvariant) {
-  DispatchGuard guard;
-  std::vector<SimdBackend> backends{SimdBackend::kScalar};
-  if (simd::backend_supported(SimdBackend::kAvx2)) {
-    backends.push_back(SimdBackend::kAvx2);
-  }
-  Rng rng(0xfeedu);
-  for (int trial = 0; trial < 30; ++trial) {
-    LayeredDagParams params;
-    params.max_layers = 5;
-    params.max_width = 5;
-    params.max_wcet = 10;
-    Dag g = generate_layered_dag(rng, params);
-    const Time deadline = rng.uniform_int(g.len(), g.vol());
-    DagTask task(std::move(g), deadline, deadline + 10);
-    const int budget = static_cast<int>(rng.uniform_int(0, 12));
-
-    std::optional<int> first_mu;
-    bool first_set = false;
-    std::optional<PerfCounters> first_delta;
-    for (SimdBackend b : backends) {
-      simd::force_backend(b);
-      const PerfCounters before = perf_counters();
-      const auto r = minprocs(task, budget);
-      const PerfCounters delta = perf_counters() - before;
-      const std::optional<int> mu =
-          r.has_value() ? std::optional<int>(r->processors) : std::nullopt;
-      if (!first_set) {
-        first_mu = mu;
-        first_delta = delta;
-        first_set = true;
-        continue;
-      }
-      EXPECT_EQ(mu, first_mu) << "trial " << trial;
-      EXPECT_EQ(delta, *first_delta) << "trial " << trial;
     }
   }
 }

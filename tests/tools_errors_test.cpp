@@ -5,6 +5,7 @@
 
 #include <cstdlib>
 #include <fstream>
+#include <sstream>
 #include <string>
 
 #ifdef _WIN32
@@ -147,6 +148,28 @@ TEST(ToolsErrorsTest, MalformedWorkloadFilesFailCleanly) {
   }
   EXPECT_NE(exit_code(kCli + " --file=" + path), 0);
   EXPECT_NE(exit_code(kCli + " --file=/nonexistent/no.tasks"), 0);
+}
+
+// --replay routes a repro artifact by its parsed "schema" field, so an
+// artifact whose note merely mentions the other formats still replays.
+TEST(ToolsErrorsTest, ConformReplayRoutesByParsedSchema) {
+  std::ifstream in(std::string(CONFORMANCE_CORPUS_DIR) +
+                   "/litudo-handcrafted.json");
+  ASSERT_TRUE(in);
+  std::ostringstream text;
+  text << in.rdbuf();
+  std::string json = text.str();
+  const std::string note = "\"note\": \"";
+  const auto pos = json.find(note);
+  ASSERT_NE(pos, std::string::npos);
+  json.insert(pos + note.size(),
+              "neither fedcons-fault-repro-v1 nor fedcons-online-trace: ");
+  const std::string path = ::testing::TempDir() + "/tools_errors_note.json";
+  {
+    std::ofstream out(path);
+    out << json;
+  }
+  EXPECT_EQ(exit_code(kConform + " --replay=" + path), 0);
 }
 
 TEST(ToolsErrorsTest, ValidInvocationsStillExitZero) {

@@ -7,7 +7,7 @@
 //               [--margins] [--json] [--explain[=json]] [--trace-out=FILE]
 //               [--inject=SPEC] [--enforce=on|off]
 //   fedcons_cli --online=TRACE [--m=N] [--json | --explain]
-//   fedcons_cli --list-algos         # engine registry names + descriptions
+//   fedcons_cli --list-algos         # engine table names + descriptions
 //   fedcons_cli --example            # print a sample workload file and exit
 //
 // --online=TRACE replays an admission-event trace (the online/trace.h JSONL
@@ -34,7 +34,7 @@
 //
 // All three tools reject unknown or malformed flags with usage + exit 2.
 //
-// --algo=NAME runs any test from the engine registry (verdict only; the
+// --algo=NAME runs any algorithm from the engine table (verdict only; the
 // FEDCONS-specific cluster report, --gantt, --margins, and --simulate need
 // the structured result and stay on the --strategy path).
 //
@@ -63,7 +63,7 @@
 
 #include "fedcons/analysis/feasibility.h"
 #include "fedcons/core/io.h"
-#include "fedcons/engine/registry.h"
+#include "fedcons/engine/algorithms.h"
 #include "fedcons/fault/degraded.h"
 #include "fedcons/fault/fault_plan.h"
 #include "fedcons/federated/arbitrary.h"
@@ -206,12 +206,9 @@ struct TraceDump {
 };
 
 int list_algos() {
-  const TestRegistry& reg = TestRegistry::global();
   Table t({"name", "deadlines", "description"});
-  for (const std::string& name : reg.names()) {
-    TestPtr test = reg.make(name);
-    t.add_row({test->name(), to_string(test->max_deadline_class()),
-               test->description()});
+  for (const Algorithm& a : builtin_algorithms()) {
+    t.add_row({a.name, to_string(a.max_deadline_class), a.description});
   }
   t.print(std::cout);
   return 0;
@@ -528,24 +525,24 @@ int run(const Flags& flags) {
                    "--strategy=fedcons\n";
       return 2;
     }
-    const std::string algo = flags.get_string("algo", "");
-    TestPtr test;
+    const std::string name = flags.get_string("algo", "");
+    const Algorithm* algo = nullptr;
     try {
-      test = TestRegistry::global().make(algo);
+      algo = &find_algorithm(name);
     } catch (const ContractViolation&) {
-      std::cerr << "error: unknown algorithm '" << algo
+      std::cerr << "error: unknown algorithm '" << name
                 << "' (see --list-algos)\n";
       return 2;
     }
-    if (!test->supports(system)) {
-      std::cerr << "error: " << test->name() << " handles "
-                << to_string(test->max_deadline_class())
+    if (!algo->supports(system)) {
+      std::cerr << "error: " << algo->name << " handles "
+                << to_string(algo->max_deadline_class)
                 << "-deadline systems; this system is "
                 << to_string(system.deadline_class()) << "-deadline\n";
       return 2;
     }
-    const bool ok = test->admits_checked(system, m);
-    std::cout << test->name() << " on m=" << m << ": "
+    const bool ok = algo->admits(system, m);
+    std::cout << algo->name << " on m=" << m << ": "
               << (ok ? "SCHEDULABLE" : "rejected") << "\n";
     return ok ? 0 : 1;
   }

@@ -41,13 +41,13 @@
 #include "fedcons/conform/anomaly_demo.h"
 #include "fedcons/conform/artifact.h"
 #include "fedcons/conform/harness.h"
+#include "fedcons/conform/isolation.h"
 #include "fedcons/conform/online_check.h"
 #include "fedcons/conform/oracle.h"
 #include "fedcons/core/io.h"
-#include "fedcons/fault/fault_artifact.h"
-#include "fedcons/fault/isolation.h"
 #include "fedcons/obs/span_tracer.h"
 #include "fedcons/util/flags.h"
+#include "fedcons/util/mini_json.h"
 
 namespace {
 
@@ -71,6 +71,21 @@ void print_outcome(std::ostream& os, const char* label,
      << " max_lateness=" << o.sim.max_lateness << "\n";
 }
 
+/// Online traces are JSONL opening with a {"format": ...} header line. A
+/// repro artifact is one JSON object, whose first line either does not
+/// parse alone or carries "schema" instead.
+bool is_online_trace(const std::string& text) {
+  const std::size_t start = text.find_first_not_of(" \t\r\n");
+  if (start == std::string::npos) return false;
+  const std::string first_line =
+      text.substr(start, text.find('\n', start) - start);
+  try {
+    return parse_mini_json(first_line).count("format") != 0;
+  } catch (const ParseError&) {
+    return false;
+  }
+}
+
 int run_replay(const std::string& path) {
   std::ifstream in(path);
   if (!in) {
@@ -81,11 +96,10 @@ int run_replay(const std::string& path) {
   buffer << in.rdbuf();
   const std::string text = buffer.str();
 
-  // Dispatch on the schema tag: online traces replay through the incremental
-  // session and must CONFORM; fault-isolation artifacts replay through the
-  // isolation oracle, conformance artifacts through their named entry (both
-  // must still reproduce their violation).
-  if (text.find("fedcons-online-trace") != std::string::npos) {
+  // Online traces replay through the incremental session and must CONFORM;
+  // repro artifacts replay by their parsed schema and must still reproduce
+  // their violation.
+  if (is_online_trace(text)) {
     const OnlineTrace trace = parse_online_trace(text);
     std::cout << "online trace " << path << "\n  processors: "
               << trace.processors << "  events: " << trace.events.size()
@@ -99,35 +113,29 @@ int run_replay(const std::string& path) {
     return 1;
   }
 
-  if (text.find("fedcons-fault-repro-v1") != std::string::npos) {
-    const FaultArtifact artifact = parse_fault_artifact(text);
-    const ConformanceOutcome outcome = replay_fault_artifact(artifact);
+  const ViolationArtifact artifact = parse_artifact(text);
+  const ConformanceOutcome outcome = replay_artifact(artifact);
+  const char* what = "violation";
+  if (artifact.fault_plan.has_value()) {
+    what = "cross-task violation";
     std::cout << "fault artifact " << path << "\n"
-              << "  plan: " << format_fault_plan(artifact.plan) << "\n"
+              << "  plan: " << format_fault_plan(*artifact.fault_plan) << "\n"
               << "  supervision: " << to_string(artifact.supervision)
               << "  m: " << artifact.m << "  sim seed: " << artifact.sim.seed
               << "\n  note: " << artifact.note << "\n";
     print_outcome(std::cout, "replay (cross-task)", outcome);
-    if (outcome.violation()) {
-      std::cout << "cross-task violation REPRODUCED\n";
-      return 0;
-    }
-    std::cout << "cross-task violation did NOT reproduce\n";
-    return 1;
+  } else {
+    std::cout << "artifact " << path << "\n"
+              << "  algorithm: " << artifact.algorithm << "\n"
+              << "  m: " << artifact.m << "  sim seed: " << artifact.sim.seed
+              << "  note: " << artifact.note << "\n";
+    print_outcome(std::cout, "replay", outcome);
   }
-
-  const ViolationArtifact artifact = parse_artifact(text);
-  const ConformanceOutcome outcome = replay_artifact(artifact);
-  std::cout << "artifact " << path << "\n"
-            << "  algorithm: " << artifact.algorithm << "\n"
-            << "  m: " << artifact.m << "  sim seed: " << artifact.sim.seed
-            << "  note: " << artifact.note << "\n";
-  print_outcome(std::cout, "replay", outcome);
   if (outcome.violation()) {
-    std::cout << "violation REPRODUCED\n";
+    std::cout << what << " REPRODUCED\n";
     return 0;
   }
-  std::cout << "violation did NOT reproduce\n";
+  std::cout << what << " did NOT reproduce\n";
   return 1;
 }
 
@@ -186,9 +194,9 @@ int run_isolation(const Flags& flags) {
     std::cout << "INCIDENT trial " << inc.trial << " target " << inc.target
               << " plan [" << format_fault_plan(inc.plan)
               << "]: cross misses=" << inc.cross_observed.deadline_misses
-              << " minimized to m=" << inc.minimized_m << ", "
-              << parse_task_system(inc.minimized_text).size() << " task(s) in "
-              << inc.shrink_probes << " probes\n";
+              << " minimized to m=" << inc.artifact.m << ", "
+              << parse_task_system(inc.artifact.system_text).size()
+              << " task(s) in " << inc.shrink_probes << " probes\n";
   }
   // Enforcement ON claims isolation (incidents refute it); enforcement OFF
   // is the demonstration run — finding no cascade means the demo failed.
@@ -329,9 +337,9 @@ int run_harness(const Flags& flags) {
   for (const auto& v : report.violations) {
     std::cout << "VIOLATION trial " << v.trial << " " << v.algorithm
               << ": misses=" << v.observed.deadline_misses
-              << " minimized to m=" << v.minimized_m << ", "
-              << parse_task_system(v.minimized_text).size() << " task(s) in "
-              << v.shrink_probes << " probes\n";
+              << " minimized to m=" << v.artifact.m << ", "
+              << parse_task_system(v.artifact.system_text).size()
+              << " task(s) in " << v.shrink_probes << " probes\n";
   }
   return report.violations.empty() ? 0 : 1;
 }
