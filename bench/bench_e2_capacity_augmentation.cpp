@@ -27,9 +27,7 @@ namespace {
 TaskSystem example2_at_granularity(int n, Time k) {
   TaskSystem sys;
   for (int i = 0; i < n; ++i) {
-    Dag g;
-    g.add_vertex(k);
-    sys.add(DagTask(std::move(g), k, n * k));
+    sys.add(DagTask(DagBuilder{}.vertex(k).build(), k, n * k));
   }
   return sys;
 }

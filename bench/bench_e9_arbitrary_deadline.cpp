@@ -103,7 +103,7 @@ int main(int argc, char** argv) {
   Table t2({"chain length c", "delta", "clamp verdict", "pipelined verdict",
             "instances k", "processors used"});
   for (int c : {2, 4, 6, 8, 12}) {
-    Dag g;
+    DagBuilder g;
     VertexId prev = g.add_vertex(1);
     for (int i = 1; i < c; ++i) {
       VertexId v = g.add_vertex(1);
@@ -111,7 +111,7 @@ int main(int argc, char** argv) {
       prev = v;
     }
     TaskSystem sys;
-    sys.add(DagTask(std::move(g), /*deadline=*/c, /*period=*/2, "chain"));
+    sys.add(DagTask(g.build(), /*deadline=*/c, /*period=*/2, "chain"));
     bool clamp = arbitrary_federated_schedulable(
         sys, 16, ArbitraryStrategy::kClampToPeriod);
     auto pipe = arbitrary_federated_schedule(sys, 16,

@@ -25,9 +25,9 @@ int main() {
   // A parallel sensor-fusion stage: fan-out of eight 1-tick jobs that must
   // all finish within 2 ticks — density 4, impossible on any single
   // processor, ideal for a dedicated federated cluster.
-  Dag fusion;
+  DagBuilder fusion;
   for (int i = 0; i < 8; ++i) fusion.add_vertex(1);
-  system.add(DagTask(std::move(fusion), /*deadline=*/2, /*period=*/10,
+  system.add(DagTask(fusion.build(), /*deadline=*/2, /*period=*/10,
                      "sensor-fusion"));
 
   // A light periodic logger, built with the fluent builder.

@@ -86,14 +86,12 @@ void DbfStarAggregate::insert(const SporadicTask& task) {
   term_b_.insert(term_b_.begin() + p, term.b);
   term_mag_.insert(term_mag_.begin() + p, term.mag);
 
-  refresh_prefixes_from(idx);
-
   const auto dpos = std::lower_bound(distinct_deadlines_.begin(),
                                      distinct_deadlines_.end(), task.deadline);
   if (dpos == distinct_deadlines_.end() || *dpos != task.deadline) {
     distinct_deadlines_.insert(dpos, task.deadline);
   }
-  rebuild_soa();
+  refresh_from(idx, task.deadline);
 }
 
 void DbfStarAggregate::remove(const SporadicTask& task) {
@@ -120,8 +118,6 @@ void DbfStarAggregate::remove(const SporadicTask& task) {
   term_b_.erase(term_b_.begin() + p);
   term_mag_.erase(term_mag_.begin() + p);
 
-  refresh_prefixes_from(idx);
-
   // Drop the deadline from the breakpoint list when its last holder left.
   const bool still_present =
       std::binary_search(deadlines_.begin(), deadlines_.end(), task.deadline);
@@ -130,10 +126,30 @@ void DbfStarAggregate::remove(const SporadicTask& task) {
         distinct_deadlines_.begin(), distinct_deadlines_.end(), task.deadline);
     distinct_deadlines_.erase(dpos);
   }
-  rebuild_soa();
+  refresh_from(idx, task.deadline);
 }
 
-void DbfStarAggregate::refresh_prefixes_from(std::size_t idx) {
+void DbfStarAggregate::clear() noexcept {
+  deadlines_.clear();
+  vol_.clear();
+  period_.clear();
+  prefix_vol_.clear();
+  prefix_u_.clear();
+  prefix_ud_.clear();
+  distinct_deadlines_.clear();
+  term_a_.clear();
+  term_b_.clear();
+  term_mag_.clear();
+  pfx_a_.clear();
+  pfx_b_.clear();
+  pfx_mag_.clear();
+  soa_bp_.clear();
+  soa_a_.clear();
+  soa_b_.clear();
+  soa_mag_.clear();
+}
+
+void DbfStarAggregate::refresh_from(std::size_t idx, Time d) {
   // Exact entries from idx on folded over the old member at that index (or
   // a shifted one); drop them so the next read refolds from the new arrays.
   if (prefix_vol_.size() > idx) {
@@ -141,10 +157,11 @@ void DbfStarAggregate::refresh_prefixes_from(std::size_t idx) {
     prefix_u_.resize(idx);
     prefix_ud_.resize(idx);
   }
-  pfx_a_.resize(deadlines_.size());
-  pfx_b_.resize(deadlines_.size());
-  pfx_mag_.resize(deadlines_.size());
-  for (std::size_t i = idx; i < deadlines_.size(); ++i) {
+  const std::size_t n = deadlines_.size();
+  pfx_a_.resize(n);
+  pfx_b_.resize(n);
+  pfx_mag_.resize(n);
+  for (std::size_t i = idx; i < n; ++i) {
     if (i == 0) {
       pfx_a_[i] = term_a_[i];
       pfx_b_[i] = term_b_[i];
@@ -158,6 +175,37 @@ void DbfStarAggregate::refresh_prefixes_from(std::size_t idx) {
       pfx_mag_[i] = pfx_mag_[i - 1] + term_mag_[i];
     }
   }
+
+  // One lane per distinct deadline, taken at the last member holding it.
+  // Lanes below d's read members before d's run, whose folds did not change,
+  // so only lanes from d's on are rewritten (d's lane itself is gone after a
+  // removal of its last holder; the walk then starts at the next one). A
+  // deadline beyond the kernel's validated range is not exactly
+  // representable as a double, so its lane is poisoned (+inf magnitude →
+  // always uncertain → exact fallback at the true Time breakpoint).
+  const std::size_t lanes = distinct_deadlines_.size();
+  soa_bp_.resize(lanes);
+  soa_a_.resize(lanes);
+  soa_b_.resize(lanes);
+  soa_mag_.resize(lanes);
+  std::size_t k = static_cast<std::size_t>(
+      std::lower_bound(distinct_deadlines_.begin(), distinct_deadlines_.end(),
+                       d) -
+      distinct_deadlines_.begin());
+  std::size_t i = static_cast<std::size_t>(
+      std::lower_bound(deadlines_.begin(), deadlines_.end(), d) -
+      deadlines_.begin());
+  for (; i < n; ++i) {
+    if (i + 1 < n && deadlines_[i + 1] == deadlines_[i]) continue;
+    soa_bp_[k] = static_cast<double>(deadlines_[i]);
+    soa_a_[k] = pfx_a_[i];
+    soa_b_[k] = pfx_b_[i];
+    soa_mag_[k] = deadlines_[i] > simd::kDbfMaxMagnitude
+                      ? std::numeric_limits<double>::infinity()
+                      : pfx_mag_[i];
+    ++k;
+  }
+  FEDCONS_EXPECTS(k == lanes);
 }
 
 void DbfStarAggregate::fold_exact_to(std::size_t k) const {
@@ -176,33 +224,6 @@ void DbfStarAggregate::fold_exact_to(std::size_t k) const {
       prefix_ud_.push_back(prefix_ud_[i - 1] + ud);
     }
   }
-}
-
-void DbfStarAggregate::rebuild_soa() {
-  soa_bp_.clear();
-  soa_a_.clear();
-  soa_b_.clear();
-  soa_mag_.clear();
-  soa_bp_.reserve(distinct_deadlines_.size());
-  soa_a_.reserve(distinct_deadlines_.size());
-  soa_b_.reserve(distinct_deadlines_.size());
-  soa_mag_.reserve(distinct_deadlines_.size());
-  // One entry per distinct deadline, taken at the last member holding it. A
-  // deadline beyond the kernel's validated range is not exactly representable
-  // as a double, so its lane is poisoned (+inf magnitude → always uncertain →
-  // exact fallback at the true Time breakpoint).
-  for (std::size_t i = 0; i < deadlines_.size(); ++i) {
-    if (i + 1 < deadlines_.size() && deadlines_[i + 1] == deadlines_[i]) {
-      continue;
-    }
-    soa_bp_.push_back(static_cast<double>(deadlines_[i]));
-    soa_a_.push_back(pfx_a_[i]);
-    soa_b_.push_back(pfx_b_[i]);
-    soa_mag_.push_back(deadlines_[i] > simd::kDbfMaxMagnitude
-                           ? std::numeric_limits<double>::infinity()
-                           : pfx_mag_[i]);
-  }
-  FEDCONS_EXPECTS(soa_bp_.size() == distinct_deadlines_.size());
 }
 
 BigRational DbfStarAggregate::sum_at(Time t) const {

@@ -85,20 +85,25 @@ namespace fedcons {
 /// design note), so long-lived storage does not compound.
 ///
 /// Alongside the integer members the aggregate maintains double-precision
-/// SoA mirrors for the certified probe kernel (simd/dbf_kernel.h), updated
-/// on every insert and remove: per member the affine DBF* term
-/// (a_j = C_j − u_j·D_j, b_j = u_j) and a magnitude bound, folded by the
-/// same canonical left fold (so rollback restores the exact double
-/// representations too), then gathered per distinct deadline. Members whose
-/// parameters exceed the kernel's validated range poison their magnitude
-/// prefix with +inf, which forces every affected lane onto the exact
-/// rational fallback — the mirrors can accelerate decisions but never
-/// change one.
+/// SoA mirrors for the certified probe kernel (simd/dbf_kernel.h): per
+/// member the affine DBF* term (a_j = C_j − u_j·D_j, b_j = u_j) and a
+/// magnitude bound, folded by the same canonical left fold (so rollback
+/// restores the exact double representations too), then gathered per
+/// distinct deadline into the SoA lanes. An edit changes only the folds from
+/// the edited member on and the lanes from the edited deadline on, so insert
+/// and remove refresh exactly that tail — a deadline-monotonic append (the
+/// batch partitioner's only insert) touches its own deadline run and
+/// nothing before it. Members whose parameters exceed the kernel's
+/// validated range poison their magnitude prefix with +inf, which forces
+/// every affected lane onto the exact rational fallback — the mirrors can
+/// accelerate decisions but never change one.
 class DbfStarAggregate {
  public:
-  /// Add one member. O(size) double and integer work worst case (suffix
-  /// mirror refresh); no rational is built. PARTITION performs one insert
-  /// per placement vs. many probes.
+  /// Add one member. Double and integer work proportional to the members
+  /// from the new member's deadline run on (the refreshed tail): O(1) for an
+  /// append in deadline order beyond tied deadlines, O(size) worst case; no
+  /// rational is built. PARTITION performs one insert per placement vs.
+  /// many probes.
   void insert(const SporadicTask& task);
 
   /// Remove one member matching (C, D, T) exactly — the rollback behind
@@ -124,6 +129,10 @@ class DbfStarAggregate {
 
   [[nodiscard]] std::size_t size() const noexcept { return deadlines_.size(); }
 
+  /// Drop every member, keeping every array's capacity (the per-thread
+  /// batch partitioner reuses its bins across calls).
+  void clear() noexcept;
+
   /// Sorted, deduplicated member deadlines — the slope breakpoints of the
   /// summed 1-point approximation (dbf_approx_breakpoints with points == 1).
   [[nodiscard]] std::span<const Time> distinct_deadlines() const noexcept {
@@ -148,16 +157,16 @@ class DbfStarAggregate {
   }
 
  private:
-  /// Recompute the double prefix mirrors for indices [idx, size) by the
-  /// canonical fold and cut the exact prefix cache back to idx — shared by
-  /// insert and remove so both histories land on identical representations.
-  void refresh_prefixes_from(std::size_t idx);
+  /// The one refresh behind insert and remove, after the member arrays and
+  /// distinct_deadlines_ were edited at member index idx (deadline d): cut
+  /// the exact prefix cache back to idx, refold the double mirrors over
+  /// [idx, size), and regather the SoA lanes from d's lane on. Every value
+  /// written is the canonical fold over the current arrays, so both
+  /// histories land on the representations a fresh build would store.
+  void refresh_from(std::size_t idx, Time d);
 
   /// Extend the exact prefix cache to cover indices [0, k].
   void fold_exact_to(std::size_t k) const;
-
-  /// Regather the distinct-deadline SoA views from the member prefixes.
-  void rebuild_soa();
 
   // Parallel member arrays, sorted by deadline (ties keep insertion order).
   std::vector<Time> deadlines_;

@@ -117,9 +117,8 @@ ConformanceOutcome run_gedf_density(const TaskSystem& system, int m,
   // composition (one vertex of WCET vol per task) under global EDF.
   TaskSystem seq;
   for (const auto& t : system) {
-    Dag chain;
-    chain.add_vertex(t.vol());
-    seq.add(DagTask(std::move(chain), t.deadline(), t.period(), t.name()));
+    seq.add(DagTask(DagBuilder{}.vertex(t.vol()).build(), t.deadline(),
+                    t.period(), t.name()));
   }
   Rng rng(config.seed);
   std::vector<std::vector<DagJobRelease>> releases;

@@ -15,7 +15,7 @@ namespace {
 /// (vertex, successor-position) iteration order.
 std::optional<DagTask> drop_edge(const DagTask& task, std::size_t index) {
   const Dag& g = task.graph();
-  Dag out;
+  DagBuilder out;
   for (VertexId v = 0; v < g.num_vertices(); ++v) out.add_vertex(g.wcet(v));
   std::size_t seen = 0;
   bool dropped = false;
@@ -29,7 +29,7 @@ std::optional<DagTask> drop_edge(const DagTask& task, std::size_t index) {
     }
   }
   if (!dropped) return std::nullopt;
-  return DagTask(std::move(out), task.deadline(), task.period(), task.name());
+  return DagTask(out.build(), task.deadline(), task.period(), task.name());
 }
 
 /// Rebuild a task's graph with vertex `victim` (and its incident edges)
@@ -38,7 +38,7 @@ std::optional<DagTask> drop_edge(const DagTask& task, std::size_t index) {
 std::optional<DagTask> drop_vertex(const DagTask& task, VertexId victim) {
   const Dag& g = task.graph();
   if (g.num_vertices() <= 1) return std::nullopt;
-  Dag out;
+  DagBuilder out;
   std::vector<VertexId> remap(g.num_vertices());
   for (VertexId v = 0; v < g.num_vertices(); ++v) {
     if (v == victim) continue;
@@ -51,20 +51,17 @@ std::optional<DagTask> drop_vertex(const DagTask& task, VertexId victim) {
       out.add_edge(remap[v], remap[w]);
     }
   }
-  return DagTask(std::move(out), task.deadline(), task.period(), task.name());
+  return DagTask(out.build(), task.deadline(), task.period(), task.name());
 }
 
 /// Rebuild a task with vertex `v`'s WCET replaced by `wcet` (>= 1).
 DagTask with_wcet(const DagTask& task, VertexId victim, Time wcet) {
   const Dag& g = task.graph();
-  Dag out;
-  for (VertexId v = 0; v < g.num_vertices(); ++v) {
-    out.add_vertex(v == victim ? wcet : g.wcet(v));
-  }
-  for (VertexId v = 0; v < g.num_vertices(); ++v) {
-    for (VertexId w : g.successors(v)) out.add_edge(v, w);
-  }
-  return DagTask(std::move(out), task.deadline(), task.period(), task.name());
+  std::vector<Time> wcets(g.num_vertices());
+  for (VertexId v = 0; v < g.num_vertices(); ++v) wcets[v] = g.wcet(v);
+  wcets[victim] = wcet;
+  return DagTask(g.with_wcets(std::move(wcets)), task.deadline(),
+                 task.period(), task.name());
 }
 
 TaskSystem replace_task(const TaskSystem& system, TaskId victim,

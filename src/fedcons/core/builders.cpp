@@ -6,56 +6,22 @@
 
 namespace fedcons {
 
-DagBuilder& DagBuilder::vertex(Time wcet) {
-  dag_.add_vertex(wcet);
-  return *this;
-}
-
-DagBuilder& DagBuilder::vertices(std::initializer_list<Time> wcets) {
-  for (Time w : wcets) dag_.add_vertex(w);
-  return *this;
-}
-
-DagBuilder& DagBuilder::edge(VertexId from, VertexId to) {
-  dag_.add_edge(from, to);
-  return *this;
-}
-
-DagBuilder& DagBuilder::fan_out(VertexId from,
-                                std::initializer_list<VertexId> tos) {
-  for (VertexId to : tos) dag_.add_edge(from, to);
-  return *this;
-}
-
-DagBuilder& DagBuilder::fan_in(std::initializer_list<VertexId> froms,
-                               VertexId to) {
-  for (VertexId from : froms) dag_.add_edge(from, to);
-  return *this;
-}
-
-Dag DagBuilder::build() {
-  FEDCONS_EXPECTS_MSG(dag_.is_acyclic(), "built graph contains a cycle");
-  Dag out = std::move(dag_);
-  dag_ = Dag{};
-  return out;
-}
-
 Dag make_chain(std::span<const Time> wcets) {
   FEDCONS_EXPECTS(!wcets.empty());
-  Dag g;
+  DagBuilder g;
   VertexId prev = g.add_vertex(wcets[0]);
   for (std::size_t i = 1; i < wcets.size(); ++i) {
     VertexId cur = g.add_vertex(wcets[i]);
     g.add_edge(prev, cur);
     prev = cur;
   }
-  return g;
+  return g.build();
 }
 
 Dag make_fork_join(Time source_wcet, std::span<const Time> branch_wcets,
                    Time sink_wcet) {
   FEDCONS_EXPECTS(!branch_wcets.empty());
-  Dag g;
+  DagBuilder g;
   VertexId src = g.add_vertex(source_wcet);
   VertexId sink_placeholder = 0;  // assigned after branches
   std::vector<VertexId> branches;
@@ -67,14 +33,14 @@ Dag make_fork_join(Time source_wcet, std::span<const Time> branch_wcets,
   }
   sink_placeholder = g.add_vertex(sink_wcet);
   for (VertexId b : branches) g.add_edge(b, sink_placeholder);
-  return g;
+  return g.build();
 }
 
 Dag make_independent(std::span<const Time> wcets) {
   FEDCONS_EXPECTS(!wcets.empty());
-  Dag g;
+  DagBuilder g;
   for (Time w : wcets) g.add_vertex(w);
-  return g;
+  return g.build();
 }
 
 DagTask make_paper_example_task() {
@@ -98,10 +64,8 @@ TaskSystem make_capacity_augmentation_counterexample(int n) {
   FEDCONS_EXPECTS(n >= 1);
   TaskSystem sys;
   for (int i = 0; i < n; ++i) {
-    Dag g;
-    g.add_vertex(1);
-    sys.add(DagTask(std::move(g), /*deadline=*/1, /*period=*/n,
-                    "ex2-tau" + std::to_string(i + 1)));
+    sys.add(DagTask(DagBuilder{}.vertex(1).build(), /*deadline=*/1,
+                    /*period=*/n, "ex2-tau" + std::to_string(i + 1)));
   }
   return sys;
 }

@@ -1,8 +1,7 @@
-// Fluent construction of common DAG topologies, plus the paper's worked
-// examples (Figure 1 / Example 1 and Example 2).
+// Canned DAG topologies, plus the paper's worked examples (Figure 1 /
+// Example 1 and Example 2). Ad-hoc graphs use DagBuilder (core/dag.h).
 #pragma once
 
-#include <initializer_list>
 #include <span>
 #include <vector>
 
@@ -11,24 +10,6 @@
 #include "fedcons/core/task_system.h"
 
 namespace fedcons {
-
-/// Incremental DAG construction with chainable calls:
-///   Dag g = DagBuilder{}.vertices({2, 1, 3}).edge(0, 1).edge(1, 2).build();
-class DagBuilder {
- public:
-  DagBuilder& vertex(Time wcet);
-  DagBuilder& vertices(std::initializer_list<Time> wcets);
-  DagBuilder& edge(VertexId from, VertexId to);
-  /// Edges from `from` to every vertex in `tos`.
-  DagBuilder& fan_out(VertexId from, std::initializer_list<VertexId> tos);
-  /// Edges from every vertex in `froms` to `to`.
-  DagBuilder& fan_in(std::initializer_list<VertexId> froms, VertexId to);
-  /// Finalize and move the graph out; the builder is left empty.
-  [[nodiscard]] Dag build();
-
- private:
-  Dag dag_;
-};
 
 /// A pure chain v0 → v1 → … (len == vol).
 [[nodiscard]] Dag make_chain(std::span<const Time> wcets);

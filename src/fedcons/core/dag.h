@@ -16,10 +16,16 @@
 // width (maximum antichain, via Dilworth's theorem and bipartite matching on
 // the transitive closure — the task's maximum exploitable parallelism), and
 // DOT export for visual inspection.
+//
+// A graph is assembled in a DagBuilder and frozen by DagBuilder::build into
+// an immutable Dag: compressed-sparse-row adjacency (per direction an offset
+// array plus one flat array, all four in one block), so a generated system
+// holds a few heap blocks per task rather than one per vertex and direction.
 #pragma once
 
 #include <cstdint>
-#include <optional>
+#include <initializer_list>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -31,33 +37,41 @@ namespace fedcons {
 /// Index of a vertex within its Dag (dense, 0-based).
 using VertexId = std::uint32_t;
 
-/// Immutable-after-build DAG with integer WCETs on vertices.
+/// Immutable DAG with integer WCETs on vertices, made by DagBuilder::build
+/// (or Dag::with_wcets from another Dag).
 ///
-/// Build by add_vertex()/add_edge(); edges may be added in any order. The
-/// structure is validated lazily: acyclicity is established the first time a
-/// derived query runs and is a precondition of all of them (a cycle throws
-/// ContractViolation). Self-loops and duplicate edges are rejected eagerly.
+/// Every Dag is acyclic: build() rejects a cycle. vol and len are computed
+/// there, in the same pass. Each vertex's successor and predecessor lists
+/// keep the order in which their edges were added.
 ///
-/// Derived results are cached on first use, so const queries mutate the
-/// cache: one Dag must not be queried from two threads at once (the engine
-/// gives each trial its own generated system; sessions have one toucher).
+/// Derived results (topological order, levels, transitive reduction) are
+/// computed on first read into one block allocated then, so a graph nobody
+/// asks about costs nothing beyond its arrays; const queries fill that
+/// block, so one Dag must not be queried from two threads at once (the
+/// engine gives each trial its own generated system; sessions have one
+/// toucher).
 class Dag {
  public:
-  Dag() = default;
+  /// The empty graph.
+  Dag() noexcept;
+  Dag(const Dag& other);
+  Dag& operator=(const Dag& other);
+  Dag(Dag&&) noexcept;
+  Dag& operator=(Dag&&) noexcept;
+  ~Dag();
 
-  /// Add a job with the given WCET. Precondition: wcet >= 1 (the paper's
-  /// e_v ∈ ℕ; zero-length jobs would make "available" ambiguous).
+  /// Append an isolated vertex, rebuilding the frozen arrays (O(|V| + |E|))
+  /// and dropping every derived result. Kept for callers that grow an
+  /// edgeless graph in place; everything else builds through DagBuilder.
+  /// Precondition: wcet >= 1.
   VertexId add_vertex(Time wcet);
-
-  /// Add precedence edge from -> to. Preconditions: both ids valid,
-  /// from != to, edge not already present. May create a cycle — detected on
-  /// the next derived query.
-  void add_edge(VertexId from, VertexId to);
 
   [[nodiscard]] std::size_t num_vertices() const noexcept {
     return wcet_.size();
   }
-  [[nodiscard]] std::size_t num_edges() const noexcept { return num_edges_; }
+  [[nodiscard]] std::size_t num_edges() const noexcept {
+    return adj_.empty() ? 0 : adj_[wcet_.size()];
+  }
   [[nodiscard]] bool empty() const noexcept { return wcet_.empty(); }
 
   [[nodiscard]] Time wcet(VertexId v) const;
@@ -67,30 +81,33 @@ class Dag {
   [[nodiscard]] std::size_t out_degree(VertexId v) const;
   [[nodiscard]] bool has_edge(VertexId from, VertexId to) const;
 
-  /// True iff the edge relation is acyclic. Never throws.
-  [[nodiscard]] bool is_acyclic() const;
+  /// The same vertices and edges (list orders included) with vertex v's
+  /// WCET replaced by wcets[v]. Preconditions: one WCET per vertex, each
+  /// >= 1.
+  [[nodiscard]] Dag with_wcets(std::vector<Time> wcets) const;
 
   /// Deterministic topological order (Kahn's algorithm; smallest vertex id
   /// first among ready vertices). Built and cached with the level arrays on
-  /// first use. Precondition: acyclic.
+  /// first use.
   [[nodiscard]] const std::vector<VertexId>& topological_order() const;
 
-  /// vol: total WCET of one dag-job (Σ e_v). O(|V|), cached.
+  /// vol: total WCET of one dag-job (Σ e_v). Precondition: representable as
+  /// Time (ContractViolation otherwise).
   [[nodiscard]] Time vol() const;
 
   /// len: length of the longest chain (critical path, including endpoint
-  /// WCETs). 0 for the empty graph. Precondition: acyclic. Cached.
+  /// WCETs). 0 for the empty graph. Same precondition as vol().
   [[nodiscard]] Time len() const;
 
   /// Longest chain starting at v and ending at a sink, including e_v — the
-  /// "bottom level" b(v). max over v of b(v) == len(). Precondition: acyclic.
+  /// "bottom level" b(v). max over v of b(v) == len().
   [[nodiscard]] Time bottom_level(VertexId v) const;
 
   /// Longest chain from a source ending at v, including e_v ("top level").
   [[nodiscard]] Time top_level(VertexId v) const;
 
   /// One longest chain, as vertex ids in precedence order. Precondition:
-  /// acyclic and non-empty.
+  /// non-empty.
   [[nodiscard]] std::vector<VertexId> critical_path() const;
 
   /// True iff `to` is reachable from `from` by a non-empty directed path.
@@ -106,7 +123,6 @@ class Dag {
   /// builds the level arrays) and cached like them; beyond
   /// kMaxReductionVertices the bitset build is skipped and the original
   /// successor lists are returned (a sound over-approximation).
-  /// Precondition: acyclic.
   [[nodiscard]] std::span<const VertexId> reduced_successors(VertexId v) const;
 
   /// Exact width: the maximum antichain size (largest set of pairwise
@@ -124,41 +140,76 @@ class Dag {
   static constexpr std::size_t kMaxReductionVertices = 4096;
 
  private:
-  /// Cycle check + vol + len, storing nothing per vertex: most tasks (every
-  /// low-density one) never ask for more. Throws on a cycle.
-  void ensure_analyzed() const;
+  friend class DagBuilder;
+  struct Derived;  // lazily built level arrays and transitive reduction
+
+  /// One stack-based Kahn pass over the arrays: returns false iff the edges
+  /// form a cycle, else stores vol and len (metrics_ok_ is false when either
+  /// overflows Time, which vol()/len() then report).
+  bool analyze();
   /// Deterministic topo order + top/bottom level arrays, built on the first
   /// query that reads them (topological_order, top/bottom_level,
-  /// critical_path, transitive_closure, ensure_reduced). Throws on a cycle.
-  void ensure_levels() const;
-  void ensure_reduced() const;  // transitive reduction; throws on a cycle
-  void invalidate() noexcept;
-  /// Some topological order (stack-based Kahn); shorter than num_vertices()
-  /// iff the graph has a cycle. Never throws.
-  [[nodiscard]] std::vector<VertexId> any_topological_order() const;
+  /// critical_path, transitive_closure, ensure_reduced).
+  const Derived& ensure_levels() const;
+  const Derived& ensure_reduced() const;  // transitive reduction
   [[nodiscard]] std::vector<std::vector<bool>> transitive_closure() const;
 
   std::vector<Time> wcet_;
-  std::vector<std::vector<VertexId>> succ_;
-  std::vector<std::vector<VertexId>> pred_;
-  std::size_t num_edges_ = 0;
+  /// CSR adjacency, n = |V|, m = |E|: [0, n] successor offsets, then n + 1
+  /// predecessor offsets, then m successors, then m predecessors. Empty for
+  /// the empty graph.
+  std::vector<std::uint32_t> adj_;
+  Time vol_ = 0;
+  Time len_ = 0;
+  bool metrics_ok_ = true;
+  mutable std::unique_ptr<Derived> derived_;
+};
 
-  // Lazily computed analysis results (cleared by mutation): vol/len from
-  // ensure_analyzed, the per-vertex arrays from ensure_levels.
-  mutable bool analyzed_ = false;
-  mutable Time vol_ = 0;
-  mutable Time len_ = 0;
-  mutable bool levels_built_ = false;
-  mutable std::vector<VertexId> topo_;
-  mutable std::vector<Time> bottom_;
-  mutable std::vector<Time> top_;
+/// Assembles a Dag: vertices and edges are added in any order, then build()
+/// freezes them once. Checks are eager — a WCET below 1, an endpoint out of
+/// range, a self-loop or a duplicate edge throws ContractViolation at the
+/// call — except acyclicity, which build() checks. Every call has a
+/// chainable form:
+///   Dag g = DagBuilder{}.vertices({2, 1, 3}).edge(0, 1).edge(1, 2).build();
+class DagBuilder {
+ public:
+  /// Add a job with the given WCET. Precondition: wcet >= 1 (the paper's
+  /// e_v ∈ ℕ; zero-length jobs would make "available" ambiguous).
+  VertexId add_vertex(Time wcet);
 
-  // Cached transitive reduction (CSR layout). reduced_trivial_ marks the
-  // size-gated case where the reduction is defined as the original lists.
-  mutable bool reduced_built_ = false;
-  mutable bool reduced_trivial_ = false;
-  mutable std::vector<std::uint32_t> red_off_;
-  mutable std::vector<VertexId> red_flat_;
+  /// Add precedence edge from -> to. Preconditions: both ids valid,
+  /// from != to, edge not already present. O(out_degree(from)).
+  void add_edge(VertexId from, VertexId to);
+
+  [[nodiscard]] bool has_edge(VertexId from, VertexId to) const;
+  [[nodiscard]] std::size_t num_vertices() const noexcept {
+    return wcet_.size();
+  }
+  [[nodiscard]] std::size_t num_edges() const noexcept { return to_.size(); }
+  [[nodiscard]] bool empty() const noexcept { return wcet_.empty(); }
+
+  DagBuilder& vertex(Time wcet);
+  DagBuilder& vertices(std::initializer_list<Time> wcets);
+  DagBuilder& edge(VertexId from, VertexId to);
+  /// Edges from `from` to every vertex in `tos`.
+  DagBuilder& fan_out(VertexId from, std::initializer_list<VertexId> tos);
+  /// Edges from every vertex in `froms` to `to`.
+  DagBuilder& fan_in(std::initializer_list<VertexId> froms, VertexId to);
+
+  /// Freeze the graph and leave the builder empty. Throws ContractViolation
+  /// when the edges form a cycle (the builder is left empty then too).
+  [[nodiscard]] Dag build();
+
+ private:
+  std::vector<Time> wcet_;
+  // Edges in insertion order, each source's threaded newest-first through
+  // prev_out_ (1 + index of the previous edge from the same source, 0 for
+  // none) from last_out_[source] — the duplicate check walks one source's
+  // edges without a list per vertex.
+  std::vector<VertexId> from_;
+  std::vector<VertexId> to_;
+  std::vector<std::uint32_t> prev_out_;
+  std::vector<std::uint32_t> last_out_;
 };
 
 }  // namespace fedcons

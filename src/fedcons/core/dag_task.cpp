@@ -19,15 +19,11 @@ DagTask::DagTask(Dag graph, Time deadline, Time period, std::string name)
     : graph_(std::move(graph)),
       deadline_(deadline),
       period_(period),
-      vol_(0),
-      len_(0),
       name_(std::move(name)) {
   FEDCONS_EXPECTS_MSG(!graph_.empty(), "task graph must be non-empty");
-  FEDCONS_EXPECTS_MSG(graph_.is_acyclic(), "task graph must be acyclic");
   FEDCONS_EXPECTS_MSG(deadline_ >= 1, "deadline must be positive");
   FEDCONS_EXPECTS_MSG(period_ >= 1, "period must be positive");
-  vol_ = graph_.vol();
-  len_ = graph_.len();
+  (void)graph_.vol();  // throws when vol or len overflows Time
   // MINPROCS and the online DAG hash read a high-density graph's level
   // arrays: build them once here, so every copy (one per online admission
   // of registered content) carries them instead of rebuilding them.
@@ -36,15 +32,13 @@ DagTask::DagTask(Dag graph, Time deadline, Time period, std::string name)
 
 DagTask DagTask::scaled_by_speed(double s) const {
   FEDCONS_EXPECTS_MSG(s > 0.0, "speed must be positive");
-  Dag g;
+  std::vector<Time> wcets(graph_.num_vertices());
   for (VertexId v = 0; v < graph_.num_vertices(); ++v) {
     double scaled = std::ceil(static_cast<double>(graph_.wcet(v)) / s);
-    g.add_vertex(std::max<Time>(1, static_cast<Time>(scaled)));
+    wcets[v] = std::max<Time>(1, static_cast<Time>(scaled));
   }
-  for (VertexId v = 0; v < graph_.num_vertices(); ++v) {
-    for (VertexId w : graph_.successors(v)) g.add_edge(v, w);
-  }
-  return DagTask(std::move(g), deadline_, period_, name_);
+  return DagTask(graph_.with_wcets(std::move(wcets)), deadline_, period_,
+                 name_);
 }
 
 }  // namespace fedcons

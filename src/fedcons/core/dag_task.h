@@ -32,7 +32,7 @@ enum class DeadlineClass {
 /// processors to the former and partitions the latter.
 class DagTask {
  public:
-  /// Preconditions: non-empty acyclic graph, positive deadline and period.
+  /// Preconditions: non-empty graph, positive deadline and period.
   DagTask(Dag graph, Time deadline, Time period, std::string name = {});
 
   [[nodiscard]] const Dag& graph() const noexcept { return graph_; }
@@ -40,13 +40,13 @@ class DagTask {
   [[nodiscard]] Time period() const noexcept { return period_; }
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
 
-  /// vol_i and len_i are computed once at construction (the graph is
-  /// immutable from then on) so the MINPROCS scan and the classification
-  /// predicates below are branch-free O(1) lookups. High-density tasks also
-  /// get the graph's level arrays built then (Dag::topological_order), since
-  /// MINPROCS and the online DAG hash read them; low-density tasks never do.
-  [[nodiscard]] Time vol() const noexcept { return vol_; }
-  [[nodiscard]] Time len() const noexcept { return len_; }
+  /// vol_i and len_i, computed when the graph was built (Dag::vol/len), so
+  /// the MINPROCS scan and the classification predicates below are O(1)
+  /// lookups. High-density tasks also get the graph's level arrays built at
+  /// construction (Dag::topological_order), since MINPROCS and the online
+  /// DAG hash read them; low-density tasks never do.
+  [[nodiscard]] Time vol() const { return graph_.vol(); }
+  [[nodiscard]] Time len() const { return graph_.len(); }
 
   /// Exact utilization u_i = vol_i / T_i.
   [[nodiscard]] BigRational utilization() const {
@@ -100,8 +100,6 @@ class DagTask {
   Dag graph_;
   Time deadline_;
   Time period_;
-  Time vol_;  ///< cached graph_.vol()
-  Time len_;  ///< cached graph_.len()
   std::string name_;
 };
 

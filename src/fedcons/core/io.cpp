@@ -56,7 +56,7 @@ TaskSystem parse_task_system(std::istream& in) {
   std::string name;
   Time deadline = -1;
   Time period = -1;
-  Dag graph;
+  DagBuilder graph;
   int task_counter = 0;
   int task_start_line = 0;
 
@@ -73,19 +73,23 @@ TaskSystem parse_task_system(std::istream& in) {
       throw ParseError(task_start_line,
                        "task '" + name + "' has no vertices");
     }
-    if (!graph.is_acyclic()) {
+    // The builder has checked every vertex and edge already, so a cycle is
+    // the one thing build() can reject.
+    Dag dag;
+    try {
+      dag = graph.build();
+    } catch (const ContractViolation&) {
       throw ParseError(task_start_line,
                        "task '" + name + "' has cyclic edges");
     }
     try {
-      system.add(DagTask(std::move(graph), deadline, period, name));
+      system.add(DagTask(std::move(dag), deadline, period, name));
     } catch (const ContractViolation& e) {
       // DagTask's own invariants (e.g. D ≤ T) become parse diagnostics, not
       // aborts: malformed input is the caller's problem, reported politely.
       throw ParseError(task_start_line,
                        "task '" + name + "': " + e.what());
     }
-    graph = Dag{};
     deadline = period = -1;
     in_task = false;
   };

@@ -28,9 +28,8 @@ std::vector<std::vector<bool>> reachability(const Dag& dag) {
 }  // namespace
 
 Dag transitive_reduction(const Dag& dag) {
-  FEDCONS_EXPECTS(dag.is_acyclic());
   auto reach = reachability(dag);
-  Dag out;
+  DagBuilder out;
   for (VertexId v = 0; v < dag.num_vertices(); ++v) out.add_vertex(dag.wcet(v));
   for (VertexId u = 0; u < dag.num_vertices(); ++u) {
     for (VertexId v : dag.successors(u)) {
@@ -45,11 +44,10 @@ Dag transitive_reduction(const Dag& dag) {
       if (!redundant) out.add_edge(u, v);
     }
   }
-  return out;
+  return out.build();
 }
 
 bool is_transitively_reduced(const Dag& dag) {
-  if (!dag.is_acyclic()) return false;
   auto reach = reachability(dag);
   for (VertexId u = 0; u < dag.num_vertices(); ++u) {
     for (VertexId v : dag.successors(u)) {
@@ -62,7 +60,6 @@ bool is_transitively_reduced(const Dag& dag) {
 }
 
 Dag merge_linear_chains(const Dag& dag) {
-  FEDCONS_EXPECTS(dag.is_acyclic());
   const std::size_t n = dag.num_vertices();
   // A vertex v continues the chain of its predecessor p when
   // out_degree(p) == 1 and in_degree(v) == 1: merge v into p's group.
@@ -81,7 +78,7 @@ Dag merge_linear_chains(const Dag& dag) {
     group_wcet[group[v]] = checked_add(group_wcet[group[v]], dag.wcet(v));
   }
   std::vector<VertexId> new_id(n, 0);
-  Dag out;
+  DagBuilder out;
   for (VertexId v : dag.topological_order()) {
     if (group[v] == v) new_id[v] = out.add_vertex(group_wcet[v]);
   }
@@ -93,19 +90,18 @@ Dag merge_linear_chains(const Dag& dag) {
       if (a != b && !out.has_edge(a, b)) out.add_edge(a, b);
     }
   }
-  return out;
+  return out.build();
 }
 
 Dag sequentialize(const Dag& dag) {
   FEDCONS_EXPECTS(!dag.empty());
-  FEDCONS_EXPECTS(dag.is_acyclic());
-  Dag out;
+  DagBuilder out;
   for (VertexId v = 0; v < dag.num_vertices(); ++v) out.add_vertex(dag.wcet(v));
   const auto& topo = dag.topological_order();
   for (std::size_t i = 1; i < topo.size(); ++i) {
     out.add_edge(topo[i - 1], topo[i]);
   }
-  return out;
+  return out.build();
 }
 
 }  // namespace fedcons

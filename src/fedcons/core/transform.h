@@ -25,18 +25,17 @@
 
 namespace fedcons {
 
-/// The unique transitive reduction. Precondition: acyclic.
+/// The unique transitive reduction.
 [[nodiscard]] Dag transitive_reduction(const Dag& dag);
 
 /// True iff no edge is implied by an alternative directed path.
 [[nodiscard]] bool is_transitively_reduced(const Dag& dag);
 
 /// Collapse maximal single-in/single-out chains (see header comment).
-/// Precondition: acyclic.
 [[nodiscard]] Dag merge_linear_chains(const Dag& dag);
 
 /// Chain all vertices in topological order (forces fully sequential
-/// execution; len becomes vol). Precondition: acyclic, non-empty.
+/// execution; len becomes vol). Precondition: non-empty.
 [[nodiscard]] Dag sequentialize(const Dag& dag);
 
 }  // namespace fedcons

@@ -66,14 +66,22 @@ PartitionResult partition_tasks(std::span<const SporadicTask> tasks,
     return result;
   }
 
-  std::vector<std::size_t> order(tasks.size());
+  // The placement order and the bins are per-thread scratch, cleared rather
+  // than freed, so a steady-state call allocates only its result. Nothing
+  // below calls back into partition_tasks, and reset() empties whatever an
+  // earlier call on this thread left behind (also one that threw).
+  thread_local std::vector<std::size_t> order;
+  thread_local PartitionState state;
+  order.resize(tasks.size());
   std::iota(order.begin(), order.end(), 0);
   switch (options.order) {
     case PartitionOrder::kDeadlineMonotonic:
-      std::stable_sort(order.begin(), order.end(),
-                       [&](std::size_t a, std::size_t b) {
-                         return tasks[a].deadline < tasks[b].deadline;
-                       });
+      // (deadline, index) is a total order, so this is the stable order.
+      std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+        return tasks[a].deadline != tasks[b].deadline
+                   ? tasks[a].deadline < tasks[b].deadline
+                   : a < b;
+      });
       break;
     case PartitionOrder::kDensityDescending:
       std::stable_sort(order.begin(), order.end(),
@@ -91,7 +99,7 @@ PartitionResult partition_tasks(std::span<const SporadicTask> tasks,
 
   // The probe logic and per-bin aggregates live in PartitionState (shared
   // with the online admission engine); this loop is the batch driver.
-  PartitionState state(num_processors, options);
+  state.reset(num_processors, options);
   for (std::size_t i : order) {
     FEDCONS_SPAN_V("partition", "place", "task", i);
     PlacementRecord record;

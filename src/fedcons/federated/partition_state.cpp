@@ -145,20 +145,39 @@ bool certified_demand_scan(const DbfStarAggregate& agg, const SporadicTask& t,
 
 const BigRational PartitionState::kZeroUtil{};
 
-PartitionState::PartitionState(int num_bins, const PartitionOptions& options)
-    : options_(options) {
+PartitionState::PartitionState(int num_bins, const PartitionOptions& options) {
+  reset(num_bins, options);
+}
+
+void PartitionState::Bin::clear() noexcept {
+  ids.clear();
+  tasks.clear();
+  util_prefix.clear();
+  util_prefix_d.clear();
+  demand.clear();
+}
+
+void PartitionState::reset(int num_bins, const PartitionOptions& options) {
   FEDCONS_EXPECTS(num_bins >= 0);
-  bins_.resize(static_cast<std::size_t>(num_bins));
+  for (int k = 0; k < num_bins_; ++k) {
+    bins_[static_cast<std::size_t>(k)].clear();
+  }
+  options_ = options;
+  num_bins_ = 0;
+  set_num_bins(num_bins);
 }
 
 void PartitionState::set_num_bins(int n) {
   FEDCONS_EXPECTS(n >= 0);
-  const std::size_t target = static_cast<std::size_t>(n);
-  for (std::size_t k = target; k < bins_.size(); ++k) {
-    FEDCONS_EXPECTS_MSG(bins_[k].ids.empty(),
+  for (int k = n; k < num_bins_; ++k) {
+    FEDCONS_EXPECTS_MSG(bins_[static_cast<std::size_t>(k)].ids.empty(),
                         "PartitionState::set_num_bins: cut bin not empty");
   }
-  bins_.resize(target);
+  // Bins past num_bins_ are always empty, so growing only exposes them.
+  if (bins_.size() < static_cast<std::size_t>(n)) {
+    bins_.resize(static_cast<std::size_t>(n));
+  }
+  num_bins_ = n;
 }
 
 bool PartitionState::fits(int bin, const SporadicTask& t,
@@ -352,7 +371,9 @@ const DbfStarAggregate& PartitionState::bin_demand(int k) const {
 
 std::size_t PartitionState::total_members() const noexcept {
   std::size_t n = 0;
-  for (const Bin& b : bins_) n += b.ids.size();
+  for (int k = 0; k < num_bins_; ++k) {
+    n += bins_[static_cast<std::size_t>(k)].ids.size();
+  }
   return n;
 }
 

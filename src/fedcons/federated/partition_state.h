@@ -5,8 +5,9 @@
 //    the utilization fold, and (on the aggregate-eligible variants) the
 //    incremental DBF* prefix structure (analysis/dbf.h). It owns the
 //    acceptance probe fits() and the bin-selection loop choose_bin(), which
-//    the batch partitioner drives. The double mirrors the certified screens
-//    read are kept current on every insert and remove; the exact BigRational
+//    the batch partitioner drives on a per-thread instance it reset()s per
+//    call. The double mirrors the certified screens read are kept current
+//    across inserts and removes; the exact BigRational
 //    folds are caches filled only when a probe's exact fallback, a
 //    diagnosis, or a best/worst-fit comparison reads them. Insertion and
 //    removal are exact inverses: remove() rolls every aggregate back to the
@@ -54,16 +55,21 @@ namespace fedcons {
 ///
 /// Const reads (fits, choose_bin, bin_utilization, bin_demand().sum_at) fill
 /// the exact caches, so one PartitionState must not be read from two threads
-/// at once. The batch partitioner builds one per call, and AdmissionSession's
-/// one-toucher contract covers the online state.
+/// at once. The batch partitioner keeps one per thread and reset()s it per
+/// call, and AdmissionSession's one-toucher contract covers the online
+/// state.
 class PartitionState {
  public:
   PartitionState() = default;
   PartitionState(int num_bins, const PartitionOptions& options);
 
-  [[nodiscard]] int num_bins() const noexcept {
-    return static_cast<int>(bins_.size());
-  }
+  /// Empty every bin and start over with `num_bins` bins under `options`.
+  /// Bins keep their storage across resets — also bins cut by a smaller
+  /// count, which a later larger one reuses — so a steady-state batch call
+  /// allocates nothing here.
+  void reset(int num_bins, const PartitionOptions& options);
+
+  [[nodiscard]] int num_bins() const noexcept { return num_bins_; }
   /// Grow appends empty bins; shrink requires the cut bins to be empty
   /// (callers unplace their members first — IncrementalPartition does).
   void set_num_bins(int n);
@@ -115,11 +121,15 @@ class PartitionState {
     /// the certified utilization screen's input.
     std::vector<double> util_prefix_d;
     DbfStarAggregate demand;  // maintained only when aggregates are on
+
+    void clear() noexcept;  // drop every member, keep capacity
   };
   static const BigRational kZeroUtil;
 
   PartitionOptions options_;
+  /// Bins [0, num_bins_) are live; the rest are empty, kept for reuse.
   std::vector<Bin> bins_;
+  int num_bins_ = 0;
   mutable std::vector<SporadicTask> trial_scratch_;  // exact-EDF probe reuse
 };
 

@@ -10,15 +10,12 @@ namespace {
 
 /// Dag with every WCET scaled to ⌈α·e_v⌉ (min 1).
 Dag scale_dag(const Dag& dag, double alpha) {
-  Dag g;
+  std::vector<Time> wcets(dag.num_vertices());
   for (VertexId v = 0; v < dag.num_vertices(); ++v) {
     double scaled = std::ceil(static_cast<double>(dag.wcet(v)) * alpha);
-    g.add_vertex(std::max<Time>(1, static_cast<Time>(scaled)));
+    wcets[v] = std::max<Time>(1, static_cast<Time>(scaled));
   }
-  for (VertexId v = 0; v < dag.num_vertices(); ++v) {
-    for (VertexId w : dag.successors(v)) g.add_edge(v, w);
-  }
-  return g;
+  return dag.with_wcets(std::move(wcets));
 }
 
 /// Largest accepted scale on the grid [1, max_scale] under `accepts`,

@@ -17,7 +17,7 @@ Dag generate_layered_dag(Rng& rng, const LayeredDagParams& p) {
 
   const int layers = static_cast<int>(
       rng.uniform_int(p.min_layers, p.max_layers));
-  Dag g;
+  DagBuilder g;
   std::vector<std::vector<VertexId>> layer(static_cast<std::size_t>(layers));
   for (auto& l : layer) {
     const int width =
@@ -51,14 +51,14 @@ Dag generate_layered_dag(Rng& rng, const LayeredDagParams& p) {
       }
     }
   }
-  return g;
+  return g.build();
 }
 
 namespace {
 
 // Emits a fork–join block between fresh source/sink vertices; returns
 // (source, sink).
-std::pair<VertexId, VertexId> emit_fork_join(Dag& g, Rng& rng,
+std::pair<VertexId, VertexId> emit_fork_join(DagBuilder& g, Rng& rng,
                                              const ForkJoinParams& p,
                                              int depth) {
   VertexId src = g.add_vertex(rng.uniform_int(p.min_wcet, p.max_wcet));
@@ -86,9 +86,9 @@ Dag generate_fork_join_dag(Rng& rng, const ForkJoinParams& p) {
   FEDCONS_EXPECTS(p.min_branches >= 1 && p.max_branches >= p.min_branches);
   FEDCONS_EXPECTS(p.min_wcet >= 1 && p.max_wcet >= p.min_wcet);
   FEDCONS_EXPECTS(p.nest_probability >= 0.0 && p.nest_probability <= 1.0);
-  Dag g;
+  DagBuilder g;
   emit_fork_join(g, rng, p, 1);
-  return g;
+  return g.build();
 }
 
 Dag rescale_volume(const Dag& dag, Time target_vol) {
@@ -96,15 +96,12 @@ Dag rescale_volume(const Dag& dag, Time target_vol) {
   FEDCONS_EXPECTS(target_vol >= static_cast<Time>(dag.num_vertices()));
   const double factor = static_cast<double>(target_vol) /
                         static_cast<double>(dag.vol());
-  Dag g;
+  std::vector<Time> wcets(dag.num_vertices());
   for (VertexId v = 0; v < dag.num_vertices(); ++v) {
     double scaled = std::llround(static_cast<double>(dag.wcet(v)) * factor);
-    g.add_vertex(std::max<Time>(1, static_cast<Time>(scaled)));
+    wcets[v] = std::max<Time>(1, static_cast<Time>(scaled));
   }
-  for (VertexId v = 0; v < dag.num_vertices(); ++v) {
-    for (VertexId w : dag.successors(v)) g.add_edge(v, w);
-  }
-  return g;
+  return dag.with_wcets(std::move(wcets));
 }
 
 }  // namespace fedcons

@@ -7,11 +7,11 @@
 namespace fedcons {
 
 AnomalyInstance make_graham_anomaly_instance() {
-  Dag g;
-  const Time wcets[] = {3, 2, 2, 2, 4, 4, 4, 4, 9};
-  for (Time w : wcets) g.add_vertex(w);
-  g.add_edge(0, 8);
-  for (VertexId v = 4; v <= 7; ++v) g.add_edge(3, v);
+  Dag g = DagBuilder{}
+              .vertices({3, 2, 2, 2, 4, 4, 4, 4, 9})
+              .edge(0, 8)
+              .fan_out(3, {4, 5, 6, 7})
+              .build();
 
   AnomalyInstance inst;
   inst.processors = 3;

@@ -154,7 +154,6 @@ class BranchAndBound {
 OptimalMakespanResult optimal_makespan(const Dag& dag, int num_processors,
                                        std::uint64_t node_budget) {
   FEDCONS_EXPECTS(!dag.empty());
-  FEDCONS_EXPECTS(dag.is_acyclic());
   FEDCONS_EXPECTS(num_processors >= 1);
   FEDCONS_EXPECTS_MSG(dag.num_vertices() <= 20,
                       "optimal_makespan is sized for |V| <= 20");

@@ -56,14 +56,15 @@ TEST(AnomalyTest, FindAnomalyLocatesTheClassicOne) {
 
 TEST(AnomalyTest, FindAnomalyReportsNoneOnChain) {
   // A pure chain has no scheduling freedom: shortening jobs can only help.
-  Dag g;
+  DagBuilder g;
   VertexId prev = g.add_vertex(5);
   for (int i = 0; i < 4; ++i) {
     VertexId v = g.add_vertex(5);
     g.add_edge(prev, v);
     prev = v;
   }
-  AnomalyInstance none = find_anomaly(g, 2, /*seed=*/2, /*attempts=*/200);
+  AnomalyInstance none =
+      find_anomaly(g.build(), 2, /*seed=*/2, /*attempts=*/200);
   EXPECT_EQ(none.processors, 0);
 }
 
@@ -74,7 +75,7 @@ TEST(AnomalyTest, AnomaliesExistBeyondTheExactClassicInstance) {
   Rng rng(99);
   int found = 0;
   for (int i = 0; i < 30 && found == 0; ++i) {
-    Dag g;
+    DagBuilder g;
     for (std::size_t v = 0; v < classic.dag.num_vertices(); ++v) {
       Time w = classic.dag.wcet(static_cast<VertexId>(v));
       g.add_vertex(std::max<Time>(1, w + rng.uniform_int(0, 1)));
@@ -82,7 +83,7 @@ TEST(AnomalyTest, AnomaliesExistBeyondTheExactClassicInstance) {
     for (VertexId u = 0; u < classic.dag.num_vertices(); ++u) {
       for (VertexId s : classic.dag.successors(u)) g.add_edge(u, s);
     }
-    AnomalyInstance inst = find_anomaly(g, classic.processors,
+    AnomalyInstance inst = find_anomaly(g.build(), classic.processors,
                                         /*seed=*/1000 + i,
                                         /*attempts=*/500);
     if (inst.processors > 0) ++found;

@@ -16,9 +16,9 @@ namespace fedcons {
 namespace {
 
 DagTask simple_task(Time wcet, Time deadline, Time period) {
-  Dag g;
+  DagBuilder g;
   g.add_vertex(wcet);
-  return DagTask(std::move(g), deadline, period);
+  return DagTask(g.build(), deadline, period);
 }
 
 /// An arbitrary-deadline heavy task: chain with len > T but len ≤ D.
@@ -171,8 +171,7 @@ TEST_P(ArbitraryFedPropertyTest, PipelinedDominatesClampedInAggregate) {
       if (sys_rng.bernoulli(0.4)) {
         d = checked_mul(t.deadline(), sys_rng.uniform_int(2, 3));
       }
-      Dag g = t.graph();
-      sys.add(DagTask(std::move(g), d, t.period(), t.name()));
+      sys.add(DagTask(t.graph(), d, t.period(), t.name()));
     }
     if (arbitrary_federated_schedulable(sys, 6,
                                         ArbitraryStrategy::kClampToPeriod)) {
@@ -207,8 +206,7 @@ TEST_P(ArbitraryFedPropertyTest, AcceptedClustersSimulateMissFree) {
       Time d = sys_rng.bernoulli(0.5)
                    ? checked_mul(t.deadline(), 2)
                    : t.deadline();
-      Dag g = t.graph();
-      sys.add(DagTask(std::move(g), d, t.period(), t.name()));
+      sys.add(DagTask(t.graph(), d, t.period(), t.name()));
     }
     auto arb = arbitrary_federated_schedule(sys, 8);
     if (!arb.success) continue;

@@ -68,9 +68,7 @@ TEST(ClusterSimTest, OnlineRerunMissesOnGrahamAnomaly) {
 
 TEST(ClusterSimTest, RejectsMismatchedSchedule) {
   DagTask t = make_paper_example_task();
-  Dag other;
-  other.add_vertex(1);
-  TemplateSchedule wrong = list_schedule(other, 1);
+  TemplateSchedule wrong = list_schedule(DagBuilder{}.vertex(1).build(), 1);
   SimConfig cfg;
   Rng rng(3);
   auto releases = generate_releases(t, cfg, rng);

@@ -25,13 +25,13 @@ namespace {
 /// first, A's single-point check at t = 9 sees DBF*(B, 9) = 0 and passes,
 /// yet total demand at t = 16 is 8 + 9 = 17 > 16.
 TaskSystem handcrafted_udo_witness() {
-  Dag a;
+  DagBuilder a;
   a.add_vertex(8);
-  Dag b;
+  DagBuilder b;
   b.add_vertex(9);
   TaskSystem s;
-  s.add(DagTask(std::move(a), 9, 18, "hand-A"));
-  s.add(DagTask(std::move(b), 16, 16, "hand-B"));
+  s.add(DagTask(a.build(), 9, 18, "hand-A"));
+  s.add(DagTask(b.build(), 16, 16, "hand-B"));
   return s;
 }
 
@@ -67,10 +67,10 @@ TEST(ConformanceEntryTest, BatteriesExposeExpectedNames) {
 // Each built-in entry replays exactly the systems its table row accepts.
 TEST(ConformanceEntryTest, BuiltinEntriesHonourTableDeadlineClasses) {
   const auto one_task = [](Time deadline, Time period) {
-    Dag g;
+    DagBuilder g;
     g.add_vertex(2);
     TaskSystem s;
-    s.add(DagTask(std::move(g), deadline, period, "t"));
+    s.add(DagTask(g.build(), deadline, period, "t"));
     return s;
   };
   const TaskSystem systems[] = {one_task(10, 10), one_task(8, 10),

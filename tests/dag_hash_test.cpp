@@ -19,7 +19,7 @@ namespace {
 
 // Diamond with a tail: v0 -> {v1, v2} -> v3 -> v4, distinct WCETs.
 DagTask diamond_task() {
-  Dag g;
+  DagBuilder g;
   const VertexId a = g.add_vertex(3);
   const VertexId b = g.add_vertex(5);
   const VertexId c = g.add_vertex(7);
@@ -30,13 +30,13 @@ DagTask diamond_task() {
   g.add_edge(b, d);
   g.add_edge(c, d);
   g.add_edge(d, e);
-  return DagTask(g, /*deadline=*/40, /*period=*/50, "diamond");
+  return DagTask(g.build(), /*deadline=*/40, /*period=*/50, "diamond");
 }
 
 TEST(DagHash, RelabelingInvariance) {
   const DagTask original = diamond_task();
   // Same graph, vertices inserted in reverse and edges in a different order.
-  Dag g;
+  DagBuilder g;
   const VertexId e = g.add_vertex(11);
   const VertexId d = g.add_vertex(2);
   const VertexId c = g.add_vertex(7);
@@ -47,7 +47,7 @@ TEST(DagHash, RelabelingInvariance) {
   g.add_edge(a, c);
   g.add_edge(b, d);
   g.add_edge(a, b);
-  const DagTask relabeled(g, 40, 50, "same content, different labels");
+  const DagTask relabeled(g.build(), 40, 50, "same content, different labels");
   EXPECT_EQ(canonical_task_hash(original), canonical_task_hash(relabeled));
   EXPECT_EQ(canonical_dag_hash(original.graph()),
             canonical_dag_hash(relabeled.graph()));
@@ -62,7 +62,7 @@ TEST(DagHash, NameIsExcluded) {
 
 TEST(DagHash, WcetSensitivity) {
   const DagTask base = diamond_task();
-  Dag g;
+  DagBuilder g;
   const VertexId a = g.add_vertex(3);
   const VertexId b = g.add_vertex(5);
   const VertexId c = g.add_vertex(7);
@@ -73,7 +73,7 @@ TEST(DagHash, WcetSensitivity) {
   g.add_edge(b, d);
   g.add_edge(c, d);
   g.add_edge(d, e);
-  const DagTask tweaked(g, 40, 50);
+  const DagTask tweaked(g.build(), 40, 50);
   EXPECT_NE(canonical_task_hash(base), canonical_task_hash(tweaked));
 }
 
@@ -92,31 +92,33 @@ TEST(DagHash, DeadlineAndPeriodSensitivity) {
 }
 
 TEST(DagHash, EdgeSensitivity) {
-  Dag with_edge;
+  DagBuilder with_edge;
   const VertexId a = with_edge.add_vertex(4);
   const VertexId b = with_edge.add_vertex(4);
   with_edge.add_edge(a, b);
-  Dag without_edge;
+  DagBuilder without_edge;
   without_edge.add_vertex(4);
   without_edge.add_vertex(4);
-  EXPECT_NE(canonical_dag_hash(with_edge), canonical_dag_hash(without_edge));
+  EXPECT_NE(canonical_dag_hash(with_edge.build()),
+            canonical_dag_hash(without_edge.build()));
 }
 
 TEST(DagHash, OrientationSensitivity) {
   // Same undirected shape, opposite edge direction between unequal WCETs.
-  Dag forward;
+  DagBuilder forward;
   {
     const VertexId a = forward.add_vertex(3);
     const VertexId b = forward.add_vertex(9);
     forward.add_edge(a, b);
   }
-  Dag backward;
+  DagBuilder backward;
   {
     const VertexId a = backward.add_vertex(3);
     const VertexId b = backward.add_vertex(9);
     backward.add_edge(b, a);
   }
-  EXPECT_NE(canonical_dag_hash(forward), canonical_dag_hash(backward));
+  EXPECT_NE(canonical_dag_hash(forward.build()),
+            canonical_dag_hash(backward.build()));
 }
 
 TEST(DagHash, HexFormat) {

@@ -11,23 +11,23 @@ namespace fedcons {
 namespace {
 
 DagTask simple_task(Time wcet, Time deadline, Time period) {
-  Dag g;
+  DagBuilder g;
   g.add_vertex(wcet);
-  return DagTask(std::move(g), deadline, period);
+  return DagTask(g.build(), deadline, period);
 }
 
 TEST(DagTaskTest, ConstructionValidation) {
-  Dag g;
-  EXPECT_THROW(DagTask(g, 1, 1), ContractViolation);  // empty graph
-  g.add_vertex(1);
+  EXPECT_THROW(DagTask(Dag{}, 1, 1), ContractViolation);  // empty graph
+  const Dag g = DagBuilder{}.vertex(1).build();
   EXPECT_THROW(DagTask(g, 0, 1), ContractViolation);
   EXPECT_THROW(DagTask(g, 1, 0), ContractViolation);
-  Dag cyc;
+  // A cyclic graph never reaches DagTask: building it throws.
+  DagBuilder cyc;
   cyc.add_vertex(1);
   cyc.add_vertex(1);
   cyc.add_edge(0, 1);
   cyc.add_edge(1, 0);
-  EXPECT_THROW(DagTask(cyc, 1, 1), ContractViolation);
+  EXPECT_THROW((void)cyc.build(), ContractViolation);
 }
 
 TEST(DagTaskTest, PaperExample1Metrics) {

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
+#include <vector>
 
 #include "fedcons/util/check.h"
 
@@ -12,7 +14,7 @@ namespace {
 
 Dag diamond() {
   // v0(2) → {v1(3), v2(5)} → v3(1)
-  Dag g;
+  DagBuilder g;
   g.add_vertex(2);
   g.add_vertex(3);
   g.add_vertex(5);
@@ -21,7 +23,11 @@ Dag diamond() {
   g.add_edge(0, 2);
   g.add_edge(1, 3);
   g.add_edge(2, 3);
-  return g;
+  return g.build();
+}
+
+std::vector<VertexId> list(std::span<const VertexId> s) {
+  return {s.begin(), s.end()};
 }
 
 TEST(DagTest, EmptyGraph) {
@@ -29,45 +35,51 @@ TEST(DagTest, EmptyGraph) {
   EXPECT_TRUE(g.empty());
   EXPECT_EQ(g.num_vertices(), 0u);
   EXPECT_EQ(g.num_edges(), 0u);
-  EXPECT_TRUE(g.is_acyclic());
+  EXPECT_TRUE(g.topological_order().empty());
   EXPECT_EQ(g.vol(), 0);
   EXPECT_EQ(g.len(), 0);
   EXPECT_EQ(g.width(), 0u);
 }
 
 TEST(DagTest, VertexWcetValidation) {
-  Dag g;
-  EXPECT_THROW(g.add_vertex(0), ContractViolation);
-  EXPECT_THROW(g.add_vertex(-5), ContractViolation);
-  EXPECT_EQ(g.add_vertex(1), 0u);
+  DagBuilder b;
+  EXPECT_THROW(b.add_vertex(0), ContractViolation);
+  EXPECT_THROW(b.add_vertex(-5), ContractViolation);
+  EXPECT_EQ(b.add_vertex(1), 0u);
+  const Dag g = b.build();
   EXPECT_EQ(g.wcet(0), 1);
   EXPECT_THROW(g.wcet(1), ContractViolation);
 }
 
 TEST(DagTest, EdgeValidation) {
-  Dag g;
-  g.add_vertex(1);
-  g.add_vertex(1);
-  EXPECT_THROW(g.add_edge(0, 0), ContractViolation);  // self-loop
-  EXPECT_THROW(g.add_edge(0, 5), ContractViolation);  // bad id
-  g.add_edge(0, 1);
-  EXPECT_THROW(g.add_edge(0, 1), ContractViolation);  // duplicate
+  DagBuilder b;
+  b.add_vertex(1);
+  b.add_vertex(1);
+  EXPECT_THROW(b.add_edge(0, 0), ContractViolation);  // self-loop
+  EXPECT_THROW(b.add_edge(0, 5), ContractViolation);  // bad id
+  b.add_edge(0, 1);
+  EXPECT_THROW(b.add_edge(0, 1), ContractViolation);  // duplicate
+  EXPECT_TRUE(b.has_edge(0, 1));
+  EXPECT_FALSE(b.has_edge(1, 0));
+  EXPECT_EQ(b.num_edges(), 1u);
+  const Dag g = b.build();
   EXPECT_TRUE(g.has_edge(0, 1));
   EXPECT_FALSE(g.has_edge(1, 0));
   EXPECT_EQ(g.num_edges(), 1u);
 }
 
 TEST(DagTest, CycleDetected) {
-  Dag g;
-  g.add_vertex(1);
-  g.add_vertex(1);
-  g.add_vertex(1);
-  g.add_edge(0, 1);
-  g.add_edge(1, 2);
-  g.add_edge(2, 0);
-  EXPECT_FALSE(g.is_acyclic());
-  EXPECT_THROW(g.len(), ContractViolation);
-  EXPECT_THROW(g.topological_order(), ContractViolation);
+  // A cycle never becomes a Dag: build() rejects it and empties the builder.
+  DagBuilder b;
+  b.add_vertex(1);
+  b.add_vertex(1);
+  b.add_vertex(1);
+  b.add_edge(0, 1);
+  b.add_edge(1, 2);
+  b.add_edge(2, 0);
+  EXPECT_THROW((void)b.build(), ContractViolation);
+  EXPECT_TRUE(b.empty());
+  EXPECT_EQ(b.num_edges(), 0u);
 }
 
 TEST(DagTest, DiamondMetrics) {
@@ -116,12 +128,7 @@ TEST(DagTest, CriticalPath) {
 }
 
 TEST(DagTest, CriticalPathOnChain) {
-  Dag g;
-  g.add_vertex(4);
-  g.add_vertex(5);
-  g.add_vertex(6);
-  g.add_edge(0, 1);
-  g.add_edge(1, 2);
+  const Dag g = DagBuilder{}.vertices({4, 5, 6}).edge(0, 1).edge(1, 2).build();
   EXPECT_EQ(g.len(), 15);
   EXPECT_EQ(g.vol(), 15);
   EXPECT_EQ(g.width(), 1u);
@@ -138,8 +145,9 @@ TEST(DagTest, Reachability) {
 }
 
 TEST(DagTest, WidthOfIndependentSet) {
-  Dag g;
-  for (int i = 0; i < 6; ++i) g.add_vertex(1);
+  DagBuilder b;
+  for (int i = 0; i < 6; ++i) b.add_vertex(1);
+  const Dag g = b.build();
   EXPECT_EQ(g.width(), 6u);
   EXPECT_EQ(g.len(), 1);
   EXPECT_EQ(g.vol(), 6);
@@ -147,48 +155,48 @@ TEST(DagTest, WidthOfIndependentSet) {
 
 TEST(DagTest, WidthOfForkJoin) {
   // src → 4 branches → sink: the four branches form the max antichain.
-  Dag g;
-  VertexId src = g.add_vertex(1);
-  VertexId sink = g.add_vertex(1);
+  DagBuilder builder;
+  VertexId src = builder.add_vertex(1);
+  VertexId sink = builder.add_vertex(1);
   for (int i = 0; i < 4; ++i) {
-    VertexId b = g.add_vertex(2);
-    g.add_edge(src, b);
-    g.add_edge(b, sink);
+    VertexId b = builder.add_vertex(2);
+    builder.add_edge(src, b);
+    builder.add_edge(b, sink);
   }
+  const Dag g = builder.build();
   EXPECT_EQ(g.width(), 4u);
   EXPECT_EQ(g.len(), 4);
 }
 
 TEST(DagTest, MutationInvalidatesCaches) {
-  Dag g;
-  g.add_vertex(3);
-  EXPECT_EQ(g.len(), 3);
-  // Only vol/len have run so far; the level arrays are built on demand.
-  EXPECT_EQ(g.top_level(0), 3);
-  EXPECT_EQ(g.bottom_level(0), 3);
-  VertexId v = g.add_vertex(4);
-  g.add_edge(0, v);
+  // The one mutation a frozen Dag allows is appending an isolated vertex;
+  // it must drop every derived result read before it.
+  Dag g = DagBuilder{}.vertices({3, 4}).edge(0, 1).build();
   EXPECT_EQ(g.len(), 7);
-  EXPECT_EQ(g.vol(), 7);
-  // vol/len are fresh again, the levels are not: they rebuild on demand.
-  EXPECT_EQ(g.topological_order(), (std::vector<VertexId>{0, v}));
+  EXPECT_EQ(g.top_level(1), 7);
   EXPECT_EQ(g.bottom_level(0), 7);
-  EXPECT_EQ(g.top_level(v), 7);
-  EXPECT_EQ(g.critical_path(), (std::vector<VertexId>{0, v}));
-  // A mutation after the levels were read, queried levels-first this time.
-  VertexId w = g.add_vertex(2);
-  g.add_edge(w, 0);
-  EXPECT_EQ(g.topological_order(), (std::vector<VertexId>{w, 0, v}));
-  EXPECT_EQ(g.bottom_level(w), 9);
-  EXPECT_EQ(g.top_level(v), 9);
-  EXPECT_EQ(g.critical_path(), (std::vector<VertexId>{w, 0, v}));
+  EXPECT_EQ(g.topological_order(), (std::vector<VertexId>{0, 1}));
+  const VertexId w = g.add_vertex(9);
+  EXPECT_EQ(w, 2u);
+  EXPECT_EQ(g.num_vertices(), 3u);
+  EXPECT_EQ(g.num_edges(), 1u);
+  EXPECT_EQ(g.vol(), 16);
   EXPECT_EQ(g.len(), 9);
-  EXPECT_EQ(g.vol(), 9);
-  // A shortcut edge is dropped by the rebuilt transitive reduction.
-  g.add_edge(w, v);
-  ASSERT_EQ(g.reduced_successors(w).size(), 1u);
-  EXPECT_EQ(g.reduced_successors(w)[0], 0u);
-  EXPECT_EQ(g.width(), 1u);
+  EXPECT_EQ(g.topological_order(), (std::vector<VertexId>{0, 1, 2}));
+  EXPECT_EQ(g.top_level(w), 9);
+  EXPECT_EQ(g.bottom_level(w), 9);
+  EXPECT_EQ(g.critical_path(), (std::vector<VertexId>{w}));
+  EXPECT_EQ(list(g.successors(0)), (std::vector<VertexId>{1}));
+  EXPECT_EQ(list(g.predecessors(1)), (std::vector<VertexId>{0}));
+  EXPECT_TRUE(g.successors(w).empty());
+  EXPECT_TRUE(g.predecessors(w).empty());
+  EXPECT_EQ(g.width(), 2u);
+  EXPECT_THROW(g.add_vertex(0), ContractViolation);
+  // Growing the empty graph works the same way.
+  Dag single;
+  EXPECT_EQ(single.add_vertex(5), 0u);
+  EXPECT_EQ(single.len(), 5);
+  EXPECT_TRUE(single.successors(0).empty());
 }
 
 TEST(DagTest, DotExportMentionsAllElements) {
@@ -218,12 +226,13 @@ TEST(DagTest, SpanAccessors) {
 TEST(DagTest, ReducedSuccessorsDropsTransitiveEdges) {
   // Chain 0→1→2 with shortcut 0→2, plus 0→3 where 3 is only reachable
   // directly: the shortcut is redundant, the direct edge is not.
-  Dag g;
-  for (int i = 0; i < 4; ++i) g.add_vertex(1);
-  g.add_edge(0, 1);
-  g.add_edge(1, 2);
-  g.add_edge(0, 2);  // transitively implied via 1
-  g.add_edge(0, 3);
+  DagBuilder b;
+  for (int i = 0; i < 4; ++i) b.add_vertex(1);
+  b.add_edge(0, 1);
+  b.add_edge(1, 2);
+  b.add_edge(0, 2);  // transitively implied via 1
+  b.add_edge(0, 3);
+  const Dag g = b.build();
   auto red0 = g.reduced_successors(0);
   EXPECT_EQ(std::vector<VertexId>(red0.begin(), red0.end()),
             (std::vector<VertexId>{1, 3}));
@@ -246,17 +255,18 @@ TEST(DagTest, ReducedSuccessorsKeepsDiamondIntact) {
 
 TEST(DagTest, ReducedSuccessorsPreservesReachability) {
   // A denser graph: every removed edge must still have a directed path.
-  Dag g;
-  for (int i = 0; i < 6; ++i) g.add_vertex(1);
-  g.add_edge(0, 1);
-  g.add_edge(0, 2);
-  g.add_edge(0, 4);  // implied via 0→1→4
-  g.add_edge(1, 3);
-  g.add_edge(1, 4);
-  g.add_edge(2, 3);
-  g.add_edge(3, 5);
-  g.add_edge(2, 5);  // implied via 2→3→5
-  g.add_edge(0, 5);  // implied via 0→1→3→5
+  DagBuilder b;
+  for (int i = 0; i < 6; ++i) b.add_vertex(1);
+  b.add_edge(0, 1);
+  b.add_edge(0, 2);
+  b.add_edge(0, 4);  // implied via 0→1→4
+  b.add_edge(1, 3);
+  b.add_edge(1, 4);
+  b.add_edge(2, 3);
+  b.add_edge(3, 5);
+  b.add_edge(2, 5);  // implied via 2→3→5
+  b.add_edge(0, 5);  // implied via 0→1→3→5
+  const Dag g = b.build();
   for (VertexId u = 0; u < 6; ++u) {
     for (VertexId s : g.successors(u)) {
       bool reachable = false;
@@ -275,27 +285,86 @@ TEST(DagTest, ReducedSuccessorsPreservesReachability) {
 TEST(DagTest, ReducedSuccessorsSizeGateReturnsOriginalLists) {
   // Past kMaxReductionVertices the bitset build is skipped: the "reduction"
   // is defined as the original lists (still a sound over-approximation).
-  Dag g;
+  DagBuilder b;
   const auto n = static_cast<VertexId>(Dag::kMaxReductionVertices + 2);
-  for (VertexId i = 0; i < n; ++i) g.add_vertex(1);
-  for (VertexId i = 0; i + 1 < n; ++i) g.add_edge(i, i + 1);
-  g.add_edge(0, 2);  // transitive, but kept by the gated path
+  for (VertexId i = 0; i < n; ++i) b.add_vertex(1);
+  for (VertexId i = 0; i + 1 < n; ++i) b.add_edge(i, i + 1);
+  b.add_edge(0, 2);  // transitive, but kept by the gated path
+  const Dag g = b.build();
   auto red = g.reduced_successors(0);
   EXPECT_EQ(std::vector<VertexId>(red.begin(), red.end()),
             (std::vector<VertexId>{1, 2}));
 }
 
 TEST(DagTest, ReducedSuccessorsInvalidatedByMutation) {
-  Dag g;
-  for (int i = 0; i < 3; ++i) g.add_vertex(1);
-  g.add_edge(0, 2);
-  EXPECT_EQ(g.reduced_successors(0).size(), 1u);
-  // Adding 0→1→2 makes the cached 0→2 redundant; the cache must rebuild.
-  g.add_edge(0, 1);
-  g.add_edge(1, 2);
-  auto red = g.reduced_successors(0);
-  EXPECT_EQ(std::vector<VertexId>(red.begin(), red.end()),
-            (std::vector<VertexId>{1}));
+  Dag g = DagBuilder{}.vertices({1, 1, 1}).edge(0, 1).edge(1, 2).edge(0, 2)
+              .build();
+  EXPECT_EQ(list(g.reduced_successors(0)), (std::vector<VertexId>{1}));
+  // An appended vertex must not leave the cached reduction sized for the
+  // old graph; the rebuilt one still drops the shortcut.
+  const VertexId w = g.add_vertex(1);
+  EXPECT_TRUE(g.reduced_successors(w).empty());
+  EXPECT_EQ(list(g.reduced_successors(0)), (std::vector<VertexId>{1}));
+  EXPECT_EQ(list(g.reduced_successors(1)), (std::vector<VertexId>{2}));
+}
+
+TEST(DagTest, CsrKeepsInsertionOrder) {
+  // Edges added out of id order: each vertex's successor and predecessor
+  // list must come back in the order its edges were added.
+  DagBuilder b;
+  for (int i = 0; i < 5; ++i) b.add_vertex(i + 1);
+  b.add_edge(3, 4);
+  b.add_edge(0, 4);
+  b.add_edge(0, 2);
+  b.add_edge(2, 4);
+  b.add_edge(0, 1);
+  b.add_edge(1, 3);
+  const Dag g = b.build();
+  EXPECT_EQ(g.num_edges(), 6u);
+  EXPECT_EQ(list(g.successors(0)), (std::vector<VertexId>{4, 2, 1}));
+  EXPECT_EQ(list(g.successors(1)), (std::vector<VertexId>{3}));
+  EXPECT_EQ(list(g.successors(2)), (std::vector<VertexId>{4}));
+  EXPECT_EQ(list(g.successors(3)), (std::vector<VertexId>{4}));
+  EXPECT_TRUE(g.successors(4).empty());
+  EXPECT_EQ(list(g.predecessors(4)), (std::vector<VertexId>{3, 0, 2}));
+  EXPECT_EQ(list(g.predecessors(3)), (std::vector<VertexId>{1}));
+  EXPECT_TRUE(g.predecessors(0).empty());
+  EXPECT_EQ(g.in_degree(4), 3u);
+  EXPECT_EQ(g.out_degree(0), 3u);
+  EXPECT_EQ(g.vol(), 15);
+  EXPECT_EQ(g.len(), 1 + 2 + 4 + 5);
+  // Copies (and moves) carry the arrays and any derived result read so far.
+  EXPECT_EQ(g.bottom_level(0), 12);
+  const Dag copy = g;
+  EXPECT_EQ(list(copy.predecessors(4)), (std::vector<VertexId>{3, 0, 2}));
+  EXPECT_EQ(copy.bottom_level(0), 12);
+  EXPECT_EQ(copy.topological_order(), g.topological_order());
+}
+
+TEST(DagTest, WithWcetsKeepsStructure) {
+  DagBuilder b;
+  for (int i = 0; i < 4; ++i) b.add_vertex(1);
+  b.add_edge(2, 3);
+  b.add_edge(0, 3);
+  b.add_edge(0, 1);
+  const Dag g = b.build();
+  EXPECT_EQ(g.len(), 2);
+  const Dag h = g.with_wcets({4, 3, 2, 1});
+  EXPECT_EQ(h.num_vertices(), 4u);
+  EXPECT_EQ(h.num_edges(), 3u);
+  for (VertexId v = 0; v < 4; ++v) {
+    EXPECT_EQ(list(h.successors(v)), list(g.successors(v)));
+    EXPECT_EQ(list(h.predecessors(v)), list(g.predecessors(v)));
+    EXPECT_EQ(h.wcet(v), static_cast<Time>(4 - v));
+  }
+  EXPECT_EQ(h.vol(), 10);
+  EXPECT_EQ(h.len(), 7);  // v0 → v1
+  EXPECT_EQ(h.critical_path(), (std::vector<VertexId>{0, 1}));
+  EXPECT_EQ(g.wcet(0), 1);  // the source is untouched
+  EXPECT_THROW((void)g.with_wcets({1, 1, 1}), ContractViolation);
+  EXPECT_THROW((void)g.with_wcets({1, 1, 1, 1, 1}), ContractViolation);
+  EXPECT_THROW((void)g.with_wcets({1, 0, 1, 1}), ContractViolation);
+  EXPECT_THROW((void)g.with_wcets({1, 1, -2, 1}), ContractViolation);
 }
 
 }  // namespace

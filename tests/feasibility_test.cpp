@@ -12,9 +12,9 @@ namespace fedcons {
 namespace {
 
 DagTask simple_task(Time wcet, Time deadline, Time period) {
-  Dag g;
+  DagBuilder g;
   g.add_vertex(wcet);
-  return DagTask(std::move(g), deadline, period);
+  return DagTask(g.build(), deadline, period);
 }
 
 TEST(FeasibilityTest, EmptySystemPasses) {
@@ -41,9 +41,9 @@ TEST(FeasibilityTest, UtilizationConditionFires) {
 TEST(FeasibilityTest, VolumeWindowConditionFires) {
   TaskSystem sys;
   // vol = 50 parallel units, D = 5, m = 2: 50 > 2·5 even though len = 1 ≤ D.
-  Dag g;
+  DagBuilder g;
   for (int i = 0; i < 50; ++i) g.add_vertex(1);
-  sys.add(DagTask(std::move(g), 5, 100));
+  sys.add(DagTask(g.build(), 5, 100));
   auto r = necessary_feasibility(sys, 2);
   EXPECT_FALSE(r.passed);
   EXPECT_NE(r.failed_condition.find("vol > m*D"), std::string::npos);

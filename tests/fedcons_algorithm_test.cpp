@@ -15,16 +15,16 @@ namespace {
 
 DagTask simple_task(Time wcet, Time deadline, Time period,
                     std::string name = {}) {
-  Dag g;
+  DagBuilder g;
   g.add_vertex(wcet);
-  return DagTask(std::move(g), deadline, period, std::move(name));
+  return DagTask(g.build(), deadline, period, std::move(name));
 }
 
 /// A genuinely parallel high-density task: `width` unit jobs, deadline 2.
 DagTask wide_task(int width, Time deadline, Time period) {
-  Dag g;
+  DagBuilder g;
   for (int i = 0; i < width; ++i) g.add_vertex(1);
-  return DagTask(std::move(g), deadline, period);
+  return DagTask(g.build(), deadline, period);
 }
 
 TEST(FedconsTest, EmptySystemSchedulable) {

@@ -13,9 +13,9 @@ namespace fedcons {
 namespace {
 
 DagTask simple_task(Time wcet, Time deadline, Time period) {
-  Dag g;
+  DagBuilder g;
   g.add_vertex(wcet);
-  return DagTask(std::move(g), deadline, period);
+  return DagTask(g.build(), deadline, period);
 }
 
 TEST(ClosedFormCountTest, Formula) {

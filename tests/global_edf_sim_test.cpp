@@ -56,12 +56,12 @@ TEST(GlobalEdfSimTest, ParallelBranchesUseProcessors) {
 TEST(GlobalEdfSimTest, EdfOrderAcrossTasks) {
   // Task A (tight deadline) and task B (loose): B is preempted.
   TaskSystem sys;
-  Dag a;
+  DagBuilder a;
   a.add_vertex(2);
-  sys.add(DagTask(std::move(a), 3, 1000));
-  Dag b;
+  sys.add(DagTask(a.build(), 3, 1000));
+  DagBuilder b;
   b.add_vertex(10);
-  sys.add(DagTask(std::move(b), 100, 1000));
+  sys.add(DagTask(b.build(), 100, 1000));
   SimConfig cfg;
   cfg.horizon = 1000;
   auto rel = releases_for(sys, cfg, 3);
@@ -93,9 +93,9 @@ TEST(GlobalEdfSimTest, PrecedenceRespectedUnderContention) {
 
 TEST(GlobalEdfSimTest, ValidatesArguments) {
   TaskSystem sys;
-  Dag g;
+  DagBuilder g;
   g.add_vertex(1);
-  sys.add(DagTask(std::move(g), 5, 10));
+  sys.add(DagTask(g.build(), 5, 10));
   SimConfig cfg;
   auto rel = releases_for(sys, cfg, 4);
   EXPECT_THROW(simulate_global_edf(sys, rel, 0, cfg), ContractViolation);

@@ -15,8 +15,7 @@ namespace fedcons {
 namespace {
 
 TEST(ListSchedulerTest, SingleVertex) {
-  Dag g;
-  g.add_vertex(5);
+  const Dag g = DagBuilder{}.vertex(5).build();
   TemplateSchedule s = list_schedule(g, 3);
   EXPECT_EQ(s.makespan(), 5);
   EXPECT_EQ(s.num_jobs(), 1u);
@@ -60,15 +59,13 @@ TEST(ListSchedulerTest, PaperExampleOnTwoProcessors) {
 }
 
 TEST(ListSchedulerTest, RejectsBadArguments) {
-  Dag g;
-  EXPECT_THROW(list_schedule(g, 1), ContractViolation);  // empty
-  g.add_vertex(1);
+  EXPECT_THROW(list_schedule(Dag{}, 1), ContractViolation);  // empty
+  const Dag g = DagBuilder{}.vertex(1).build();
   EXPECT_THROW(list_schedule(g, 0), ContractViolation);
 }
 
 TEST(ListSchedulerTest, ExecTimesValidated) {
-  Dag g;
-  g.add_vertex(4);
+  const Dag g = DagBuilder{}.vertex(4).build();
   std::array<Time, 1> too_big{5};
   EXPECT_THROW(list_schedule_with_exec_times(g, 1, too_big),
                ContractViolation);

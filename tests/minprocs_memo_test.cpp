@@ -21,9 +21,9 @@ namespace {
 // processor to meet D = 10... with D = 20 it needs 2).
 DagTask parallel_task(Time deadline, Time period, Time wcet = 10,
                       int width = 4) {
-  Dag g;
+  DagBuilder g;
   for (int v = 0; v < width; ++v) g.add_vertex(wcet);
-  return DagTask(g, deadline, period);
+  return DagTask(g.build(), deadline, period);
 }
 
 // The logical-work lanes a scan pays; the memo-effect lanes are excluded on
@@ -127,11 +127,11 @@ TEST(MinprocsMemo, ReplayAcrossProcessorBudgets) {
 
 TEST(MinprocsMemo, LenExceedingDeadlineIsCached) {
   // Chain of two WCET-10 vertices: len = 20 > D = 15 (T = 30 keeps D ≤ T).
-  Dag g;
+  DagBuilder g;
   const VertexId a = g.add_vertex(10);
   const VertexId b = g.add_vertex(10);
   g.add_edge(a, b);
-  const DagTask hopeless(g, /*deadline=*/15, /*period=*/30);
+  const DagTask hopeless(g.build(), /*deadline=*/15, /*period=*/30);
   MinprocsMemo memo;
   bool was_hit = true;
   EXPECT_FALSE(memo.lookup(hopeless, 8, nullptr, &was_hit).has_value());
@@ -194,16 +194,16 @@ TEST(MinprocsMemo, ClearResetsEntriesButKeepsStats) {
 
 // Isomorphic-but-relabeled content shares one entry (content addressing).
 TEST(MinprocsMemo, ContentAddressing) {
-  Dag g1;
+  DagBuilder g1;
   const VertexId x = g1.add_vertex(6);
   const VertexId y = g1.add_vertex(9);
   g1.add_edge(x, y);
-  Dag g2;
+  DagBuilder g2;
   const VertexId p = g2.add_vertex(9);
   const VertexId q = g2.add_vertex(6);
   g2.add_edge(q, p);
-  const DagTask t1(g1, 16, 20, "one");
-  const DagTask t2(g2, 16, 20, "two");
+  const DagTask t1(g1.build(), 16, 20, "one");
+  const DagTask t2(g2.build(), 16, 20, "two");
   MinprocsMemo memo;
   ASSERT_TRUE(memo.lookup(t1, 4).has_value());
   bool was_hit = false;

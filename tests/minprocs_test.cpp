@@ -16,9 +16,9 @@ TEST(MinprocsTest, LowerBoundFormula) {
   // vol = 9, min(D,T) = 16 → ⌈9/16⌉ = 1.
   EXPECT_EQ(minprocs_lower_bound(make_paper_example_task()), 1);
   // vol = 30, D = 10 → ⌈3⌉ = 3.
-  Dag g;
+  DagBuilder g;
   for (int i = 0; i < 30; ++i) g.add_vertex(1);
-  DagTask wide(std::move(g), 10, 100);
+  DagTask wide(g.build(), 10, 100);
   EXPECT_EQ(minprocs_lower_bound(wide), 3);
 }
 

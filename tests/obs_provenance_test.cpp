@@ -17,16 +17,16 @@ namespace {
 
 DagTask simple_task(Time wcet, Time deadline, Time period,
                     std::string name = {}) {
-  Dag g;
+  DagBuilder g;
   g.add_vertex(wcet);
-  return DagTask(std::move(g), deadline, period, std::move(name));
+  return DagTask(g.build(), deadline, period, std::move(name));
 }
 
 DagTask wide_task(int width, Time wcet, Time deadline, Time period,
                   std::string name = {}) {
-  Dag g;
+  DagBuilder g;
   for (int i = 0; i < width; ++i) g.add_vertex(wcet);
-  return DagTask(std::move(g), deadline, period, std::move(name));
+  return DagTask(g.build(), deadline, period, std::move(name));
 }
 
 FedconsResult run_with_provenance(const TaskSystem& sys, int m) {

@@ -37,16 +37,16 @@ class SpanTracerTest : public ::testing::Test {
 };
 
 DagTask simple_task(Time wcet, Time deadline, Time period) {
-  Dag g;
+  DagBuilder g;
   g.add_vertex(wcet);
-  return DagTask(std::move(g), deadline, period);
+  return DagTask(g.build(), deadline, period);
 }
 
 /// width unit jobs with deadline 2: δ = width·T/(2·T) — high-density.
 DagTask wide_task(int width, Time deadline, Time period) {
-  Dag g;
+  DagBuilder g;
   for (int i = 0; i < width; ++i) g.add_vertex(1);
-  return DagTask(std::move(g), deadline, period);
+  return DagTask(g.build(), deadline, period);
 }
 
 TaskSystem mixed_system() {

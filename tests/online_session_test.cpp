@@ -21,16 +21,12 @@ namespace {
 
 DagTask unit_task(Time wcet, Time deadline, Time period,
                   const std::string& name = {}) {
-  Dag g;
-  g.add_vertex(wcet);
-  return DagTask(g, deadline, period, name);
+  return DagTask(DagBuilder{}.vertex(wcet).build(), deadline, period, name);
 }
 
 // Four parallel WCET-10 vertices, D = T = 20: density 2, μ = 2.
 DagTask high_task() {
-  Dag g;
-  for (int v = 0; v < 4; ++v) g.add_vertex(10);
-  return DagTask(g, 20, 20);
+  return DagTask(DagBuilder{}.vertices({10, 10, 10, 10}).build(), 20, 20);
 }
 
 TEST(AdmissionSession, AdmitAssignsSequentialIdsEvenOnReject) {

@@ -17,9 +17,7 @@ namespace fedcons {
 namespace {
 
 TEST(OptimalMakespanTest, SingleVertex) {
-  Dag g;
-  g.add_vertex(7);
-  auto r = optimal_makespan(g, 3);
+  auto r = optimal_makespan(DagBuilder{}.vertex(7).build(), 3);
   EXPECT_EQ(r.makespan, 7);
   EXPECT_TRUE(r.exact);
 }
@@ -59,13 +57,12 @@ TEST(OptimalMakespanTest, GrahamInstanceOptimum) {
 }
 
 TEST(OptimalMakespanTest, ValidatesArguments) {
-  Dag g;
-  EXPECT_THROW(optimal_makespan(g, 1), ContractViolation);
-  g.add_vertex(1);
-  EXPECT_THROW(optimal_makespan(g, 0), ContractViolation);
-  Dag big;
+  EXPECT_THROW(optimal_makespan(Dag{}, 1), ContractViolation);
+  EXPECT_THROW(optimal_makespan(DagBuilder{}.vertex(1).build(), 0),
+               ContractViolation);
+  DagBuilder big;
   for (int i = 0; i < 21; ++i) big.add_vertex(1);
-  EXPECT_THROW(optimal_makespan(big, 2), ContractViolation);
+  EXPECT_THROW(optimal_makespan(big.build(), 2), ContractViolation);
 }
 
 TEST(OptimalMakespanTest, BudgetExhaustionIsReported) {

@@ -7,12 +7,16 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "fedcons/core/io.h"
 #include "fedcons/federated/partition.h"
+#include "fedcons/simd/dbf_kernel.h"
 #include "fedcons/util/check.h"
 #include "fedcons/util/rng.h"
 
@@ -26,7 +30,7 @@ struct BinImage {
   std::size_t demand_size = 0;
   std::vector<Time> demand_deadlines;
   std::vector<std::string> demand_reprs;  // num/den of sum_at per deadline
-  std::vector<double> demand_mirrors;     // SoA bp, A, B, M per deadline
+  std::vector<std::uint64_t> demand_mirrors;  // SoA bp, A, B, M bit patterns
 };
 
 std::string repr(const BigRational& r) {
@@ -48,8 +52,9 @@ BinImage image_of(const PartitionState& state, int k) {
   }
   for (auto mirror : {demand.soa_breakpoints(), demand.soa_prefix_a(),
                       demand.soa_prefix_b(), demand.soa_prefix_mag()}) {
-    img.demand_mirrors.insert(img.demand_mirrors.end(), mirror.begin(),
-                              mirror.end());
+    for (const double x : mirror) {
+      img.demand_mirrors.push_back(std::bit_cast<std::uint64_t>(x));
+    }
   }
   return img;
 }
@@ -277,13 +282,44 @@ TEST(IncrementalPartition, DifferentialMultiPointDbf) {
 }
 
 // The exact folds are caches: reads extend them, and insert/remove must cut
-// them back to the first member whose index changed. The library itself only
+// them back to the first member whose index changed; the SoA lanes are
+// regathered only from the edited deadline on. The library itself only
 // inserts in deadline order and rolls back from the end, so this drives the
 // other cases directly: out-of-deadline-order inserts (which land mid-array in
-// the DBF* aggregate) and removals from the middle of a bin. After every
-// operation each bin is read in full — filling every cache — and must match,
-// representation for representation, a state built fresh from the surviving
-// members in the same order.
+// the DBF* aggregate), removals from the middle of a bin, inserts and removals
+// inside runs of equal deadlines, and members beyond the kernel's 2^40 range
+// whose +inf magnitude poisons lanes at the head, the middle or the tail.
+// After every operation each bin is read in full — filling every cache — and
+// must match, representation for representation and bit for bit, a state
+// built fresh from the surviving members in the same order.
+SporadicTask edit_task(
+    Rng& rng, const std::vector<std::pair<std::size_t, SporadicTask>>& bin) {
+  constexpr Time kBeyond = simd::kDbfMaxMagnitude + 1;
+  const double r = rng.uniform01();
+  if (!bin.empty() && r < 0.3) {
+    // A tie: the deadline of a member already in the bin.
+    const auto pick = static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(bin.size()) - 1));
+    const Time d = bin[pick].second.deadline;
+    const Time wcet = rng.uniform_int(1, std::max<Time>(1, d / 2));
+    return SporadicTask(wcet, d, d + rng.uniform_int(0, 50));
+  }
+  if (r < 0.4) {
+    // An in-range deadline with a period beyond 2^40: poisons the magnitude
+    // prefix from its own lane on, wherever that lane sits.
+    const Time d = rng.uniform_int(10, 400);
+    return SporadicTask(rng.uniform_int(1, d / 2), d,
+                        rng.uniform_int(kBeyond, kMaxFieldValue));
+  }
+  if (r < 0.5) {
+    // A deadline beyond 2^40: its breakpoint is not exact as a double.
+    const Time d = rng.uniform_int(kBeyond, kMaxFieldValue / 2);
+    return SporadicTask(rng.uniform_int(1, 1000), d,
+                        d + rng.uniform_int(0, 1000));
+  }
+  return random_task(rng);
+}
+
 TEST(PartitionState, ExactCachesMatchFreshBuildAfterEveryEdit) {
   const PartitionOptions options;
   constexpr int kBins = 2;
@@ -293,7 +329,10 @@ TEST(PartitionState, ExactCachesMatchFreshBuildAfterEveryEdit) {
   std::vector<std::vector<std::pair<std::size_t, SporadicTask>>> members(
       kBins);
   std::size_t next_id = 0;
-  for (int op = 0; op < 200; ++op) {
+  // Which shapes the run produced: a tie, and a poisoned lane first, in the
+  // middle (after a finite lane, before another lane) and last.
+  bool tie = false, head = false, middle = false, tail = false;
+  for (int op = 0; op < 400; ++op) {
     const int k = static_cast<int>(rng.uniform_int(0, kBins - 1));
     auto& bin = members[static_cast<std::size_t>(k)];
     if (!bin.empty() && rng.uniform01() < 0.4) {
@@ -302,7 +341,7 @@ TEST(PartitionState, ExactCachesMatchFreshBuildAfterEveryEdit) {
       state.remove(k, bin[pick].first);
       bin.erase(bin.begin() + static_cast<std::ptrdiff_t>(pick));
     } else {
-      const SporadicTask task = random_task(rng);
+      const SporadicTask task = edit_task(rng, bin);
       state.insert(k, next_id, task);
       bin.emplace_back(next_id++, task);
     }
@@ -318,11 +357,24 @@ TEST(PartitionState, ExactCachesMatchFreshBuildAfterEveryEdit) {
     for (int b = 0; b < kBins; ++b) {
       got.push_back(image_of(state, b));
       want.push_back(image_of(fresh, b));
+      const DbfStarAggregate& demand = state.bin_demand(b);
+      const auto mag = demand.soa_prefix_mag();
+      tie = tie || demand.distinct_deadlines().size() < demand.size();
+      for (std::size_t j = 0; j < mag.size(); ++j) {
+        if (!std::isinf(mag[j]) || (j > 0 && std::isinf(mag[j - 1]))) continue;
+        head = head || (j == 0 && mag.size() > 1);
+        middle = middle || (j > 0 && j + 1 < mag.size());
+        tail = tail || (j > 0 && j + 1 == mag.size());
+      }
     }
     SCOPED_TRACE("op " + std::to_string(op));
     expect_same_images(got, want);
     if (::testing::Test::HasFailure()) return;
   }
+  EXPECT_TRUE(tie);
+  EXPECT_TRUE(head);
+  EXPECT_TRUE(middle);
+  EXPECT_TRUE(tail);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -218,7 +219,10 @@ TEST(PartitionTest, IncrementalAggregateMatchesLegacyEverywhere) {
   // screens, cached exact folds — must reproduce the recompute-per-probe
   // reference exactly: same verdicts, same placements, same failing task and
   // the same number of logical DBF* evaluations, for every variant, fit and
-  // order.
+  // order. The calls run back to back on one thread, so the per-thread bins
+  // and placement order are reused: bin counts shrink and grow between calls
+  // (8 → 2 → 8 → 0 → 5) and a throwing call follows every trial, and none
+  // of that may leave residue in a later verdict.
   struct Variant {
     PartitionVariant variant;
     int dbf_points;
@@ -237,7 +241,8 @@ TEST(PartitionTest, IncrementalAggregateMatchesLegacyEverywhere) {
       Time wcet = rng.uniform_int(1, std::max<Time>(1, deadline - 1));
       tasks.emplace_back(wcet, deadline, period);
     }
-    const int procs = static_cast<int>(rng.uniform_int(0, 4));
+    constexpr int kBinCounts[] = {8, 2, 8, 0, 5};
+    std::size_t call = static_cast<std::size_t>(trial);
     for (const Variant& v : kVariants) {
       for (FitStrategy fit : {FitStrategy::kFirstFit, FitStrategy::kBestFit,
                               FitStrategy::kWorstFit}) {
@@ -249,10 +254,12 @@ TEST(PartitionTest, IncrementalAggregateMatchesLegacyEverywhere) {
           opt.dbf_points = v.dbf_points;
           opt.fit = fit;
           opt.order = order;
+          const int procs = kBinCounts[call++ % std::size(kBinCounts)];
           const std::string what = std::string(to_string(v.variant)) + "@" +
                                    std::to_string(v.dbf_points) + "/" +
                                    to_string(fit) + "/" + to_string(order) +
-                                   " trial " + std::to_string(trial);
+                                   " trial " + std::to_string(trial) + " m=" +
+                                   std::to_string(procs);
 
           const PerfCounters before_lib = perf_counters();
           const auto a = partition_tasks(tasks, procs, opt);
@@ -272,6 +279,7 @@ TEST(PartitionTest, IncrementalAggregateMatchesLegacyEverywhere) {
         }
       }
     }
+    EXPECT_THROW((void)partition_tasks(tasks, -1), ContractViolation);
   }
 }
 

@@ -9,11 +9,11 @@ namespace fedcons {
 namespace {
 
 Dag two_vertex_chain() {
-  Dag g;
+  DagBuilder g;
   g.add_vertex(3);
   g.add_vertex(2);
   g.add_edge(0, 1);
-  return g;
+  return g.build();
 }
 
 TEST(TemplateScheduleTest, BasicsAndMakespan) {
@@ -60,9 +60,7 @@ TEST(TemplateScheduleTest, ValidateRejectsPrecedenceViolation) {
 }
 
 TEST(TemplateScheduleTest, ValidateRejectsProcessorOverlap) {
-  Dag g;
-  g.add_vertex(3);
-  g.add_vertex(3);
+  const Dag g = DagBuilder{}.vertices({3, 3}).build();
   TemplateSchedule s(1, {{0, 0, 0, 3}, {1, 0, 2, 5}});
   EXPECT_FALSE(s.validate_against(g));
 }

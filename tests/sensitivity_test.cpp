@@ -15,9 +15,9 @@ SensitivityTest fedcons_test() {
 }
 
 DagTask simple_task(Time wcet, Time deadline, Time period) {
-  Dag g;
+  DagBuilder g;
   g.add_vertex(wcet);
-  return DagTask(std::move(g), deadline, period);
+  return DagTask(g.build(), deadline, period);
 }
 
 TEST(ScaleTaskWcetsTest, ScalesOnlyTheTarget) {

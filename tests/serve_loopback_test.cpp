@@ -111,9 +111,7 @@ class Daemon {
 
 DagTask make_task(long long vol, long long deadline, long long period,
                   const std::string& name) {
-  Dag g;
-  g.add_vertex(vol);
-  return DagTask(g, deadline, period, name);
+  return DagTask(DagBuilder{}.vertex(vol).build(), deadline, period, name);
 }
 
 serve::ServeRequest make_request(serve::ServeOp op, std::uint64_t seq) {

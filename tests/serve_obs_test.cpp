@@ -262,9 +262,7 @@ TEST(ServeObsTest, TopRendersLifetimeThenIntervalFrames) {
 
 DagTask make_task(long long vol, long long deadline, long long period,
                   const std::string& name) {
-  Dag g;
-  g.add_vertex(vol);
-  return DagTask(g, deadline, period, name);
+  return DagTask(DagBuilder{}.vertex(vol).build(), deadline, period, name);
 }
 
 TEST(ServeObsTest, TraceChainLinksAllStagesUnderOneTraceId) {

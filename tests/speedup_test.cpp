@@ -12,9 +12,9 @@ namespace fedcons {
 namespace {
 
 DagTask simple_task(Time wcet, Time deadline, Time period) {
-  Dag g;
+  DagBuilder g;
   g.add_vertex(wcet);
-  return DagTask(std::move(g), deadline, period);
+  return DagTask(g.build(), deadline, period);
 }
 
 AcceptanceTest fedcons_test() {
@@ -38,7 +38,7 @@ TEST(MinSpeedTest, AlreadySchedulableReturnsOne) {
 TEST(MinSpeedTest, NeverSchedulableReturnsNullopt) {
   // len > D cannot be fixed by the integer speed model: a 1-tick vertex
   // chain longer than D keeps len > D at any speed (⌈1/s⌉ = 1).
-  Dag g;
+  DagBuilder g;
   VertexId prev = g.add_vertex(1);
   for (int i = 0; i < 10; ++i) {
     VertexId v = g.add_vertex(1);
@@ -46,7 +46,7 @@ TEST(MinSpeedTest, NeverSchedulableReturnsNullopt) {
     prev = v;
   }
   TaskSystem sys;
-  sys.add(DagTask(std::move(g), 5, 20));
+  sys.add(DagTask(g.build(), 5, 20));
   EXPECT_FALSE(min_speed(sys, 4, fedcons_test()).has_value());
 }
 
@@ -94,9 +94,9 @@ TEST(MinSpeedTest, Example2RequiredSpeedGrowsLinearly) {
   for (int n : {2, 3, 4}) {
     TaskSystem sys;
     for (int i = 0; i < n; ++i) {
-      Dag g;
+      DagBuilder g;
       g.add_vertex(k);
-      sys.add(DagTask(std::move(g), k, n * k));
+      sys.add(DagTask(g.build(), k, n * k));
     }
     auto s = min_speed(sys, 1, uniproc_edf, 8.0, 1.0 / 64.0);
     ASSERT_TRUE(s.has_value()) << "n = " << n;

@@ -11,9 +11,9 @@ namespace {
 
 DagTask simple_task(Time wcet, Time deadline, Time period,
                     std::string name = {}) {
-  Dag g;
+  DagBuilder g;
   g.add_vertex(wcet);
-  return DagTask(std::move(g), deadline, period, std::move(name));
+  return DagTask(g.build(), deadline, period, std::move(name));
 }
 
 TEST(TaskSystemTest, EmptySystem) {
