@@ -5,6 +5,8 @@
 #include "fedcons/baselines/global_edf.h"
 #include "fedcons/baselines/partitioned_dm.h"
 #include "fedcons/baselines/partitioned_seq.h"
+#include "fedcons/engine/algorithms.h"
+#include "fedcons/federated/arbitrary.h"
 #include "fedcons/federated/federated_implicit.h"
 #include "fedcons/listsched/list_scheduler.h"
 #include "fedcons/sim/edf_sim.h"
@@ -17,6 +19,25 @@
 namespace fedcons {
 
 namespace {
+
+/// An entry's analysis plus the replay of its composition. It runs only on
+/// systems its table row supports and leaves `supported` to the gate.
+using Replay = decltype(ConformanceEntry::run);
+
+/// The entry `name` running `replay` on the systems `row` supports; on any
+/// other system nothing runs and the outcome reads supported = false. `row`
+/// must outlive the entry, as the static table's rows do.
+ConformanceEntry gated(std::string name, const Algorithm& row, Replay replay) {
+  return ConformanceEntry{
+      std::move(name),
+      [&row, replay = std::move(replay)](const TaskSystem& s, int m,
+                                         const SimConfig& c) {
+        if (!row.supports(s)) return ConformanceOutcome{};
+        ConformanceOutcome out = replay(s, m, c);
+        out.supported = true;
+        return out;
+      }};
+}
 
 /// Replay a set of per-processor EDF bins (TaskIds per bin, each task
 /// sequentialized). Streams draw from `rng` via split() in bin-then-member
@@ -44,8 +65,6 @@ ConformanceOutcome run_fedcons(const TaskSystem& system, int m,
                                const FedconsOptions& options,
                                ClusterDispatch dispatch) {
   ConformanceOutcome out;
-  if (system.deadline_class() == DeadlineClass::kArbitrary) return out;
-  out.supported = true;
   const FedconsResult result = fedcons_schedule(system, m, options);
   out.admitted = result.success;
   if (!result.success) return out;
@@ -57,7 +76,6 @@ ConformanceOutcome run_arbitrary(const TaskSystem& system, int m,
                                  const SimConfig& config,
                                  ArbitraryStrategy strategy) {
   ConformanceOutcome out;
-  out.supported = true;
   const ArbitraryFederatedResult result =
       arbitrary_federated_schedule(system, m, strategy);
   out.admitted = result.success;
@@ -69,7 +87,6 @@ ConformanceOutcome run_arbitrary(const TaskSystem& system, int m,
 ConformanceOutcome run_pseq(const TaskSystem& system, int m,
                             const SimConfig& config) {
   ConformanceOutcome out;
-  out.supported = true;
   const PartitionResult result = partitioned_sequential(system, m);
   out.admitted = result.success;
   if (!result.success) return out;
@@ -84,8 +101,6 @@ ConformanceOutcome run_pseq(const TaskSystem& system, int m,
 ConformanceOutcome run_pdm(const TaskSystem& system, int m,
                            const SimConfig& config) {
   ConformanceOutcome out;
-  if (system.deadline_class() == DeadlineClass::kArbitrary) return out;
-  out.supported = true;
   const PartitionedDmResult result = partitioned_dm(system, m);
   out.admitted = result.success;
   if (!result.success) return out;
@@ -109,8 +124,6 @@ ConformanceOutcome run_pdm(const TaskSystem& system, int m,
 ConformanceOutcome run_gedf_density(const TaskSystem& system, int m,
                                     const SimConfig& config) {
   ConformanceOutcome out;
-  if (system.deadline_class() == DeadlineClass::kArbitrary) return out;
-  out.supported = true;
   out.admitted = gedf_dag_density_test(system, m);
   if (!out.admitted) return out;
   // The density bound certifies the SEQUENTIALIZED system; replay that
@@ -134,12 +147,6 @@ ConformanceOutcome run_gedf_density(const TaskSystem& system, int m,
 ConformanceOutcome run_fed_li(const TaskSystem& system, int m,
                               const SimConfig& config, bool implicit_variant) {
   ConformanceOutcome out;
-  if (implicit_variant) {
-    if (system.deadline_class() != DeadlineClass::kImplicit) return out;
-  } else {
-    if (system.deadline_class() == DeadlineClass::kArbitrary) return out;
-  }
-  out.supported = true;
   const FederatedBaselineResult result =
       implicit_variant ? li_federated_implicit(system, m)
                        : li_federated_constrained_adaptation(system, m);
@@ -162,52 +169,55 @@ ConformanceOutcome run_fed_li(const TaskSystem& system, int m,
   return out;
 }
 
+Replay fedcons_replay(
+    const FedconsOptions& options,
+    ClusterDispatch dispatch = ClusterDispatch::kTemplateReplay) {
+  return [options, dispatch](const TaskSystem& s, int m, const SimConfig& c) {
+    return run_fedcons(s, m, c, options, dispatch);
+  };
+}
+
+Replay arbitrary_replay(ArbitraryStrategy strategy) {
+  return [strategy](const TaskSystem& s, int m, const SimConfig& c) {
+    return run_arbitrary(s, m, c, strategy);
+  };
+}
+
 }  // namespace
 
 ConformanceEntry make_fedcons_conformance_entry(std::string name,
                                                 const FedconsOptions& options,
                                                 ClusterDispatch dispatch) {
-  return ConformanceEntry{
-      std::move(name),
-      [options, dispatch](const TaskSystem& s, int m, const SimConfig& c) {
-        return run_fedcons(s, m, c, options, dispatch);
-      }};
-}
-
-ConformanceEntry make_arbitrary_conformance_entry(std::string name,
-                                                  ArbitraryStrategy strategy) {
-  return ConformanceEntry{
-      std::move(name),
-      [strategy](const TaskSystem& s, int m, const SimConfig& c) {
-        return run_arbitrary(s, m, c, strategy);
-      }};
+  // Every FEDCONS variant has the FEDCONS row's deadline class.
+  return gated(std::move(name), find_algorithm("FEDCONS"),
+               fedcons_replay(options, dispatch));
 }
 
 std::vector<ConformanceEntry> builtin_conformance_entries() {
-  std::vector<ConformanceEntry> entries;
-  entries.push_back(make_fedcons_conformance_entry("FEDCONS"));
-
   FedconsOptions literal;
   literal.partition.variant = PartitionVariant::kPaperLiteral;
-  entries.push_back(make_fedcons_conformance_entry("FEDCONS-lit", literal));
-
-  entries.push_back(ConformanceEntry{
-      "FED-LI-implicit",
-      [](const TaskSystem& s, int m, const SimConfig& c) {
-        return run_fed_li(s, m, c, /*implicit_variant=*/true);
-      }});
-  entries.push_back(ConformanceEntry{
-      "FED-LI-adapt",
-      [](const TaskSystem& s, int m, const SimConfig& c) {
-        return run_fed_li(s, m, c, /*implicit_variant=*/false);
-      }});
-  entries.push_back(ConformanceEntry{"P-SEQ", run_pseq});
-  entries.push_back(ConformanceEntry{"P-DM", run_pdm});
-  entries.push_back(ConformanceEntry{"GEDF-density", run_gedf_density});
-  entries.push_back(
-      make_arbitrary_conformance_entry("ARBFED", ArbitraryStrategy::kPipelined));
-  entries.push_back(make_arbitrary_conformance_entry(
-      "ARBFED-clamp", ArbitraryStrategy::kClampToPeriod));
+  std::pair<const char*, Replay> replays[] = {
+      {"FEDCONS", fedcons_replay({})},
+      {"FEDCONS-lit", fedcons_replay(literal)},
+      {"FED-LI-implicit",
+       [](const TaskSystem& s, int m, const SimConfig& c) {
+         return run_fed_li(s, m, c, /*implicit_variant=*/true);
+       }},
+      {"FED-LI-adapt",
+       [](const TaskSystem& s, int m, const SimConfig& c) {
+         return run_fed_li(s, m, c, /*implicit_variant=*/false);
+       }},
+      {"P-SEQ", run_pseq},
+      {"P-DM", run_pdm},
+      {"GEDF-density", run_gedf_density},
+      {"ARBFED", arbitrary_replay(ArbitraryStrategy::kPipelined)},
+      {"ARBFED-clamp", arbitrary_replay(ArbitraryStrategy::kClampToPeriod)},
+  };
+  // Deadline gating comes from the algorithm table row of the same name.
+  std::vector<ConformanceEntry> entries;
+  for (auto& [name, replay] : replays) {
+    entries.push_back(gated(name, find_algorithm(name), std::move(replay)));
+  }
   return entries;
 }
 

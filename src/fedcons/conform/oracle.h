@@ -35,7 +35,6 @@
 #include <vector>
 
 #include "fedcons/core/task_system.h"
-#include "fedcons/federated/arbitrary.h"
 #include "fedcons/federated/fedcons_algorithm.h"
 #include "fedcons/sim/cluster_sim.h"
 #include "fedcons/sim/sim_config.h"
@@ -66,20 +65,17 @@ struct ConformanceEntry {
       run;
 };
 
-/// FEDCONS with the given options, replayed under the given dispatch mode.
+/// FEDCONS with the given options, replayed under the given dispatch mode and
+/// gated by the FEDCONS table row.
 /// kOnlineRerun is intentionally available: it is the UNSOUND dispatch the
 /// paper's footnote 2 warns against, used by the demonstration battery.
 [[nodiscard]] ConformanceEntry make_fedcons_conformance_entry(
     std::string name, const FedconsOptions& options = {},
     ClusterDispatch dispatch = ClusterDispatch::kTemplateReplay);
 
-/// Arbitrary-deadline federated scheduling under the given strategy.
-[[nodiscard]] ConformanceEntry make_arbitrary_conformance_entry(
-    std::string name, ArbitraryStrategy strategy);
-
 /// The default battery: one entry per row of the engine's algorithm table
-/// (engine/algorithms.h), of the same name and supporting exactly the
-/// systems the row does, each replaying its own composition. Every entry
+/// (engine/algorithms.h), of the same name and gated by that row's
+/// supports(), each replaying its own composition. Every entry
 /// here is believed sound — a violation is a bug by definition.
 [[nodiscard]] std::vector<ConformanceEntry> builtin_conformance_entries();
 

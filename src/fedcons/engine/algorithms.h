@@ -7,8 +7,8 @@
 // question one shape, and builtin_algorithms() lists the built-ins once, so
 // tools, experiments, and tests select them by name instead of hard-wiring
 // each function signature. Adding an algorithm is one row here plus the
-// replay of its composition in the conformance battery (conform/oracle.h);
-// conform_test pins the two to the same names and deadline classes.
+// replay of its composition in the conformance battery (conform/oracle.h),
+// which takes its deadline gating from the row of the same name.
 //
 // Built-in rows, in table order (case-insensitive name order):
 //   ARBFED         — arbitrary-deadline federated, pipelined clusters

@@ -397,18 +397,4 @@ void ls_run_prepared(LsWorkspace& ws, const Dag& dag, int num_processors,
           : run_generic(ws, rs, exec_times, n);
 }
 
-std::size_t ls_run_blocked(LsWorkspace& ws, const Dag& dag,
-                           std::span<const int> mus, Time fit_deadline,
-                           std::span<Time> makespans) {
-  FEDCONS_EXPECTS(makespans.size() >= mus.size());
-  std::size_t run = 0;
-  for (const int mu : mus) {
-    ls_run_prepared(ws, dag, mu);
-    makespans[run++] = ws.makespan;
-    if (ws.makespan <= fit_deadline) break;
-  }
-  perf_counters().ls_probes_blocked += run;
-  return run;
-}
-
 }  // namespace fedcons

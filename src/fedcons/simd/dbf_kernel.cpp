@@ -1,17 +1,15 @@
-// Scalar reference backend for the DBF* classification kernel, plus the
-// shared term builders and the public dispatch wrapper.
+// The DBF* classification kernel and the term builders it shares with the
+// aggregate.
 //
 // This translation unit is compiled with -ffp-contract=off (see
 // CMakeLists.txt): the canonical operation sequence separates every multiply
 // from the adds around it, and a contracted fused multiply-add would round
-// differently from the AVX2 backend's explicit vmulpd/vaddpd pairs.
+// differently from the sequence the certified margin is derived for.
 
 #include "fedcons/simd/dbf_kernel.h"
 
 #include <cmath>
 #include <limits>
-
-#include "fedcons/simd/dispatch.h"
 
 namespace fedcons::simd {
 
@@ -54,11 +52,9 @@ double util_term(long long wcet, long long period) noexcept {
   return static_cast<double>(wcet) / static_cast<double>(period);
 }
 
-namespace detail {
-
-int dbf_scan_scalar(const double* bp, const double* A, const double* B,
-                    const double* M, int begin, int end, DbfCand cand,
-                    double eps_n, LaneClass* out_class) noexcept {
+int dbf_scan(const double* bp, const double* A, const double* B,
+             const double* M, int begin, int end, DbfCand cand, double eps_n,
+             LaneClass* out_class) noexcept {
   for (int i = begin; i < end; ++i) {
     const double t1 = A[i] + cand.a;
     const double t2 = B[i] + cand.b;
@@ -71,19 +67,6 @@ int dbf_scan_scalar(const double* bp, const double* A, const double* B,
     return i;
   }
   return end;
-}
-
-}  // namespace detail
-
-int dbf_scan(const double* bp, const double* A, const double* B,
-             const double* M, int begin, int end, DbfCand cand, double eps_n,
-             LaneClass* out_class) noexcept {
-  if (active_backend() == SimdBackend::kAvx2) {
-    return detail::dbf_scan_avx2(bp, A, B, M, begin, end, cand, eps_n,
-                                 out_class);
-  }
-  return detail::dbf_scan_scalar(bp, A, B, M, begin, end, cand, eps_n,
-                                 out_class);
 }
 
 }  // namespace fedcons::simd

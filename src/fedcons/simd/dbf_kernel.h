@@ -20,13 +20,13 @@
 //     kReject     demand − err > bp      (certainly violates)
 //     kUncertain  |demand − bp| ≤ err    (caller re-decides exactly)
 //
-// Certainty is what keeps verdicts exact and backend-invariant: a certain
-// class agrees with the exact rational comparison by construction of the
-// margin (derivation in DESIGN.md §13), and uncertain lanes fall back to the
-// BigRational path, so the *decision* never depends on floating point.
+// Certainty is what keeps verdicts exact: a certain class agrees with the
+// exact rational comparison by construction of the margin (derivation in
+// DESIGN.md §13), and uncertain lanes fall back to the BigRational path, so
+// the *decision* never depends on floating point.
 //
-// Canonical per-lane operation sequence (both backends, no FMA, no
-// cross-lane ops — every lane is independent):
+// Canonical per-lane operation sequence (no FMA, no cross-lane ops — every
+// lane is independent):
 //     t1  = A[i] + cand.a
 //     t2  = B[i] + cand.b
 //     t3  = t2 * bp[i]
@@ -87,17 +87,5 @@ inline constexpr long long kDbfMaxMagnitude = 1ll << 40;
 [[nodiscard]] int dbf_scan(const double* bp, const double* A, const double* B,
                            const double* M, int begin, int end, DbfCand cand,
                            double eps_n, LaneClass* out_class) noexcept;
-
-namespace detail {
-// Backend entry points (dispatch.cpp picks; callers use dbf_scan).
-[[nodiscard]] int dbf_scan_scalar(const double* bp, const double* A,
-                                  const double* B, const double* M, int begin,
-                                  int end, DbfCand cand, double eps_n,
-                                  LaneClass* out_class) noexcept;
-[[nodiscard]] int dbf_scan_avx2(const double* bp, const double* A,
-                                const double* B, const double* M, int begin,
-                                int end, DbfCand cand, double eps_n,
-                                LaneClass* out_class) noexcept;
-}  // namespace detail
 
 }  // namespace fedcons::simd

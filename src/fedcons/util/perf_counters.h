@@ -74,13 +74,13 @@ struct PerfCounters {
   /// placement order (clean-bin placements are reused without probing).
   std::uint64_t partition_bins_revalidated = 0;
   /// Demand breakpoints decided by the certified-double kernel without the
-  /// exact rational fallback (simd/dbf_kernel.h). Lane classification is
-  /// backend-invariant (pinned by the simd equivalence tests), so like
-  /// ls_probes_pruned this exposes the fast path's reach while remaining a
-  /// pure function of the trial's inputs.
+  /// exact rational fallback (simd/dbf_kernel.h). Like ls_probes_pruned this
+  /// exposes the fast path's reach while remaining a pure function of the
+  /// trial's inputs.
   std::uint64_t simd_breakpoints_vectorized = 0;
-  /// LS probes executed through the blocked μ-scan entry point
-  /// (listsched/ls_workspace.h ls_run_blocked), i.e. MINPROCS's scan probes.
+  /// LS probes run by MINPROCS's μ scan (federated/minprocs.cpp), one per
+  /// probe, so it always equals minprocs_scan_iterations; kept because the
+  /// JSON reports carry it.
   std::uint64_t ls_probes_blocked = 0;
 
   PerfCounters& operator+=(const PerfCounters& rhs) noexcept {

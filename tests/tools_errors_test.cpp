@@ -105,6 +105,20 @@ std::string valid_workload_path() {
   return path;
 }
 
+/// A one-event online trace admitting one light task, schedulable on any m.
+std::string valid_trace_path() {
+  static const std::string path = [] {
+    const std::string p = ::testing::TempDir() + "/tools_errors_ok.trace.json";
+    std::ofstream out(p);
+    out << "{\"format\": \"fedcons-online-trace\", \"version\": 1, "
+           "\"processors\": 2}\n"
+        << "{\"event\": \"admit\", \"system\": \"task a\\n  deadline 5\\n"
+           "  period 5\\n  vertex 1\\nend\\n\"}\n";
+    return p;
+  }();
+  return path;
+}
+
 TEST(ToolsErrorsTest, MalformedFlagValuesExitTwo) {
   // --m is read before the workload file is even opened.
   EXPECT_EQ(exit_code(kCli + " --file=whatever --m=banana"), 2);
@@ -125,6 +139,16 @@ TEST(ToolsErrorsTest, TrailingGarbageNumbersExitTwo) {
   EXPECT_EQ(exit_code(kCli + " --file=whatever --m=8x"), 2);
   EXPECT_EQ(exit_code(kGen + " --tasks=3.5"), 2);
   EXPECT_EQ(exit_code(kCli + " --file=whatever --m=99999999999999999999"), 2);
+  // In range for int64 but not for the int or size_t they narrow to: each
+  // of these used to wrap and run (m=8, m=1, m=8, one thread).
+  EXPECT_EQ(exit_code(kCli + " --file=" + valid_workload_path() +
+                      " --m=4294967304"),
+            2);
+  EXPECT_EQ(exit_code(kCli + " --online=" + valid_trace_path() +
+                      " --m=4294967297"),
+            2);
+  EXPECT_EQ(exit_code(kConform + " --trials=1 --m=4294967304"), 2);
+  EXPECT_EQ(exit_code(kConform + " --trials=1 --threads=4294967297"), 2);
 }
 
 TEST(ToolsErrorsTest, MalformedInjectSpecsExitTwo) {

@@ -57,6 +57,7 @@
 //
 // Exit status: 0 = schedulable (and, with --simulate, zero misses),
 //              1 = rejected / misses, 2 = usage or parse error.
+#include <climits>
 #include <fstream>
 #include <iostream>
 #include <iterator>
@@ -76,7 +77,6 @@
 #include "fedcons/online/trace.h"
 #include "fedcons/sim/gantt.h"
 #include "fedcons/sim/system_sim.h"
-#include "fedcons/simd/dispatch.h"
 #include "fedcons/util/check.h"
 #include "fedcons/util/flags.h"
 #include "fedcons/util/mini_json.h"
@@ -144,10 +144,6 @@ void print_json_report(std::ostream& os, const std::string& file, int m,
   os << "  \"file\": \"" << json_escape(file) << "\",\n";
   os << "  \"m\": " << m << ",\n";
   os << "  \"strategy\": \"fedcons\",\n";
-  // Provenance only: verdicts and counters are backend-invariant (the
-  // simd-smoke battery pins it), so this records what ran, not what decided.
-  os << "  \"simd_backend\": \"" << simd::to_string(simd::active_backend())
-     << "\",\n";
   os << "  \"schedulable\": " << (result.success ? "true" : "false") << ",\n";
   os << "  \"failure\": \"" << to_string(result.failure) << "\",\n";
   os << "  \"tasks\": [\n";
@@ -307,11 +303,13 @@ int run_online(const Flags& flags, PartitionVariant variant) {
   }
 
   AdmissionSession::Config config;
-  config.processors = static_cast<int>(flags.get_int("m", trace.processors));
-  if (config.processors < 1) {
-    std::cerr << "error: --m must be >= 1\n";
-    return 2;
+  // Range-check before narrowing: --m=4294967297 would replay on m=1.
+  const std::int64_t m = flags.get_int("m", trace.processors);
+  if (m < 1 || m > INT_MAX) {
+    std::cerr << "error: --m must be in [1, " << INT_MAX << "]\n";
+    return usage();
   }
+  config.processors = static_cast<int>(m);
   config.partition.variant = variant;
 
   AdmissionSession session(config);
@@ -331,8 +329,6 @@ int run_online(const Flags& flags, PartitionVariant variant) {
     std::cout << "{\n";
     std::cout << "  \"schema_version\": 1,\n";
     std::cout << "  \"trace\": \"" << json_escape(path) << "\",\n";
-    std::cout << "  \"simd_backend\": \""
-              << simd::to_string(simd::active_backend()) << "\",\n";
     std::cout << "  \"m\": " << config.processors << ",\n";
     std::cout << "  \"events\": " << result.events << ",\n";
     std::cout << "  \"applied\": " << result.applied << ",\n";
@@ -443,8 +439,10 @@ int run(const Flags& flags) {
                                        : PartitionVariant::kFull;
   if (flags.has("online")) return run_online(flags, variant);
   const std::string path = flags.get_string("file", "");
-  const int m = static_cast<int>(flags.get_int("m", 0));
-  if (path.empty() || m < 1) return usage();
+  // Range-check before narrowing: --m=4294967304 would analyze on m=8.
+  const std::int64_t m64 = flags.get_int("m", 0);
+  if (path.empty() || m64 < 1 || m64 > INT_MAX) return usage();
+  const int m = static_cast<int>(m64);
 
   TaskSystem system;
   try {

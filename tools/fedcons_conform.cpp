@@ -30,6 +30,8 @@
 // enforcement on / a cascade was exhibited with enforcement off / artifact
 // reproduced / demo exhibited); 1 — the run refuted its claim; 2 — usage or
 // input error. Unknown or malformed flags exit 2 with usage.
+#include <climits>
+#include <cstdint>
 #include <exception>
 #include <filesystem>
 #include <fstream>
@@ -84,6 +86,20 @@ bool is_online_trace(const std::string& text) {
   } catch (const ParseError&) {
     return false;
   }
+}
+
+int usage() {
+  std::cerr << "usage: fedcons_conform [--list | --demo-anomaly | "
+               "--isolation | --online | --replay=FILE]\n"
+               "                       [--events N]  (online: events per "
+               "trial)\n"
+               "                       [--trials N] [--threads N] "
+               "[--seed S] [--m M] [--enforce=on|off]\n"
+               "                       [--util-lo F] [--util-hi F] "
+               "[--shrink-budget N] [--algos A,B]\n"
+               "                       [--out-dir DIR] [--json] "
+               "[--trace-out FILE]\n";
+  return 2;
 }
 
 int run_replay(const std::string& path) {
@@ -364,17 +380,27 @@ int main(int argc, char** argv) {
       for (const auto& arg : flags.positional()) {
         std::cerr << "error: unexpected argument '" << arg << "'\n";
       }
-      std::cerr << "usage: fedcons_conform [--list | --demo-anomaly | "
-                   "--isolation | --online | --replay=FILE]\n"
-                   "                       [--events N]  (online: events per "
-                   "trial)\n"
-                   "                       [--trials N] [--threads N] "
-                   "[--seed S] [--m M] [--enforce=on|off]\n"
-                   "                       [--util-lo F] [--util-hi F] "
-                   "[--shrink-budget N] [--algos A,B]\n"
-                   "                       [--out-dir DIR] [--json] "
-                   "[--trace-out FILE]\n";
-      return 2;
+      return usage();
+    }
+    // Range-check the integer flags before a mode narrows them to int or
+    // size_t: --m=4294967304 would run at m=8, and --online --events=-1
+    // would wrap to 2^64 - 1 events per trial.
+    struct IntRange {
+      const char* key;
+      std::int64_t lo, hi;
+    };
+    static constexpr IntRange kRanges[] = {
+        {"m", 1, INT_MAX},        {"threads", 0, INT_MAX},
+        {"trials", 0, INT64_MAX}, {"events", 0, INT64_MAX},
+        {"shrink-budget", 0, INT64_MAX},
+    };
+    for (const IntRange& r : kRanges) {
+      const std::int64_t v = flags.get_int(r.key, r.lo);
+      if (v < r.lo || v > r.hi) {
+        std::cerr << "error: --" << r.key << " out of range [" << r.lo << ", "
+                  << r.hi << "]\n";
+        return usage();
+      }
     }
     const std::string trace_out = flags.get_string("trace-out", "");
     if (!trace_out.empty()) obs::set_tracing_enabled(true);
