@@ -19,10 +19,9 @@
 
 using namespace fedcons;
 
-int main(int argc, char** argv) {
-  Flags flags(argc, argv);
+int run(const Flags& flags) {
   const bool csv = flags.get_bool("csv", false);
-  const int samples = static_cast<int>(flags.get_int("samples", 250));
+  const int samples = flags.get_int("samples", 250, 1);
 
   std::cout << "== E11: LS makespan vs exact optimum on random layered DAGs "
                "(" << samples << " DAGs per row, |V| <= 12)\n";

@@ -22,10 +22,9 @@
 
 using namespace fedcons;
 
-int main(int argc, char** argv) {
-  Flags flags(argc, argv);
+int run(const Flags& flags) {
   const bool csv = flags.get_bool("csv", false);
-  const int trials = static_cast<int>(flags.get_int("trials", 120));
+  const int trials = flags.get_int("trials", 120, 1);
   const int m = 8;
 
   std::cout << "== E12: rejection phase on IMPLICIT-deadline systems "

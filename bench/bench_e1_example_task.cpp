@@ -15,8 +15,7 @@
 
 using namespace fedcons;
 
-int main(int argc, char** argv) {
-  Flags flags(argc, argv);
+int run(const Flags& flags) {
   const bool csv = flags.get_bool("csv", false);
 
   DagTask task = make_paper_example_task();

@@ -27,18 +27,17 @@ namespace {
 TaskSystem example2_at_granularity(int n, Time k) {
   TaskSystem sys;
   for (int i = 0; i < n; ++i) {
-    sys.add(DagTask(DagBuilder{}.vertex(k).build(), k, n * k));
+    sys.add(DagTask(DagBuilder{}.vertex(k).build(), k, checked_mul(n, k)));
   }
   return sys;
 }
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  Flags flags(argc, argv);
+int run(const Flags& flags) {
   const bool csv = flags.get_bool("csv", false);
-  const Time k = flags.get_int("granularity", 64);
-  const int n_max = static_cast<int>(flags.get_int("n-max", 8));
+  const Time k = flags.get_int<Time>("granularity", 64, 1);
+  const int n_max = flags.get_int("n-max", 8, 1);
 
   AcceptanceTest uniproc_edf = [](const TaskSystem& s, int m) {
     if (m != 1) return false;

@@ -60,14 +60,12 @@ const Algorithm kGedfSimulationBracket{
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  Flags flags(argc, argv);
+int run(const Flags& flags) {
   const bool csv = flags.get_bool("csv", false);
   const bool json = flags.get_bool("json", false);
-  const int trials = static_cast<int>(flags.get_int("trials", 150));
-  const int threads = static_cast<int>(flags.get_int("threads", 0));
-  const std::uint64_t seed =
-      static_cast<std::uint64_t>(flags.get_int("seed", 42));
+  const int trials = flags.get_int("trials", 150, 1);
+  const int threads = flags.get_int("threads", 0, 0);
+  const auto seed = flags.get_int<std::uint64_t>("seed", 42);
   const bool metrics = flags.get_bool("metrics", false);
   if (metrics) obs::set_metrics_enabled(true);
   const std::string trace_out = flags.get_string("trace-out", "");

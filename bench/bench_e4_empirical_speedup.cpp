@@ -8,6 +8,7 @@
 // The measured algorithm is selected by engine-table name (--algo=...),
 // and candidate attempts are evaluated in parallel (--threads=N) with
 // results independent of the thread count.
+#include <climits>
 #include <iostream>
 
 #include "fedcons/expr/reports.h"
@@ -17,12 +18,12 @@
 
 using namespace fedcons;
 
-int main(int argc, char** argv) {
-  Flags flags(argc, argv);
+int run(const Flags& flags) {
   const bool csv = flags.get_bool("csv", false);
   const bool json = flags.get_bool("json", false);
-  const int samples = static_cast<int>(flags.get_int("samples", 60));
-  const int threads = static_cast<int>(flags.get_int("threads", 0));
+  // Bounded so that max_attempts = 30 * samples below fits int.
+  const int samples = flags.get_int("samples", 60, 1, INT_MAX / 30);
+  const int threads = flags.get_int("threads", 0, 0);
   const std::string algo = flags.get_string("algo", "FEDCONS");
 
   bool first_json = true;

@@ -27,10 +27,9 @@ SweepConfig base_config(int trials, std::uint64_t seed) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  Flags flags(argc, argv);
+int run(const Flags& flags) {
   const bool csv = flags.get_bool("csv", false);
-  const int trials = static_cast<int>(flags.get_int("trials", 100));
+  const int trials = flags.get_int("trials", 100, 1);
   auto algorithms = standard_algorithms();
 
   // (a) Deadline-ratio sweep: tighter D/T shifts every curve left, and the

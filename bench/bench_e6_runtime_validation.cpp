@@ -7,6 +7,7 @@
 // Part 2: the Graham-anomaly demonstration — the same accepted allocation,
 // dispatched by re-running LS online with shorter actual execution times,
 // DOES miss deadlines, justifying the template-replay run-time rule.
+#include <climits>
 #include <iostream>
 
 #include "fedcons/expr/acceptance.h"
@@ -18,11 +19,11 @@
 
 using namespace fedcons;
 
-int main(int argc, char** argv) {
-  Flags flags(argc, argv);
+int run(const Flags& flags) {
   const bool csv = flags.get_bool("csv", false);
-  const int systems = static_cast<int>(flags.get_int("systems", 40));
-  const Time horizon = flags.get_int("horizon", 50000);
+  // Bounded so that the attempt budget 20 * systems below fits int.
+  const int systems = flags.get_int("systems", 40, 1, INT_MAX / 20);
+  const Time horizon = flags.get_int<Time>("horizon", 50000, 1);
 
   std::cout << "== E6.1: accepted systems never miss (federated run-time "
                "composition)\n";

@@ -18,10 +18,9 @@
 
 using namespace fedcons;
 
-int main(int argc, char** argv) {
-  Flags flags(argc, argv);
+int run(const Flags& flags) {
   const bool csv = flags.get_bool("csv", false);
-  const int samples = static_cast<int>(flags.get_int("samples", 300));
+  const int samples = flags.get_int("samples", 300, 1);
 
   std::cout << "== E7: MINPROCS processor counts vs lower bounds (random "
                "high-density tasks)\n";

@@ -38,11 +38,10 @@ Algorithm fedcons_variant(std::string name, const FedconsOptions& options) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  Flags flags(argc, argv);
+int run(const Flags& flags) {
   const bool csv = flags.get_bool("csv", false);
-  const int trials = static_cast<int>(flags.get_int("trials", 120));
-  const int threads = static_cast<int>(flags.get_int("threads", 0));
+  const int trials = flags.get_int("trials", 120, 1);
+  const int threads = flags.get_int("threads", 0, 0);
 
   SweepConfig cfg;
   cfg.m = 8;

@@ -39,10 +39,9 @@ TaskSystem stretch_deadlines(const TaskSystem& base, Rng& rng,
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  Flags flags(argc, argv);
+int run(const Flags& flags) {
   const bool csv = flags.get_bool("csv", false);
-  const int trials = static_cast<int>(flags.get_int("trials", 120));
+  const int trials = flags.get_int("trials", 120, 1);
   const int m = 8;
 
   for (auto [stretch_prob, max_factor, label] :

@@ -7,7 +7,9 @@
 // host high-density tasks AT ALL, while FEDCONS sizes within a small factor
 // of the necessary-condition lower bound.
 //
-// Flags: --workloads=N (default 25) --tasks=N (default 10) --util=U (4.0)
+// Flags: --workloads=N (default 25) --tasks=N (default 10) --util=U (4.0);
+// a malformed or out-of-range value exits 2.
+#include <exception>
 #include <iostream>
 
 #include "fedcons/analysis/feasibility.h"
@@ -32,12 +34,9 @@ int min_processors(const TaskSystem& sys, int cap, Test&& test) {
   return -1;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  Flags flags(argc, argv);
-  const int workloads = static_cast<int>(flags.get_int("workloads", 25));
-  const int tasks = static_cast<int>(flags.get_int("tasks", 10));
+int run(const Flags& flags) {
+  const int workloads = flags.get_int("workloads", 25, 1);
+  const int tasks = flags.get_int("tasks", 10, 1);
   const double util = flags.get_double("util", 4.0);
   constexpr int kCap = 64;
 
@@ -87,4 +86,15 @@ int main(int argc, char** argv) {
             << " workloads at ANY platform size (high-density tasks need "
                "federation).\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(Flags(argc, argv));
+  } catch (const std::exception& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    return 2;
+  }
 }

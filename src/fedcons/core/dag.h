@@ -125,6 +125,10 @@ class Dag {
   /// successor lists are returned (a sound over-approximation).
   [[nodiscard]] std::span<const VertexId> reduced_successors(VertexId v) const;
 
+  /// reach[u][v] == true iff v is reachable from u by a non-empty path.
+  /// O(|V|²) bits, built on every call.
+  [[nodiscard]] std::vector<std::vector<bool>> transitive_closure() const;
+
   /// Exact width: the maximum antichain size (largest set of pairwise
   /// precedence-incomparable jobs) — the maximum instantaneous parallelism
   /// the task can express. Computed via Dilworth's theorem: width = |V| −
@@ -152,7 +156,6 @@ class Dag {
   /// critical_path, transitive_closure, ensure_reduced).
   const Derived& ensure_levels() const;
   const Derived& ensure_reduced() const;  // transitive reduction
-  [[nodiscard]] std::vector<std::vector<bool>> transitive_closure() const;
 
   std::vector<Time> wcet_;
   /// CSR adjacency, n = |V|, m = |E|: [0, n] successor offsets, then n + 1

@@ -6,29 +6,8 @@
 
 namespace fedcons {
 
-namespace {
-
-/// reach[u][v] == true iff v is reachable from u by a non-empty path.
-std::vector<std::vector<bool>> reachability(const Dag& dag) {
-  const std::size_t n = dag.num_vertices();
-  std::vector<std::vector<bool>> reach(n, std::vector<bool>(n, false));
-  const auto& topo = dag.topological_order();
-  for (auto it = topo.rbegin(); it != topo.rend(); ++it) {
-    VertexId v = *it;
-    for (VertexId s : dag.successors(v)) {
-      reach[v][s] = true;
-      for (std::size_t w = 0; w < n; ++w) {
-        if (reach[s][w]) reach[v][w] = true;
-      }
-    }
-  }
-  return reach;
-}
-
-}  // namespace
-
 Dag transitive_reduction(const Dag& dag) {
-  auto reach = reachability(dag);
+  auto reach = dag.transitive_closure();
   DagBuilder out;
   for (VertexId v = 0; v < dag.num_vertices(); ++v) out.add_vertex(dag.wcet(v));
   for (VertexId u = 0; u < dag.num_vertices(); ++u) {
@@ -48,7 +27,7 @@ Dag transitive_reduction(const Dag& dag) {
 }
 
 bool is_transitively_reduced(const Dag& dag) {
-  auto reach = reachability(dag);
+  auto reach = dag.transitive_closure();
   for (VertexId u = 0; u < dag.num_vertices(); ++u) {
     for (VertexId v : dag.successors(u)) {
       for (VertexId w : dag.successors(u)) {

@@ -73,9 +73,7 @@ void append_counters_json(std::string& out, const PerfCounters& c) {
          ", \"dbf_star_evaluations\": " +
          fmt_int(static_cast<long long>(c.dbf_star_evaluations)) +
          ", \"simd_breakpoints_vectorized\": " +
-         fmt_int(static_cast<long long>(c.simd_breakpoints_vectorized)) +
-         ", \"ls_probes_blocked\": " +
-         fmt_int(static_cast<long long>(c.ls_probes_blocked)) + "}";
+         fmt_int(static_cast<long long>(c.simd_breakpoints_vectorized)) + "}";
 }
 
 }  // namespace

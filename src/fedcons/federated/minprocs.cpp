@@ -85,7 +85,6 @@ std::optional<MinprocsResult> pruned_scan(const DagTask& task,
     FEDCONS_SPAN_V("minprocs", "ls_probe", "mu", mu);
     ls_run_prepared(ws, task.graph(), mu);
     ++counters.minprocs_scan_iterations;
-    ++counters.ls_probes_blocked;
     provenance_probe(prov, mu, ws.makespan);
     if (ws.makespan > task.deadline()) continue;
     // ws.jobs holds this probe's dispatch.

@@ -26,6 +26,15 @@ TaskSystem generate_task_system(Rng& rng, const TaskSetParams& params,
   FEDCONS_EXPECTS(params.deadline_ratio_min > 0.0 &&
                   params.deadline_ratio_max >= params.deadline_ratio_min &&
                   params.deadline_ratio_max <= 1.0);
+  // Periods and volumes are rounded to Time with llround, whose result is
+  // undefined past Time's range: bound the largest draw of each (a volume
+  // is u·T with u ≤ min(U_sum, cap)). With uunifast_discard's checks this
+  // also keeps every real bound finite but an infinite cap, which caps
+  // nothing.
+  FEDCONS_EXPECTS(params.period_max < kTimeRealLimit &&
+                  std::min(params.total_utilization, params.utilization_cap) *
+                          params.period_max <
+                      kTimeRealLimit);
 
   const auto utils = uunifast_discard(rng, params.num_tasks,
                                       params.total_utilization,

@@ -140,9 +140,5 @@ ServeResponse ServeClient::call(const ServeRequest& req) {
   return recv();
 }
 
-void ServeClient::shutdown_write() noexcept {
-  if (fd_ >= 0) ::shutdown(fd_, SHUT_WR);
-}
-
 }  // namespace serve
 }  // namespace fedcons

@@ -48,8 +48,6 @@ class ServeClient {
   /// send + recv (serial convenience).
   [[nodiscard]] ServeResponse call(const ServeRequest& req);
 
-  /// Half-close for writing: tells the server this client is done sending.
-  void shutdown_write() noexcept;
   [[nodiscard]] int fd() const noexcept { return fd_; }
 
  private:

@@ -23,6 +23,14 @@ Time draw_exec(Rng& rng, const SimConfig& config, Time wcet) {
   return wcet;
 }
 
+/// A sporadic gap adds up to ⌊jitter_frac·T⌋ ticks, so that product must be
+/// a Time: a cast of nan, inf or a finite overflow would be garbage.
+void expect_jitter_fits(const SimConfig& config, Time period) {
+  const double jitter = config.jitter_frac * static_cast<double>(period);
+  FEDCONS_EXPECTS_MSG(jitter >= 0.0 && jitter < kTimeRealLimit,
+                      "jitter_frac * period must lie in [0, 2^63)");
+}
+
 Time next_release(Rng& rng, const SimConfig& config, Time current,
                   Time period) {
   Time gap = period;
@@ -40,7 +48,7 @@ std::vector<DagJobRelease> generate_releases(const DagTask& task,
                                              const SimConfig& config,
                                              Rng& rng) {
   FEDCONS_EXPECTS(config.horizon >= 1);
-  FEDCONS_EXPECTS(config.jitter_frac >= 0.0);
+  expect_jitter_fits(config, task.period());
   FEDCONS_EXPECTS(config.exec_lo > 0.0 && config.exec_lo <= 1.0);
   std::vector<DagJobRelease> out;
   const std::size_t n = task.graph().num_vertices();
@@ -63,6 +71,7 @@ std::vector<JobRelease> generate_sequential_releases(Time wcet, Time deadline,
                                                      const SimConfig& config,
                                                      Rng& rng) {
   FEDCONS_EXPECTS(wcet >= 1 && deadline >= 1 && period >= 1);
+  expect_jitter_fits(config, period);
   std::vector<JobRelease> out;
   for (Time r = 0; checked_add(r, deadline) <= config.horizon;
        r = next_release(rng, config, r, period)) {

@@ -1,8 +1,11 @@
 #include "fedcons/util/flags.h"
 
+#include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 #include "fedcons/util/check.h"
+#include "fedcons/util/mini_json.h"
 
 namespace fedcons {
 
@@ -28,18 +31,16 @@ bool Flags::has(const std::string& key) const {
   return values_.count(key) != 0;
 }
 
-std::vector<std::string> Flags::unknown_keys(
+std::vector<std::string> Flags::usage_errors(
     std::span<const std::string_view> allowed) const {
   std::vector<std::string> out;
   for (const auto& [key, value] : values_) {
-    bool known = false;
-    for (const std::string_view a : allowed) {
-      if (key == a) {
-        known = true;
-        break;
-      }
+    if (std::find(allowed.begin(), allowed.end(), key) == allowed.end()) {
+      out.push_back("unknown flag --" + key);
     }
-    if (!known) out.push_back(key);
+  }
+  for (const std::string& arg : positional_) {
+    out.push_back("unexpected argument '" + arg + "'");
   }
   return out;
 }
@@ -62,49 +63,58 @@ std::string strip(const std::string& s) {
   return s.substr(first, last - first + 1);
 }
 
-}  // namespace
-
-std::int64_t Flags::get_int(const std::string& key, std::int64_t def) const {
-  auto it = values_.find(key);
-  if (it == values_.end()) return def;
-  // Full-token validation: stoll("8x") happily returns 8, so a typo like
-  // --threads=8x must not run with 8 threads. Every character of the
-  // stripped value has to be consumed by the conversion.
-  const std::string value = strip(it->second);
+/// `convert` (stoll or stod) of the whole stripped value of --key. Both
+/// stop at the first bad character and return the prefix, so --threads=8x
+/// would run with 8 threads; stod also reads hex floats. Either way the
+/// value is not `what`, and ContractViolation says so.
+template <typename Convert>
+auto parse_token(const std::string& key, const std::string& raw,
+                 const char* what, Convert convert) {
+  const std::string value = strip(raw);
+  decltype(convert(value, nullptr)) parsed{};
+  bool whole = false;
   try {
     std::size_t pos = 0;
-    const std::int64_t parsed = std::stoll(value, &pos);
-    FEDCONS_EXPECTS_MSG(pos == value.size(),
-                        "flag --" + key + " has trailing garbage: " +
-                            it->second);
-    return parsed;
-  } catch (const ContractViolation&) {
-    throw;
+    parsed = convert(value, &pos);
+    whole = pos == value.size() &&
+            value.find_first_of("xX") == std::string::npos;
   } catch (const std::exception&) {
-    FEDCONS_EXPECTS_MSG(false, "flag --" + key + " is not an integer: " +
-                                   it->second);
+    // Garbage or a value beyond the type: reported below.
   }
-  return def;  // unreachable
+  FEDCONS_EXPECTS_MSG(whole, "flag --" + key + " is not " + what + ": " + raw);
+  return parsed;
 }
 
-double Flags::get_double(const std::string& key, double def) const {
+}  // namespace
+
+std::int64_t Flags::parse_int(const std::string& key, const std::string& raw,
+                              std::int64_t lo, std::int64_t hi) {
+  const std::int64_t parsed =
+      parse_token(key, raw, "an integer",
+                  [](const std::string& s, std::size_t* pos) {
+                    return std::stoll(s, pos);
+                  });
+  FEDCONS_EXPECTS_MSG(lo <= parsed && parsed <= hi,
+                      "flag --" + key + " is outside [" + std::to_string(lo) +
+                          ", " + std::to_string(hi) + "]: " + raw);
+  return parsed;
+}
+
+double Flags::get_double(const std::string& key, double def, double lo,
+                         double hi) const {
   auto it = values_.find(key);
   if (it == values_.end()) return def;
-  const std::string value = strip(it->second);
-  try {
-    std::size_t pos = 0;
-    const double parsed = std::stod(value, &pos);
-    FEDCONS_EXPECTS_MSG(pos == value.size(),
-                        "flag --" + key + " has trailing garbage: " +
-                            it->second);
-    return parsed;
-  } catch (const ContractViolation&) {
-    throw;
-  } catch (const std::exception&) {
-    FEDCONS_EXPECTS_MSG(false,
-                        "flag --" + key + " is not a number: " + it->second);
-  }
-  return def;  // unreachable
+  const double parsed =
+      parse_token(key, it->second, "a number",
+                  [](const std::string& s, std::size_t* pos) {
+                    return std::stod(s, pos);
+                  });
+  FEDCONS_EXPECTS_MSG(std::isfinite(parsed),
+                      "flag --" + key + " is not finite: " + it->second);
+  FEDCONS_EXPECTS_MSG(lo <= parsed && parsed <= hi,
+                      "flag --" + key + " is outside [" + format_double(lo) +
+                          ", " + format_double(hi) + "]: " + it->second);
+  return parsed;
 }
 
 bool Flags::get_bool(const std::string& key, bool def) const {

@@ -78,10 +78,6 @@ struct PerfCounters {
   /// exposes the fast path's reach while remaining a pure function of the
   /// trial's inputs.
   std::uint64_t simd_breakpoints_vectorized = 0;
-  /// LS probes run by MINPROCS's μ scan (federated/minprocs.cpp), one per
-  /// probe, so it always equals minprocs_scan_iterations; kept because the
-  /// JSON reports carry it.
-  std::uint64_t ls_probes_blocked = 0;
 
   PerfCounters& operator+=(const PerfCounters& rhs) noexcept {
     ls_invocations += rhs.ls_invocations;
@@ -98,7 +94,6 @@ struct PerfCounters {
     minprocs_memo_misses += rhs.minprocs_memo_misses;
     partition_bins_revalidated += rhs.partition_bins_revalidated;
     simd_breakpoints_vectorized += rhs.simd_breakpoints_vectorized;
-    ls_probes_blocked += rhs.ls_probes_blocked;
     return *this;
   }
   /// Delta between two snapshots of the same thread's counters.
@@ -116,8 +111,7 @@ struct PerfCounters {
             minprocs_memo_hits - rhs.minprocs_memo_hits,
             minprocs_memo_misses - rhs.minprocs_memo_misses,
             partition_bins_revalidated - rhs.partition_bins_revalidated,
-            simd_breakpoints_vectorized - rhs.simd_breakpoints_vectorized,
-            ls_probes_blocked - rhs.ls_probes_blocked};
+            simd_breakpoints_vectorized - rhs.simd_breakpoints_vectorized};
   }
   [[nodiscard]] bool operator==(const PerfCounters&) const noexcept = default;
 };

@@ -26,6 +26,10 @@ using Time = std::int64_t;
 /// Sentinel for "unbounded / no such instant" (e.g. MINPROCS returning ∞).
 inline constexpr Time kTimeInfinity = std::numeric_limits<Time>::max();
 
+/// 2^63 as a double: a real x >= 0 converts to Time (by llround or a cast)
+/// only when x < kTimeRealLimit.
+inline constexpr double kTimeRealLimit = 0x1p63;
+
 /// Overflow-checked addition. Throws ContractViolation on signed overflow.
 [[nodiscard]] inline Time checked_add(Time a, Time b) {
   Time r{};

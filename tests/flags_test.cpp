@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "fedcons/util/check.h"
 
 namespace fedcons {
@@ -51,6 +53,10 @@ TEST(FlagsTest, DefaultsWhenAbsent) {
   EXPECT_EQ(f.get_double("missing", 2.5), 2.5);
   EXPECT_EQ(f.get_string("missing", "d"), "d");
   EXPECT_TRUE(f.get_bool("missing", true));
+  // A default is returned as given, even outside the range a value must
+  // meet: callers use that to tell an absent flag apart.
+  EXPECT_EQ(f.get_int("missing", 0, 1, 9), 0);
+  EXPECT_EQ(f.get_double("missing", -1.0, 0.0, 1.0), -1.0);
 }
 
 TEST(FlagsTest, BoolSpellings) {
@@ -97,6 +103,42 @@ TEST(FlagsTest, TrailingGarbageThrows) {
   EXPECT_DOUBLE_EQ(parse({"--ratio= 0.5"}).get_double("ratio", 0.0), 0.5);
   // Out-of-range still reports as not-an-integer, never saturates.
   EXPECT_THROW(parse({"--n=99999999999999999999"}).get_int("n", 0),
+               ContractViolation);
+}
+
+// get_int returns its default's type, and a value that type cannot hold
+// throws instead of wrapping: static_cast<int>(4294967297) is 1.
+TEST(FlagsTest, IntegersFitTheirTypeAndRange) {
+  const Flags f = parse({"--n=4294967297", "--neg=-1", "--m=8"});
+  EXPECT_THROW(f.get_int("n", 0), ContractViolation);
+  EXPECT_EQ(f.get_int<std::int64_t>("n", 0), 4294967297);
+  EXPECT_THROW(f.get_int<std::uint64_t>("neg", 1), ContractViolation);
+  EXPECT_THROW(f.get_int<std::size_t>("neg", 1), ContractViolation);
+  EXPECT_EQ(f.get_int<std::uint64_t>("m", 1), 8u);
+  // An explicit [lo, hi] narrows the type's range; both ends are inclusive.
+  EXPECT_EQ(f.get_int("m", 1, 8, 8), 8);
+  EXPECT_THROW(f.get_int("m", 1, 1, 7), ContractViolation);
+  EXPECT_THROW(f.get_int("m", 1, 9), ContractViolation);
+  EXPECT_THROW(f.get_int("neg", 0, 0), ContractViolation);
+  // An upper bound past int64 leaves int64's own limit in force.
+  EXPECT_EQ(parse({"--n=9223372036854775807"}).get_int<std::uint64_t>("n", 0),
+            9223372036854775807u);
+}
+
+// stod reads "nan", "inf" and hex floats, and 1e999 overflows; none is a
+// finite decimal number, so none reaches the caller.
+TEST(FlagsTest, DoublesAreFiniteAndInRange) {
+  for (const char* bad : {"--x=nan", "--x=-nan", "--x=inf", "--x=-inf",
+                          "--x=infinity", "--x=1e999", "--x=-1e999",
+                          "--x=0x1p3"}) {
+    EXPECT_THROW(parse({bad}).get_double("x", 0.0), ContractViolation) << bad;
+  }
+  EXPECT_DOUBLE_EQ(parse({"--x=1e300"}).get_double("x", 0.0), 1e300);
+  EXPECT_DOUBLE_EQ(parse({"--x=-2.5"}).get_double("x", 0.0), -2.5);
+  EXPECT_DOUBLE_EQ(parse({"--x=1"}).get_double("x", 0.0, 0.0, 1.0), 1.0);
+  EXPECT_THROW(parse({"--x=1.5"}).get_double("x", 0.0, 0.0, 1.0),
+               ContractViolation);
+  EXPECT_THROW(parse({"--x=-0.1"}).get_double("x", 0.0, 0.0, 1.0),
                ContractViolation);
 }
 

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "fedcons/core/builders.h"
 #include "fedcons/util/check.h"
 
@@ -111,6 +113,21 @@ TEST(ReleaseGenTest, ValidatesArguments) {
                ContractViolation);
   EXPECT_THROW(generate_sequential_releases(0, 1, 1, SimConfig{}, rng),
                ContractViolation);
+  // jitter_frac · T must be a Time: casting inf or 1e300·T gave garbage, and
+  // such runs simulated exactly like jitter 0.
+  for (const double jitter :
+       {1e300, std::numeric_limits<double>::infinity(),
+        std::numeric_limits<double>::quiet_NaN(), -0.5}) {
+    SimConfig bad;
+    bad.release = ReleaseModel::kSporadic;
+    bad.jitter_frac = jitter;
+    EXPECT_THROW(generate_releases(make_paper_example_task(), bad, rng),
+                 ContractViolation)
+        << jitter;
+    EXPECT_THROW(generate_sequential_releases(1, 5, 10, bad, rng),
+                 ContractViolation)
+        << jitter;
+  }
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <string>
 
 #include "fedcons/core/io.h"
@@ -168,6 +169,18 @@ TEST(TasksetGenTest, ValidatesParameters) {
   EXPECT_THROW(generate_task_system(rng, p), ContractViolation);
   p = {};
   p.period_max = p.period_min - 1;
+  EXPECT_THROW(generate_task_system(rng, p), ContractViolation);
+  // Periods and volumes must fit Time: llround of a 1e300 period draw
+  // overflowed, and the system came out with periods below period_min.
+  for (const double period_max :
+       {1e300, std::numeric_limits<double>::infinity(), 0x1p63}) {
+    p = {};
+    p.period_max = period_max;
+    EXPECT_THROW(generate_task_system(rng, p), ContractViolation)
+        << period_max;
+  }
+  p = {};
+  p.period_max = 5e18;  // fits Time; a u = 2.0 volume of 1e19 does not
   EXPECT_THROW(generate_task_system(rng, p), ContractViolation);
 }
 

@@ -151,6 +151,36 @@ TEST(ToolsErrorsTest, TrailingGarbageNumbersExitTwo) {
   EXPECT_EQ(exit_code(kConform + " --trials=1 --threads=4294967297"), 2);
 }
 
+TEST(ToolsErrorsTest, NarrowingAndNonFiniteValuesExitTwo) {
+  const std::string cli = kCli + " --file=" + valid_workload_path() +
+                          " --m=2 --simulate";
+  // Each narrowing case used to wrap and run: a seed of 2^64 - 1, 3 tasks,
+  // or (below) one trial per point.
+  EXPECT_EQ(exit_code(cli + " --seed=-1"), 2);
+  EXPECT_EQ(exit_code(cli + " --horizon=inf"), 2);
+  EXPECT_EQ(exit_code(kGen + " --tasks=4294967299 --seed=1"), 2);
+  EXPECT_EQ(exit_code(kGen + " --seed=-1"), 2);
+  // An infinite or overflowing period range used to yield periods below
+  // period_min; an infinite or overflowing jitter simulated as jitter 0.
+  EXPECT_EQ(exit_code(kGen + " --period-max=inf --seed=1"), 2);
+  EXPECT_EQ(exit_code(kGen + " --period-max=1e300 --seed=1"), 2);
+  EXPECT_EQ(exit_code(kConform + " --trials=2 --seed=-1"), 2);
+  EXPECT_EQ(exit_code(kConform + " --trials=2 --jitter=inf"), 2);
+  EXPECT_EQ(exit_code(kConform + " --trials=2 --jitter=1e300"), 2);
+  EXPECT_EQ(exit_code(kServe + " --port=4294967297"), 2);
+  EXPECT_EQ(exit_code(kServe + " --socket=/tmp/x.sock --trace-sample=inf"),
+            2);
+  EXPECT_EQ(exit_code(kTop + " --port=4294967297"), 2);
+  EXPECT_EQ(exit_code(kTop + " --socket=/tmp/x.sock --interval-ms=inf"), 2);
+#ifdef FEDCONS_BENCH_E10_BIN
+  const std::string bench = FEDCONS_BENCH_E10_BIN;
+  EXPECT_EQ(exit_code(bench + " --trials=4294967297"), 2);
+  EXPECT_EQ(exit_code(bench + " --trials=inf"), 2);
+  // A malformed value aborted the experiment (SIGABRT) before.
+  EXPECT_EQ(exit_code(bench + " --trials=abc"), 2);
+#endif
+}
+
 TEST(ToolsErrorsTest, MalformedInjectSpecsExitTwo) {
   const std::string base = kCli + " --file=" + valid_workload_path() + " --m=2";
   EXPECT_EQ(exit_code(base + " --inject=bogus:1"), 2);

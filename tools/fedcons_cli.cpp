@@ -57,7 +57,6 @@
 //
 // Exit status: 0 = schedulable (and, with --simulate, zero misses),
 //              1 = rejected / misses, 2 = usage or parse error.
-#include <climits>
 #include <fstream>
 #include <iostream>
 #include <iterator>
@@ -176,7 +175,6 @@ void print_json_report(std::ostream& os, const std::string& file, int m,
      << counters.minprocs_scan_iterations
      << ", \"dbf_star_evaluations\": " << counters.dbf_star_evaluations
      << ", \"ls_probes_pruned\": " << counters.ls_probes_pruned
-     << ", \"ls_probes_blocked\": " << counters.ls_probes_blocked
      << ", \"simd_breakpoints_vectorized\": "
      << counters.simd_breakpoints_vectorized
      << ", \"minprocs_memo_hits\": " << counters.minprocs_memo_hits
@@ -210,6 +208,18 @@ int list_algos() {
   return 0;
 }
 
+/// The simulation --simulate and --inject run: sporadic releases, execution
+/// times uniform in [WCET/2, WCET], over --horizon ticks from --seed.
+SimConfig sim_config(const Flags& flags) {
+  SimConfig cfg;
+  cfg.horizon = flags.get_int<Time>("horizon", 100000);
+  cfg.release = ReleaseModel::kSporadic;
+  cfg.exec = ExecModel::kUniform;
+  cfg.exec_lo = 0.5;
+  cfg.seed = flags.get_int<std::uint64_t>("seed", 1);
+  return cfg;
+}
+
 /// Per-task fault-injection replay: admit, inject, simulate, attribute.
 /// Exit 0 iff no task the plan does not target missed a deadline.
 int run_injection(const TaskSystem& system, int m, const FaultPlan& plan,
@@ -228,12 +238,7 @@ int run_injection(const TaskSystem& system, int m, const FaultPlan& plan,
               << " — nothing to inject into\n";
     return 1;
   }
-  SimConfig cfg;
-  cfg.horizon = flags.get_int("horizon", 100000);
-  cfg.release = ReleaseModel::kSporadic;
-  cfg.exec = ExecModel::kUniform;
-  cfg.exec_lo = 0.5;
-  cfg.seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
+  SimConfig cfg = sim_config(flags);
   cfg.faults = plan;
   cfg.supervision = supervision;
   const SystemSimReport rep = simulate_system(system, fed, cfg);
@@ -303,13 +308,7 @@ int run_online(const Flags& flags, PartitionVariant variant) {
   }
 
   AdmissionSession::Config config;
-  // Range-check before narrowing: --m=4294967297 would replay on m=1.
-  const std::int64_t m = flags.get_int("m", trace.processors);
-  if (m < 1 || m > INT_MAX) {
-    std::cerr << "error: --m must be in [1, " << INT_MAX << "]\n";
-    return usage();
-  }
-  config.processors = static_cast<int>(m);
+  config.processors = flags.get_int("m", trace.processors, 1);
   config.partition.variant = variant;
 
   AdmissionSession session(config);
@@ -357,7 +356,6 @@ int run_online(const Flags& flags, PartitionVariant variant) {
               << ", \"partition_bins_revalidated\": "
               << delta.partition_bins_revalidated
               << ", \"ls_probes_pruned\": " << delta.ls_probes_pruned
-              << ", \"ls_probes_blocked\": " << delta.ls_probes_blocked
               << ", \"simd_breakpoints_vectorized\": "
               << delta.simd_breakpoints_vectorized
               << ", \"total_latency_us\": " << result.total_latency_us
@@ -439,10 +437,8 @@ int run(const Flags& flags) {
                                        : PartitionVariant::kFull;
   if (flags.has("online")) return run_online(flags, variant);
   const std::string path = flags.get_string("file", "");
-  // Range-check before narrowing: --m=4294967304 would analyze on m=8.
-  const std::int64_t m64 = flags.get_int("m", 0);
-  if (path.empty() || m64 < 1 || m64 > INT_MAX) return usage();
-  const int m = static_cast<int>(m64);
+  if (path.empty() || !flags.has("m")) return usage();
+  const int m = flags.get_int("m", 0, 1);
 
   TaskSystem system;
   try {
@@ -598,12 +594,7 @@ int run(const Flags& flags) {
     std::cout << arb.describe(system);
     schedulable = arb.success;
     if (schedulable && flags.has("simulate")) {
-      SimConfig cfg;
-      cfg.horizon = flags.get_int("horizon", 100000);
-      cfg.release = ReleaseModel::kSporadic;
-      cfg.exec = ExecModel::kUniform;
-      cfg.exec_lo = 0.5;
-      cfg.seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
+      const SimConfig cfg = sim_config(flags);
       SystemSimReport rep = simulate_arbitrary_system(system, arb, cfg);
       std::cout << "\nSimulation over " << cfg.horizon << " ticks: "
                 << rep.total.jobs_released << " dag-jobs, "
@@ -636,12 +627,7 @@ int run(const Flags& flags) {
   }
 
   if (flags.has("simulate") && strategy == "fedcons") {
-    SimConfig cfg;
-    cfg.horizon = flags.get_int("horizon", 100000);
-    cfg.release = ReleaseModel::kSporadic;
-    cfg.exec = ExecModel::kUniform;
-    cfg.exec_lo = 0.5;
-    cfg.seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
+    const SimConfig cfg = sim_config(flags);
     SystemSimReport rep = simulate_system(system, fed_result, cfg);
     std::cout << "\nSimulation over " << cfg.horizon << " ticks: "
               << rep.total.jobs_released << " dag-jobs, "
@@ -663,16 +649,9 @@ int main(int argc, char** argv) {
         "strategy", "algo",      "variant", "json",     "explain",
         "trace-out", "inject",   "enforce", "online",
     };
-    const auto unknown = flags.unknown_keys(kAllowed);
-    if (!unknown.empty() || !flags.positional().empty()) {
-      for (const auto& key : unknown) {
-        std::cerr << "error: unknown flag --" << key << "\n";
-      }
-      for (const auto& arg : flags.positional()) {
-        std::cerr << "error: unexpected argument '" << arg << "'\n";
-      }
-      return usage();
-    }
+    const auto errors = flags.usage_errors(kAllowed);
+    for (const auto& e : errors) std::cerr << "error: " << e << "\n";
+    if (!errors.empty()) return usage();
     return run(flags);
   } catch (const std::exception& e) {
     // Malformed flag syntax, contract violations from absurd parameter

@@ -30,7 +30,6 @@
 // enforcement on / a cascade was exhibited with enforcement off / artifact
 // reproduced / demo exhibited); 1 — the run refuted its claim; 2 — usage or
 // input error. Unknown or malformed flags exit 2 with usage.
-#include <climits>
 #include <cstdint>
 #include <exception>
 #include <filesystem>
@@ -102,6 +101,26 @@ int usage() {
   return 2;
 }
 
+/// Reads the flags every fuzz mode shares into `config`; a flag left out
+/// keeps the config's own default.
+template <typename Config>
+void read_fuzz_flags(const Flags& flags, Config& config) {
+  config.trials = flags.get_int("trials", config.trials);
+  config.num_threads = flags.get_int("threads", config.num_threads, 0);
+  config.master_seed = flags.get_int("seed", config.master_seed);
+  config.m = flags.get_int("m", config.m, 1);
+  config.util_lo = flags.get_double("util-lo", config.util_lo);
+  config.util_hi = flags.get_double("util-hi", config.util_hi);
+  config.shrink_budget = flags.get_int("shrink-budget", config.shrink_budget);
+}
+
+/// The simulation flags of the modes that replay admitted systems.
+void read_sim_flags(const Flags& flags, SimConfig& sim) {
+  sim.horizon = flags.get_int("horizon", sim.horizon);
+  sim.exec_lo = flags.get_double("exec-lo", sim.exec_lo);
+  sim.jitter_frac = flags.get_double("jitter", sim.jitter_frac);
+}
+
 int run_replay(const std::string& path) {
   std::ifstream in(path);
   if (!in) {
@@ -157,17 +176,8 @@ int run_replay(const std::string& path) {
 
 int run_isolation(const Flags& flags) {
   IsolationConfig config = default_isolation_config();
-  config.trials = static_cast<std::size_t>(flags.get_int("trials", 500));
-  config.num_threads = static_cast<int>(flags.get_int("threads", 0));
-  config.master_seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
-  config.m = static_cast<int>(flags.get_int("m", 8));
-  config.sim.horizon = flags.get_int("horizon", config.sim.horizon);
-  config.sim.exec_lo = flags.get_double("exec-lo", config.sim.exec_lo);
-  config.sim.jitter_frac = flags.get_double("jitter", config.sim.jitter_frac);
-  config.util_lo = flags.get_double("util-lo", config.util_lo);
-  config.util_hi = flags.get_double("util-hi", config.util_hi);
-  config.shrink_budget = static_cast<std::size_t>(flags.get_int(
-      "shrink-budget", static_cast<std::int64_t>(config.shrink_budget)));
+  read_fuzz_flags(flags, config);
+  read_sim_flags(flags, config.sim);
   const std::string enforce_str = flags.get_string("enforce", "on");
   if (enforce_str != "on" && enforce_str != "off") {
     std::cerr << "error: --enforce takes 'on' or 'off'\n";
@@ -222,16 +232,8 @@ int run_isolation(const Flags& flags) {
 
 int run_online(const Flags& flags) {
   OnlineFuzzConfig config;
-  config.trials = static_cast<std::size_t>(flags.get_int("trials", 500));
-  config.num_threads = static_cast<int>(flags.get_int("threads", 0));
-  config.master_seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
-  config.m = static_cast<int>(flags.get_int("m", 8));
-  config.events_per_trial = static_cast<std::size_t>(flags.get_int(
-      "events", static_cast<std::int64_t>(config.events_per_trial)));
-  config.util_lo = flags.get_double("util-lo", config.util_lo);
-  config.util_hi = flags.get_double("util-hi", config.util_hi);
-  config.shrink_budget = static_cast<std::size_t>(flags.get_int(
-      "shrink-budget", static_cast<std::int64_t>(config.shrink_budget)));
+  read_fuzz_flags(flags, config);
+  config.events_per_trial = flags.get_int("events", config.events_per_trial);
 
   const OnlineFuzzReport report = run_online_fuzz(config);
 
@@ -289,18 +291,8 @@ int run_demo() {
 
 int run_harness(const Flags& flags) {
   ConformConfig config = default_conform_config();
-  config.trials = static_cast<std::size_t>(flags.get_int("trials", 1000));
-  config.num_threads = static_cast<int>(flags.get_int("threads", 0));
-  config.master_seed =
-      static_cast<std::uint64_t>(flags.get_int("seed", 1));
-  config.m = static_cast<int>(flags.get_int("m", 8));
-  config.sim.horizon = flags.get_int("horizon", config.sim.horizon);
-  config.sim.exec_lo = flags.get_double("exec-lo", config.sim.exec_lo);
-  config.sim.jitter_frac = flags.get_double("jitter", config.sim.jitter_frac);
-  config.util_lo = flags.get_double("util-lo", config.util_lo);
-  config.util_hi = flags.get_double("util-hi", config.util_hi);
-  config.shrink_budget = static_cast<std::size_t>(
-      flags.get_int("shrink-budget", static_cast<std::int64_t>(config.shrink_budget)));
+  read_fuzz_flags(flags, config);
+  read_sim_flags(flags, config.sim);
 
   std::vector<ConformanceEntry> entries;
   if (flags.has("algos")) {
@@ -372,36 +364,9 @@ int main(int argc, char** argv) {
         "algos",   "out-dir",      "json",    "trace-out",     "online",
         "events",
     };
-    const auto unknown = flags.unknown_keys(kAllowed);
-    if (!unknown.empty() || !flags.positional().empty()) {
-      for (const auto& key : unknown) {
-        std::cerr << "error: unknown flag --" << key << "\n";
-      }
-      for (const auto& arg : flags.positional()) {
-        std::cerr << "error: unexpected argument '" << arg << "'\n";
-      }
-      return usage();
-    }
-    // Range-check the integer flags before a mode narrows them to int or
-    // size_t: --m=4294967304 would run at m=8, and --online --events=-1
-    // would wrap to 2^64 - 1 events per trial.
-    struct IntRange {
-      const char* key;
-      std::int64_t lo, hi;
-    };
-    static constexpr IntRange kRanges[] = {
-        {"m", 1, INT_MAX},        {"threads", 0, INT_MAX},
-        {"trials", 0, INT64_MAX}, {"events", 0, INT64_MAX},
-        {"shrink-budget", 0, INT64_MAX},
-    };
-    for (const IntRange& r : kRanges) {
-      const std::int64_t v = flags.get_int(r.key, r.lo);
-      if (v < r.lo || v > r.hi) {
-        std::cerr << "error: --" << r.key << " out of range [" << r.lo << ", "
-                  << r.hi << "]\n";
-        return usage();
-      }
-    }
+    const auto errors = flags.usage_errors(kAllowed);
+    for (const auto& e : errors) std::cerr << "error: " << e << "\n";
+    if (!errors.empty()) return usage();
     const std::string trace_out = flags.get_string("trace-out", "");
     if (!trace_out.empty()) obs::set_tracing_enabled(true);
     int rc;

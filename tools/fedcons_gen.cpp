@@ -49,8 +49,7 @@ int run(const Flags& flags) {
     params = preset->params;
   }
 
-  params.num_tasks =
-      static_cast<int>(flags.get_int("tasks", params.num_tasks));
+  params.num_tasks = flags.get_int("tasks", params.num_tasks, 1);
   params.total_utilization =
       flags.get_double("util", params.total_utilization);
   params.utilization_cap =
@@ -71,7 +70,7 @@ int run(const Flags& flags) {
     return 2;
   }
 
-  Rng rng(static_cast<std::uint64_t>(flags.get_int("seed", 1)));
+  Rng rng(flags.get_int<std::uint64_t>("seed", 1));
   GenerationInfo info;
   TaskSystem sys = generate_task_system(rng, params, &info);
   serialize_task_system(sys, std::cout);
@@ -91,16 +90,9 @@ int main(int argc, char** argv) {
         "util-cap",     "period-min", "period-max", "dratio-min",
         "dratio-max",   "topology",   "seed",
     };
-    const auto unknown = flags.unknown_keys(kAllowed);
-    if (!unknown.empty() || !flags.positional().empty()) {
-      for (const auto& key : unknown) {
-        std::cerr << "error: unknown flag --" << key << "\n";
-      }
-      for (const auto& arg : flags.positional()) {
-        std::cerr << "error: unexpected argument '" << arg << "'\n";
-      }
-      return usage();
-    }
+    const auto errors = flags.usage_errors(kAllowed);
+    for (const auto& e : errors) std::cerr << "error: " << e << "\n";
+    if (!errors.empty()) return usage();
     return run(flags);
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";

@@ -33,8 +33,7 @@
 //
 // Unknown or malformed flags, and values out of range (--port outside
 // [0, 65535], --max-frame-bytes below 1, --trace-sample outside
-// [0, INT_MAX]), exit 2 with usage. Exit 0 on a clean drain.
-#include <climits>
+// [0, INT_MAX]), exit 2. Exit 0 on a clean drain.
 #include <csignal>
 #include <fstream>
 #include <iostream>
@@ -83,43 +82,25 @@ int main(int argc, char** argv) {
     const Flags flags(argc, argv);
     static constexpr std::string_view kAllowed[] = {
         "socket", "port", "max-frame-bytes", "trace-out", "trace-sample"};
-    const auto unknown = flags.unknown_keys(kAllowed);
-    if (!unknown.empty() || !flags.positional().empty()) {
-      for (const auto& key : unknown) {
-        std::cerr << "fedcons_serve: unknown flag --" << key << "\n";
-      }
-      for (const auto& arg : flags.positional()) {
-        std::cerr << "fedcons_serve: stray argument '" << arg << "'\n";
-      }
-      return usage();
-    }
+    const auto errors = flags.usage_errors(kAllowed);
+    for (const auto& e : errors) std::cerr << "fedcons_serve: " << e << "\n";
+    if (!errors.empty()) return usage();
     const bool has_socket = flags.has("socket");
     if (has_socket == flags.has("port")) {
       std::cerr << "fedcons_serve: exactly one of --socket/--port required\n";
       return usage();
     }
 
-    const std::string trace_out = flags.get_string("trace-out", "");
-    const std::int64_t port = flags.get_int("port", 0);
-    const std::int64_t max_frame_bytes = flags.get_int(
-        "max-frame-bytes",
-        static_cast<std::int64_t>(serve::kDefaultMaxFrameBytes));
-    // Sampling defaults on with the trace sink: 1-in-256 keeps the span
-    // buffers bounded under load while still catching requests steadily.
-    const std::int64_t trace_sample =
-        flags.get_int("trace-sample", trace_out.empty() ? 0 : 256);
-    // Range-check before narrowing: a wrapped value would bind another
-    // port, lift the frame cap or change the sampling period.
-    if (port < 0 || port > 65535 || max_frame_bytes < 1 || trace_sample < 0 ||
-        trace_sample > INT_MAX) {
-      std::cerr << "fedcons_serve: flag values out of range\n";
-      return usage();
-    }
     serve::ServerConfig config;
     config.unix_path = flags.get_string("socket", "");
-    config.tcp_port = static_cast<int>(port);
-    config.max_frame_bytes = static_cast<std::size_t>(max_frame_bytes);
-    config.trace_sample = static_cast<int>(trace_sample);
+    config.tcp_port = flags.get_int("port", 0, 0, 65535);
+    config.max_frame_bytes =
+        flags.get_int("max-frame-bytes", serve::kDefaultMaxFrameBytes, 1);
+    const std::string trace_out = flags.get_string("trace-out", "");
+    // Sampling defaults on with the trace sink: 1-in-256 keeps the span
+    // buffers bounded under load while still catching requests steadily.
+    config.trace_sample =
+        flags.get_int("trace-sample", trace_out.empty() ? 0 : 256, 0);
     TraceDump trace_dump;
     trace_dump.path = trace_out;
     if (!trace_dump.path.empty()) obs::set_tracing_enabled(true);

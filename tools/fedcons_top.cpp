@@ -200,8 +200,8 @@ void render(const Snapshot& now, const Snapshot* prev, bool plain) {
 
 int main(int argc, char** argv) {
   std::string socket;
-  std::int64_t port = 0;
-  std::chrono::milliseconds interval{};
+  int port = 0;
+  std::chrono::milliseconds interval{1000};
   std::int64_t iterations = 0;
   bool plain = false;
   // Usage errors are decided here, apart from the run's own failures, so a
@@ -210,30 +210,19 @@ int main(int argc, char** argv) {
     const Flags flags(argc, argv);
     static constexpr std::string_view kAllowed[] = {
         "socket", "port", "interval-ms", "iterations", "plain"};
-    const auto unknown = flags.unknown_keys(kAllowed);
-    if (!unknown.empty() || !flags.positional().empty()) {
-      for (const auto& key : unknown) {
-        std::cerr << "fedcons_top: unknown flag --" << key << "\n";
-      }
-      for (const auto& arg : flags.positional()) {
-        std::cerr << "fedcons_top: stray argument '" << arg << "'\n";
-      }
-      return usage();
-    }
+    const auto errors = flags.usage_errors(kAllowed);
+    for (const auto& e : errors) std::cerr << "fedcons_top: " << e << "\n";
+    if (!errors.empty()) return usage();
     if (flags.has("socket") == flags.has("port")) {
       std::cerr << "fedcons_top: exactly one of --socket/--port required\n";
       return usage();
     }
     socket = flags.get_string("socket", "");
-    port = flags.get_int("port", 0);
-    interval = std::chrono::milliseconds(flags.get_int("interval-ms", 1000));
-    iterations = flags.get_int("iterations", 0);
+    port = flags.get_int("port", port, 1, 65535);
+    interval = std::chrono::milliseconds(
+        flags.get_int("interval-ms", interval.count(), 1));
+    iterations = flags.get_int("iterations", iterations, 0);
     plain = flags.get_bool("plain", false);
-    if ((socket.empty() && (port < 1 || port > 65535)) ||
-        interval.count() < 1 || iterations < 0) {
-      std::cerr << "fedcons_top: flag values out of range\n";
-      return usage();
-    }
   } catch (const std::exception& e) {
     std::cerr << "fedcons_top: " << e.what() << "\n";
     return usage();
@@ -242,7 +231,7 @@ int main(int argc, char** argv) {
   try {
     serve::ServeClient client =
         socket.empty()
-            ? serve::ServeClient::connect_tcp(static_cast<int>(port))
+            ? serve::ServeClient::connect_tcp(port)
             : serve::ServeClient::connect_unix(socket);
     Snapshot prev;
     bool have_prev = false;
