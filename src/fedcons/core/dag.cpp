@@ -239,9 +239,19 @@ const Dag::Derived& Dag::ensure_reduced() const {
 
 std::span<const VertexId> Dag::reduced_successors(VertexId v) const {
   FEDCONS_EXPECTS(v < wcet_.size());
-  const Derived& d = ensure_reduced();
-  if (d.reduced_trivial) return successors(v);
-  return {d.red_flat.data() + d.red_off[v], d.red_off[v + 1] - d.red_off[v]};
+  const SuccessorCsr csr = successor_csr(/*transitive_reduction=*/true);
+  return csr.targets.subspan(csr.offsets[v],
+                             csr.offsets[v + 1] - csr.offsets[v]);
+}
+
+Dag::SuccessorCsr Dag::successor_csr(bool transitive_reduction) const {
+  const std::size_t n = wcet_.size();
+  if (n == 0) return {};
+  if (transitive_reduction) {
+    const Derived& d = ensure_reduced();
+    if (!d.reduced_trivial) return {d.red_off, d.red_flat};
+  }
+  return {{adj_.data(), n + 1}, {adj_.data() + 2 * (n + 1), num_edges()}};
 }
 
 const std::vector<VertexId>& Dag::topological_order() const {

@@ -75,6 +75,8 @@ class Dag {
   [[nodiscard]] bool empty() const noexcept { return wcet_.empty(); }
 
   [[nodiscard]] Time wcet(VertexId v) const;
+  /// Every vertex's WCET, indexed by vertex id.
+  [[nodiscard]] std::span<const Time> wcets() const noexcept { return wcet_; }
   [[nodiscard]] std::span<const VertexId> successors(VertexId v) const;
   [[nodiscard]] std::span<const VertexId> predecessors(VertexId v) const;
   [[nodiscard]] std::size_t in_degree(VertexId v) const;
@@ -124,6 +126,19 @@ class Dag {
   /// kMaxReductionVertices the bitset build is skipped and the original
   /// successor lists are returned (a sound over-approximation).
   [[nodiscard]] std::span<const VertexId> reduced_successors(VertexId v) const;
+
+  /// The whole successor relation in CSR form: vertex v's successors are
+  /// targets[offsets[v], offsets[v + 1]). Views into the Dag, valid while it
+  /// lives unmodified.
+  struct SuccessorCsr {
+    std::span<const std::uint32_t> offsets;  ///< |V| + 1 entries
+    std::span<const VertexId> targets;
+  };
+  /// The stored successor lists, or with transitive_reduction the cached
+  /// relation of reduced_successors (built on first use, like it). Empty
+  /// spans for the empty graph.
+  [[nodiscard]] SuccessorCsr successor_csr(
+      bool transitive_reduction = false) const;
 
   /// reach[u][v] == true iff v is reachable from u by a non-empty path.
   /// O(|V|²) bits, built on every call.

@@ -1,6 +1,9 @@
 #include "fedcons/federated/fedcons_algorithm.h"
 
+#include <span>
 #include <sstream>
+#include <utility>
+#include <vector>
 
 #include "fedcons/obs/span_tracer.h"
 #include "fedcons/util/check.h"
@@ -39,11 +42,32 @@ FedconsResult fedcons_schedule(const TaskSystem& system, int m,
     result.provenance = prov;
   };
 
+  // τ_high, τ_low and τ_low's sequential view, split in one pass into
+  // per-thread scratch that is cleared rather than freed, so a steady-state
+  // call allocates only its result. Nothing below calls back into
+  // fedcons_schedule.
+  thread_local std::vector<TaskId> high;
+  thread_local std::vector<TaskId> low;
+  thread_local std::vector<SporadicTask> seq;
+  high.clear();
+  low.clear();
+  seq.clear();
+  const std::span<const DagTask> tasks = system.tasks();
+  for (TaskId i = 0; i < tasks.size(); ++i) {
+    if (tasks[i].is_high_density()) {
+      high.push_back(i);
+    } else {
+      low.push_back(i);
+      seq.push_back(tasks[i].to_sequential());
+    }
+  }
+  result.clusters.reserve(high.size());
+
   int m_r = m;       // remaining processors (paper, line 1)
   int next_proc = 0;  // global index of the next unassigned processor
 
   // Phase 1: dedicate processors to each high-density task (lines 2–6).
-  for (TaskId i : system.high_density_tasks()) {
+  for (TaskId i : high) {
     MinprocsOptions scan_options;
     if (prov != nullptr) {
       prov->clusters.push_back(ClusterProvenance{i, m_r, {}});
@@ -64,11 +88,6 @@ FedconsResult fedcons_schedule(const TaskSystem& system, int m,
   }
 
   // Phase 2: partition the low-density tasks on the remainder (line 7).
-  const auto low = system.low_density_tasks();
-  std::vector<SporadicTask> seq;
-  seq.reserve(low.size());
-  for (TaskId i : low) seq.push_back(system[i].to_sequential());
-
   PartitionOptions part_options = options.partition;
   if (prov != nullptr) {
     prov->partition_reached = true;
@@ -91,12 +110,11 @@ FedconsResult fedcons_schedule(const TaskSystem& system, int m,
   result.failure = FedconsFailure::kNone;
   result.shared_processors = m_r;
   result.first_shared_processor = next_proc;
-  result.shared_assignment.resize(part.assignment.size());
-  for (std::size_t k = 0; k < part.assignment.size(); ++k) {
-    for (std::size_t idx : part.assignment[k]) {
-      result.shared_assignment[k].push_back(low[idx]);
-    }
+  // Map the partition's τ_low positions to system ids in place.
+  for (std::vector<std::size_t>& bin : part.assignment) {
+    for (std::size_t& idx : bin) idx = low[idx];
   }
+  result.shared_assignment = std::move(part.assignment);
   finalize();
   return result;
 }

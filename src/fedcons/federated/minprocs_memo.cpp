@@ -77,26 +77,21 @@ std::optional<MinprocsResult> MinprocsMemo::lookup(
   FEDCONS_EXPECTS(max_processors >= 0);
   const DagHash key = canonical_task_hash(task);
 
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    const auto it = index_.find(key);
-    if (it != index_.end()) {
-      lru_.splice(lru_.begin(), lru_, it->second);  // mark most recently used
-      ++stats_.hits;
-      ++perf_counters().minprocs_memo_hits;
-      obs::observe_memo_lookup(/*hit=*/true);
-      if (was_hit != nullptr) *was_hit = true;
-      return replay(lru_.front(), max_processors, provenance);
-    }
-    ++stats_.misses;
+  if (const auto it = index_.find(key); it != index_.end()) {
+    lru_.splice(lru_.begin(), lru_, it->second);  // mark most recently used
+    ++stats_.hits;
+    ++perf_counters().minprocs_memo_hits;
+    obs::observe_memo_lookup(/*hit=*/true);
+    if (was_hit != nullptr) *was_hit = true;
+    return replay(lru_.front(), max_processors, provenance);
   }
+  ++stats_.misses;
   ++perf_counters().minprocs_memo_misses;
   obs::observe_memo_lookup(/*hit=*/false);
   if (was_hit != nullptr) *was_hit = false;
 
-  // Run the real scan outside the lock (concurrent misses duplicate work
-  // benignly). Capture the trajectory locally so the entry keeps it even
-  // when the caller didn't ask for provenance.
+  // Run the real scan. Capture the trajectory locally so the entry keeps it
+  // even when the caller didn't ask for provenance.
   MinprocsProvenance trajectory;
   std::optional<MinprocsResult> result =
       minprocs(task, max_processors, policy_, {.provenance = &trajectory});
@@ -116,32 +111,18 @@ std::optional<MinprocsResult> MinprocsMemo::lookup(
       entry.sigma = result->sigma;
       entry.probes = trajectory.probes;
     }
-    std::lock_guard<std::mutex> lock(mu_);
-    if (index_.find(key) == index_.end()) {  // a racing miss may have won
-      lru_.push_front(std::move(entry));
-      index_[key] = lru_.begin();
-      if (lru_.size() > capacity_) {
-        index_.erase(lru_.back().key);
-        lru_.pop_back();
-        ++stats_.evictions;
-      }
+    lru_.push_front(std::move(entry));
+    index_[key] = lru_.begin();
+    if (lru_.size() > capacity_) {
+      index_.erase(lru_.back().key);
+      lru_.pop_back();
+      ++stats_.evictions;
     }
   }
   return result;
 }
 
-MinprocsMemoStats MinprocsMemo::stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return stats_;
-}
-
-std::size_t MinprocsMemo::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return lru_.size();
-}
-
 void MinprocsMemo::clear() {
-  std::lock_guard<std::mutex> lock(mu_);
   lru_.clear();
   index_.clear();
 }

@@ -25,9 +25,8 @@
 // produced (truncated to the probes a smaller m_r would have run). The
 // AdmissionSession marks such records as served-from-cache for --explain.
 //
-// Thread safety: all public members are mutex-guarded. A miss releases the
-// lock while the scan runs, so concurrent misses may duplicate work (the
-// second insert wins benignly); counters stay per-thread exact either way.
+// Thread safety: none. One AdmissionSession owns a memo and one thread
+// touches it (online/admission_session.h).
 //
 // One memo instance is bound to one list policy; sharing an instance across
 // sessions with different policies is a caller error.
@@ -35,7 +34,6 @@
 
 #include <cstdint>
 #include <list>
-#include <mutex>
 #include <optional>
 #include <unordered_map>
 
@@ -44,7 +42,7 @@
 
 namespace fedcons {
 
-/// Lifetime totals of one memo instance (monotone; snapshot under the lock).
+/// Lifetime totals of one memo instance (monotone).
 struct MinprocsMemoStats {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
@@ -68,8 +66,8 @@ class MinprocsMemo {
       const DagTask& task, int max_processors,
       MinprocsProvenance* provenance = nullptr, bool* was_hit = nullptr);
 
-  [[nodiscard]] MinprocsMemoStats stats() const;
-  [[nodiscard]] std::size_t size() const;
+  [[nodiscard]] MinprocsMemoStats stats() const noexcept { return stats_; }
+  [[nodiscard]] std::size_t size() const noexcept { return lru_.size(); }
   [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
   [[nodiscard]] ListPolicy policy() const noexcept { return policy_; }
   void clear();
@@ -96,7 +94,6 @@ class MinprocsMemo {
   const std::size_t capacity_;
   const ListPolicy policy_;
 
-  mutable std::mutex mu_;
   Lru lru_;  ///< front = most recently used
   std::unordered_map<DagHash, Lru::iterator> index_;
   MinprocsMemoStats stats_;

@@ -14,26 +14,24 @@ TemplateSchedule::TemplateSchedule(int num_processors,
             [](const ScheduledJob& a, const ScheduledJob& b) {
               return a.vertex < b.vertex;
             });
-  VertexId max_vertex = 0;
-  for (const auto& j : jobs_) {
+  for (std::size_t i = 0; i < jobs_.size(); ++i) {
+    const ScheduledJob& j = jobs_[i];
     FEDCONS_EXPECTS_MSG(j.start >= 0 && j.finish >= j.start,
                         "malformed schedule slot");
     FEDCONS_EXPECTS_MSG(j.processor >= 0 && j.processor < num_processors_,
                         "processor index out of range");
-    makespan_ = std::max(makespan_, j.finish);
-    max_vertex = std::max(max_vertex, j.vertex);
-  }
-  by_vertex_.assign(jobs_.empty() ? 0 : max_vertex + 1, SIZE_MAX);
-  for (std::size_t i = 0; i < jobs_.size(); ++i) {
-    FEDCONS_EXPECTS_MSG(by_vertex_[jobs_[i].vertex] == SIZE_MAX,
+    FEDCONS_EXPECTS_MSG(i == 0 || jobs_[i - 1].vertex != j.vertex,
                         "duplicate vertex in schedule");
-    by_vertex_[jobs_[i].vertex] = i;
+    makespan_ = std::max(makespan_, j.finish);
   }
 }
 
 const ScheduledJob& TemplateSchedule::job_for(VertexId v) const {
-  FEDCONS_EXPECTS(v < by_vertex_.size() && by_vertex_[v] != SIZE_MAX);
-  return jobs_[by_vertex_[v]];
+  const auto it = std::lower_bound(
+      jobs_.begin(), jobs_.end(), v,
+      [](const ScheduledJob& j, VertexId x) { return j.vertex < x; });
+  FEDCONS_EXPECTS(it != jobs_.end() && it->vertex == v);
+  return *it;
 }
 
 double TemplateSchedule::occupancy() const noexcept {

@@ -47,7 +47,8 @@ class TemplateSchedule {
   /// Completion time of the last job (0 for an empty schedule).
   [[nodiscard]] Time makespan() const noexcept { return makespan_; }
 
-  /// Lookup by vertex id. Precondition: the schedule contains that vertex.
+  /// Lookup by vertex id (binary search of the vertex-sorted jobs).
+  /// Precondition: the schedule contains that vertex.
   [[nodiscard]] const ScheduledJob& job_for(VertexId v) const;
 
   /// Fraction of processor·time occupied within [0, makespan): Σ wcet /
@@ -63,8 +64,7 @@ class TemplateSchedule {
 
  private:
   int num_processors_;
-  std::vector<ScheduledJob> jobs_;    // sorted by vertex id
-  std::vector<std::size_t> by_vertex_;  // vertex id -> index into jobs_
+  std::vector<ScheduledJob> jobs_;  // sorted by vertex id
   Time makespan_ = 0;
 };
 

@@ -54,8 +54,9 @@
 // happens-before edge (a mutex, a queue, a joined task). serve/server.cpp
 // needs none of that: a session belongs to one connection, and only that
 // connection's thread ever touches it.
-// (The memo cache underneath is itself thread-safe, but it is owned per
-// session here so hit/miss sequences stay deterministic per event sequence.)
+// The memo cache underneath has no locking either: the session owns it, so
+// it shares the session's one-toucher rule, and hit/miss sequences stay
+// deterministic per event sequence.
 #pragma once
 
 #include <cstdint>

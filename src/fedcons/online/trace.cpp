@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <limits>
 #include <sstream>
 
 #include "fedcons/core/io.h"
@@ -109,7 +110,10 @@ OnlineTrace parse_online_trace(const std::string& text) {
         throw ParseError(lineno, "online trace: unsupported version");
       }
       const std::int64_t m = mini_json_int(require_field(fields, "processors"));
-      if (m < 1) throw ParseError(lineno, "online trace: processors < 1");
+      if (m < 1 || m > std::numeric_limits<int>::max()) {
+        throw ParseError(lineno,
+                         "online trace: processors outside [1, INT_MAX]");
+      }
       trace.processors = static_cast<int>(m);
       saw_header = true;
       continue;

@@ -182,24 +182,33 @@ TEST_P(ListSchedulerPropertyTest, ReducedExecTimesStayValid) {
 TEST_P(ListSchedulerPropertyTest, WorkspaceCoreMatchesReferenceBitForBit) {
   auto [seed, procs] = GetParam();
   Rng rng(seed ^ 0xace5u);
+  // A second stream rescales each shape by a real factor in [10^4, 5·10^4],
+  // so its WCETs span 10^4 to 10^6 — the range generated campaign tasks
+  // reach — without disturbing the small-WCET inputs above.
+  Rng scale_rng(seed ^ 0x5ca1eu);
   LayeredDagParams params;
   params.max_layers = 6;
   params.max_width = 5;
   params.max_wcet = 20;
   for (int trial = 0; trial < 40; ++trial) {
-    Dag g = generate_layered_dag(rng, params);
-    for (ListPolicy policy :
-         {ListPolicy::kVertexOrder, ListPolicy::kCriticalPath,
-          ListPolicy::kLongestWcet}) {
-      TemplateSchedule opt = list_schedule(g, procs, policy);
-      TemplateSchedule ref = reference::list_schedule(g, procs, policy);
-      EXPECT_EQ(opt.makespan(), ref.makespan());
-      ASSERT_EQ(opt.num_jobs(), ref.num_jobs());
-      for (std::size_t i = 0; i < opt.jobs().size(); ++i) {
-        EXPECT_EQ(opt.jobs()[i].vertex, ref.jobs()[i].vertex);
-        EXPECT_EQ(opt.jobs()[i].processor, ref.jobs()[i].processor);
-        EXPECT_EQ(opt.jobs()[i].start, ref.jobs()[i].start);
-        EXPECT_EQ(opt.jobs()[i].finish, ref.jobs()[i].finish);
+    const Dag small = generate_layered_dag(rng, params);
+    const Dag large = rescale_volume(
+        small, scale_rng.uniform_int(10'000 * small.vol(),
+                                     50'000 * small.vol()));
+    for (const Dag* g : {&small, &large}) {
+      for (ListPolicy policy :
+           {ListPolicy::kVertexOrder, ListPolicy::kCriticalPath,
+            ListPolicy::kLongestWcet}) {
+        TemplateSchedule opt = list_schedule(*g, procs, policy);
+        TemplateSchedule ref = reference::list_schedule(*g, procs, policy);
+        EXPECT_EQ(opt.makespan(), ref.makespan());
+        ASSERT_EQ(opt.num_jobs(), ref.num_jobs());
+        for (std::size_t i = 0; i < opt.jobs().size(); ++i) {
+          EXPECT_EQ(opt.jobs()[i].vertex, ref.jobs()[i].vertex);
+          EXPECT_EQ(opt.jobs()[i].processor, ref.jobs()[i].processor);
+          EXPECT_EQ(opt.jobs()[i].start, ref.jobs()[i].start);
+          EXPECT_EQ(opt.jobs()[i].finish, ref.jobs()[i].finish);
+        }
       }
     }
   }

@@ -35,28 +35,29 @@ void expect_bit_identical(const TemplateSchedule& a, const TemplateSchedule& b) 
   }
 }
 
-/// One random DAG task whose deadline lands in [len, vol] so the MINPROCS
-/// scan actually has to probe (below len: trivial reject; above vol: μ = ⌈δ⌉
+/// A task over `g` whose deadline lands in [len, vol] so the MINPROCS scan
+/// actually has to probe (below len: trivial reject; above vol: μ = ⌈δ⌉
 /// immediately fits).
+DagTask task_over(Dag g, Rng& rng) {
+  const Time deadline = rng.uniform_int(g.len(), g.vol());
+  const Time period = deadline + rng.uniform_int(0, 50);
+  return DagTask(std::move(g), deadline, period);
+}
+
+/// One random DAG task with WCETs of at most 12.
 DagTask random_task(Rng& rng) {
   LayeredDagParams params;
   params.max_layers = 6;
   params.max_width = 6;
   params.max_wcet = 12;
-  Dag g = generate_layered_dag(rng, params);
-  const Time deadline = rng.uniform_int(g.len(), g.vol());
-  const Time period = deadline + rng.uniform_int(0, 50);
-  return DagTask(std::move(g), deadline, period);
+  return task_over(generate_layered_dag(rng, params), rng);
 }
 
 class MinprocsEquivalenceTest
     : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(MinprocsEquivalenceTest, PrunedScanMatchesReferenceBitForBit) {
-  Rng rng(GetParam());
-  for (int trial = 0; trial < 50; ++trial) {
-    const DagTask t = random_task(rng);
-    const int budget = static_cast<int>(rng.uniform_int(0, 16));
+  const auto check = [](const DagTask& t, int budget) {
     for (ListPolicy policy : kPolicies) {
       const PerfCounters before_ref = perf_counters();
       auto ref = reference::minprocs(t, budget, policy);
@@ -80,6 +81,22 @@ TEST_P(MinprocsEquivalenceTest, PrunedScanMatchesReferenceBitForBit) {
       // The reference path never prunes.
       EXPECT_EQ(ref_delta.ls_probes_pruned, 0u);
     }
+  };
+  Rng rng(GetParam());
+  // A second stream draws, per trial, the same shape with its volume
+  // rescaled by a real factor in [10^4, 5·10^4] (WCETs of 10^4 to 10^6, the
+  // range generated campaign tasks reach), with its own deadline and
+  // budget, without disturbing the small-WCET inputs.
+  Rng scale_rng(GetParam() ^ 0x5ca1eu);
+  for (int trial = 0; trial < 50; ++trial) {
+    const DagTask small = random_task(rng);
+    check(small, static_cast<int>(rng.uniform_int(0, 16)));
+    const Dag& shape = small.graph();
+    const DagTask large = task_over(
+        rescale_volume(shape, scale_rng.uniform_int(10'000 * shape.vol(),
+                                                    50'000 * shape.vol())),
+        scale_rng);
+    check(large, static_cast<int>(scale_rng.uniform_int(0, 16)));
   }
 }
 

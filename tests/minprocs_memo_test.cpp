@@ -6,12 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <optional>
-#include <thread>
 #include <vector>
 
 #include "fedcons/gen/taskset_gen.h"
 #include "fedcons/util/perf_counters.h"
-#include "fedcons/util/rng.h"
 
 namespace fedcons {
 namespace {
@@ -211,35 +209,6 @@ TEST(MinprocsMemo, ContentAddressing) {
   EXPECT_TRUE(was_hit);
   ASSERT_TRUE(r.has_value());
   EXPECT_EQ(memo.size(), 1u);
-}
-
-// Concurrent lookups over a small content pool: no crashes/races (run under
-// the sanitizer job), consistent final accounting.
-TEST(MinprocsMemo, ThreadSafetyHammer) {
-  MinprocsMemo memo(/*capacity=*/8);
-  std::vector<DagTask> pool;
-  for (int w = 0; w < 12; ++w) {
-    pool.push_back(parallel_task(20 + w % 3, 40, /*wcet=*/5 + w));
-  }
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([&memo, &pool, t] {
-      Rng rng(900 + static_cast<std::uint64_t>(t));
-      for (int i = 0; i < 200; ++i) {
-        const auto pick = static_cast<std::size_t>(
-            rng.uniform_int(0, static_cast<std::int64_t>(pool.size()) - 1));
-        const auto result = memo.lookup(pool[pick], 8);
-        // Every pool task is feasible on 8 processors; the verdict must be
-        // stable no matter which thread populated the entry.
-        EXPECT_TRUE(result.has_value());
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-  const MinprocsMemoStats stats = memo.stats();
-  EXPECT_EQ(stats.hits + stats.misses, 4u * 200u);
-  EXPECT_GE(stats.hits, stats.misses);  // only 12 distinct contents
-  EXPECT_LE(memo.size(), 8u);
 }
 
 }  // namespace

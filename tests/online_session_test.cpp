@@ -210,6 +210,19 @@ TEST(OnlineTrace, ParserRejectsMalformedInput) {
                    header + "{\"event\": \"release\", \"id\": \"x\"}\n"),
                ParseError);
   EXPECT_NO_THROW((void)parse_online_trace(header));
+  // The processor count must fit an int: 2^32 + 1 is not read as m = 1.
+  for (const char* m : {"0", "-1", "2147483648", "4294967297"}) {
+    EXPECT_THROW((void)parse_online_trace(
+                     std::string("{\"format\": \"fedcons-online-trace\", "
+                                 "\"version\": 1, \"processors\": ") +
+                     m + "}\n"),
+                 ParseError)
+        << "processors " << m;
+  }
+  EXPECT_EQ(parse_online_trace("{\"format\": \"fedcons-online-trace\", "
+                               "\"version\": 1, \"processors\": 2147483647}\n")
+                .processors,
+            2147483647);
 }
 
 // A short in-process run of the differential fuzz: zero divergences, and
