@@ -37,15 +37,6 @@ std::vector<DagTask> parse_tasks(const std::string& text, int line) {
   return out;
 }
 
-std::string join_ids(const std::vector<SessionTaskId>& ids) {
-  std::string out;
-  for (std::size_t i = 0; i < ids.size(); ++i) {
-    if (i != 0) out += ' ';
-    out += std::to_string(ids[i]);
-  }
-  return out;
-}
-
 // mini_json_uint is strict (digits only, full token, range-checked) so a
 // mistyped id is a parse error, not id 0; rewrap to carry the trace line.
 SessionTaskId parse_id(const std::string& token, int line) {
@@ -56,12 +47,12 @@ SessionTaskId parse_id(const std::string& token, int line) {
   }
 }
 
-std::vector<SessionTaskId> split_ids(const std::string& raw, int line) {
-  std::vector<SessionTaskId> out;
-  std::istringstream in(raw);
-  std::string token;
-  while (in >> token) out.push_back(parse_id(token, line));
-  return out;
+std::vector<SessionTaskId> parse_id_list(const std::string& raw, int line) {
+  try {
+    return split_ids(raw);
+  } catch (const ParseError&) {
+    throw ParseError(line, "online trace: bad id list '" + raw + "'");
+  }
 }
 
 }  // namespace
@@ -132,7 +123,8 @@ OnlineTrace parse_online_trace(const std::string& text) {
           parse_id(require_field(fields, "id"), lineno));
     } else if (kind == "swap") {
       event.kind = OnlineEvent::Kind::kSwap;
-      event.release_ids = split_ids(require_field(fields, "releases"), lineno);
+      event.release_ids =
+          parse_id_list(require_field(fields, "releases"), lineno);
       event.admits = parse_tasks(require_field(fields, "system"), lineno);
     } else {
       throw ParseError(lineno, "online trace: unknown event '" + kind + "'");

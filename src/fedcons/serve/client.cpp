@@ -84,13 +84,15 @@ ServeClient ServeClient::connect_tcp(int port, int timeout_ms) {
 
 ServeClient::ServeClient(ServeClient&& other) noexcept
     : fd_(std::exchange(other.fd_, -1)),
-      decoder_(std::move(other.decoder_)) {}
+      decoder_(std::move(other.decoder_)),
+      payload_(std::move(other.payload_)) {}
 
 ServeClient& ServeClient::operator=(ServeClient&& other) noexcept {
   if (this != &other) {
     if (fd_ >= 0) ::close(fd_);
     fd_ = std::exchange(other.fd_, -1);
     decoder_ = std::move(other.decoder_);
+    payload_ = std::move(other.payload_);
   }
   return *this;
 }
@@ -116,15 +118,13 @@ void ServeClient::send_bytes(std::string_view bytes) {
 }
 
 bool ServeClient::try_recv(ServeResponse& out) {
-  std::string payload;
-  if (!decoder_.next(payload)) return false;
-  out = parse_serve_response(payload);
+  if (!decoder_.next(payload_)) return false;
+  parse_serve_response(payload_, out);
   return true;
 }
 
 ServeResponse ServeClient::recv() {
-  std::string payload;
-  while (!decoder_.next(payload)) {
+  while (!decoder_.next(payload_)) {
     char buf[65536];
     const ssize_t n = ::recv(fd_, buf, sizeof(buf), 0);
     if (n < 0 && errno == EINTR) continue;
@@ -132,7 +132,9 @@ ServeResponse ServeClient::recv() {
                         "serve client: connection closed by server");
     decoder_.feed(buf, static_cast<std::size_t>(n));
   }
-  return parse_serve_response(payload);
+  ServeResponse resp;
+  parse_serve_response(payload_, resp);
+  return resp;
 }
 
 ServeResponse ServeClient::call(const ServeRequest& req) {

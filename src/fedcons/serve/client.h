@@ -44,6 +44,8 @@ class ServeClient {
   /// Pop a response already buffered by an earlier read, without touching
   /// the socket. A pipelining client drains these after each blocking
   /// recv() so one syscall's worth of frames is processed as one batch.
+  /// `out` is parsed in place (parse_serve_response), so draining into one
+  /// reused response allocates nothing once its buffers have grown.
   [[nodiscard]] bool try_recv(ServeResponse& out);
   /// send + recv (serial convenience).
   [[nodiscard]] ServeResponse call(const ServeRequest& req);
@@ -55,6 +57,7 @@ class ServeClient {
 
   int fd_ = -1;
   FrameDecoder decoder_;
+  std::string payload_;  ///< the last frame's payload; reused
 };
 
 }  // namespace serve

@@ -1,7 +1,7 @@
 #include "fedcons/serve/protocol.h"
 
-#include <cstring>
-#include <sstream>
+#include <array>
+#include <charconv>
 
 #include "fedcons/util/mini_json.h"
 
@@ -9,7 +9,9 @@ namespace fedcons {
 namespace serve {
 
 std::string encode_frame(std::string_view payload) {
-  std::string out = std::to_string(payload.size());
+  std::string out;
+  out.reserve(payload.size() + 22);
+  append_json_uint(out, payload.size());
   out += '\n';
   out += payload;
   out += '\n';
@@ -32,15 +34,17 @@ bool FrameDecoder::next(std::string& payload) {
     }
     return false;
   }
-  const std::string len_token = buf_.substr(pos_, nl - pos_);
+  const std::string_view len_token =
+      std::string_view(buf_).substr(pos_, nl - pos_);
   std::uint64_t len = 0;
   try {
     len = mini_json_uint(len_token);
   } catch (const ParseError&) {
-    throw ParseError(1, "serve frame: bad length prefix '" + len_token + "'");
+    throw ParseError(1, "serve frame: bad length prefix '" +
+                            std::string(len_token) + "'");
   }
   if (len > max_frame_bytes_) {
-    throw ParseError(1, "serve frame: length " + len_token +
+    throw ParseError(1, "serve frame: length " + std::string(len_token) +
                             " exceeds the " +
                             std::to_string(max_frame_bytes_) + "-byte cap");
   }
@@ -80,149 +84,187 @@ const char* to_string(ServeStatus status) noexcept {
   return "?";
 }
 
-std::string join_ids(const std::vector<SessionTaskId>& ids) {
-  std::string out;
-  for (std::size_t i = 0; i < ids.size(); ++i) {
-    if (i != 0) out += ' ';
-    out += std::to_string(ids[i]);
-  }
-  return out;
+void ServeRequest::clear() noexcept {
+  op = ServeOp::kPing;
+  seq = 0;
+  session = 0;
+  m = 0;
+  system.clear();
+  has_content = false;
+  content = 0;
+  release_ids.clear();
+  stall_us = 0;
+  prometheus = false;
+  echo_stages = false;
 }
 
-std::vector<SessionTaskId> split_ids(const std::string& raw) {
-  std::vector<SessionTaskId> out;
-  std::istringstream in(raw);
-  std::string token;
-  while (in >> token) {
-    out.push_back(static_cast<SessionTaskId>(mini_json_uint(token)));
-  }
-  return out;
+void ServeResponse::clear() noexcept {
+  status = ServeStatus::kOk;
+  seq = 0;
+  error.clear();
+  has_session = false;
+  session = 0;
+  has_content = false;
+  content = 0;
+  has_verdict = false;
+  applied = false;
+  schedulable = false;
+  reject.clear();
+  task_ids.clear();
+  residents = 0;
+  has_stages = false;
+  stage_queue_us = 0;
+  stage_batch_us = 0;
+  stage_handle_us = 0;
+  extra.clear();
+  raw.clear();
 }
 
 namespace {
 
-using Fields = std::map<std::string, std::string>;
+/// The members of one payload that a parser reads, by their index in its key
+/// table. One scanner pass fills it; a later duplicate key wins, as in
+/// parse_mini_json. Values are views into the payload or into the scanner's
+/// buffer (escaped strings), and both outlive this object's use.
+template <std::size_t N>
+class Members {
+ public:
+  Members(std::string_view payload,
+          const std::array<std::string_view, N>& keys)
+      : keys_(keys), scanner_(payload) {
+    while (scanner_.next()) {
+      const std::string_view key = scanner_.key();
+      for (std::size_t i = 0; i < N; ++i) {
+        if (key == keys[i]) {
+          values_[i] = scanner_.value();
+          present_[i] = true;
+          break;
+        }
+      }
+    }
+  }
 
-std::uint64_t uint_field(const Fields& fields, const std::string& key) {
-  return mini_json_uint(require_field(fields, key));
-}
+  [[nodiscard]] bool has(std::size_t i) const { return present_[i]; }
+  [[nodiscard]] std::string_view require(std::size_t i) const {
+    if (!present_[i]) throw_missing_field(keys_[i]);
+    return values_[i];
+  }
+  [[nodiscard]] std::uint64_t uint(std::size_t i) const {
+    return mini_json_uint(require(i));
+  }
 
-bool has_field(const Fields& fields, const std::string& key) {
-  return fields.count(key) != 0;
-}
+ private:
+  const std::array<std::string_view, N>& keys_;
+  MiniJsonScanner scanner_;
+  std::array<std::string_view, N> values_{};
+  std::array<bool, N> present_{};
+};
+
+enum RequestKey : std::size_t {
+  kReqOp,
+  kReqSeq,
+  kReqM,
+  kReqSession,
+  kReqSystem,
+  kReqContent,
+  kReqId,
+  kReqReleases,
+  kReqUs,
+  kReqFormat,
+  kReqStages,
+  kNumRequestKeys,
+};
+constexpr std::array<std::string_view, kNumRequestKeys> kRequestKeys = {
+    "op", "seq", "m", "session", "system", "content",
+    "id", "releases", "us", "format", "stages"};
 
 /// admit/swap carry the payload either inline or by handle, never both.
-void parse_system_or_content(const Fields& fields, ServeRequest& req) {
-  const bool has_system = has_field(fields, "system");
-  const bool has_content = has_field(fields, "content");
-  if (has_system == has_content) {
+void parse_system_or_content(const Members<kNumRequestKeys>& f,
+                             ServeRequest& req) {
+  const bool has_system = f.has(kReqSystem);
+  if (has_system == f.has(kReqContent)) {
     throw ParseError(1, std::string("serve request: ") + to_string(req.op) +
                             " needs exactly one of \"system\"/\"content\"");
   }
   if (has_system) {
-    req.system = fields.at("system");
+    req.system.assign(f.require(kReqSystem));
   } else {
     req.has_content = true;
-    req.content = uint_field(fields, "content");
+    req.content = f.uint(kReqContent);
   }
 }
 
-}  // namespace
+enum ResponseKey : std::size_t {
+  kRespStatus,
+  kRespSeq,
+  kRespError,
+  kRespSession,
+  kRespContent,
+  kRespApplied,
+  kRespSchedulable,
+  kRespReject,
+  kRespTaskIds,
+  kRespResidents,
+  kRespStageQueue,
+  kRespStageBatch,
+  kRespStageHandle,
+  kNumResponseKeys,
+};
+constexpr std::array<std::string_view, kNumResponseKeys> kResponseKeys = {
+    "status",    "seq",         "error",          "session",
+    "content",   "applied",     "schedulable",    "reject",
+    "task_ids",  "residents",   "stage_queue_us", "stage_batch_us",
+    "stage_handle_us"};
 
-ServeRequest parse_serve_request(const std::string& payload) {
-  const Fields fields = parse_mini_json(payload);
-  ServeRequest req;
-  const std::string& op = require_field(fields, "op");
-  req.seq = uint_field(fields, "seq");
-  if (op == "open") {
-    req.op = ServeOp::kOpen;
-    const std::int64_t m = mini_json_int(require_field(fields, "m"));
-    if (m < 1 || m > 1 << 20) {
-      throw ParseError(1, "serve request: open needs 1 <= m <= 2^20");
-    }
-    req.m = static_cast<int>(m);
-  } else if (op == "register") {
-    req.op = ServeOp::kRegister;
-    req.session = uint_field(fields, "session");
-    req.system = require_field(fields, "system");
-  } else if (op == "admit") {
-    req.op = ServeOp::kAdmit;
-    req.session = uint_field(fields, "session");
-    parse_system_or_content(fields, req);
-  } else if (op == "release") {
-    req.op = ServeOp::kRelease;
-    req.session = uint_field(fields, "session");
-    req.release_ids.push_back(
-        static_cast<SessionTaskId>(uint_field(fields, "id")));
-  } else if (op == "swap") {
-    req.op = ServeOp::kSwap;
-    req.session = uint_field(fields, "session");
-    req.release_ids = split_ids(require_field(fields, "releases"));
-    parse_system_or_content(fields, req);
-  } else if (op == "query") {
-    req.op = ServeOp::kQuery;
-    req.session = uint_field(fields, "session");
-  } else if (op == "stats") {
-    req.op = ServeOp::kStats;
-    if (has_field(fields, "format")) {
-      const std::string& format = fields.at("format");
-      if (format != "prometheus") {
-        throw ParseError(1, "serve request: unknown stats format '" +
-                                format + "'");
-      }
-      req.prometheus = true;
-    }
-  } else if (op == "ping") {
-    req.op = ServeOp::kPing;
-  } else if (op == "stall") {
-    req.op = ServeOp::kStall;
-    req.stall_us = uint_field(fields, "us");
-  } else if (op == "shutdown") {
-    req.op = ServeOp::kShutdown;
-  } else {
-    throw ParseError(1, "serve request: unknown op '" + op + "'");
-  }
-  if (has_field(fields, "stages")) {
-    req.echo_stages = uint_field(fields, "stages") != 0;
-  }
-  return req;
+void append_member(std::string& out, std::string_view name, std::uint64_t v) {
+  out += ", \"";
+  out += name;
+  out += "\": ";
+  append_json_uint(out, v);
 }
 
-std::string encode_serve_request(const ServeRequest& req) {
-  std::string out = "{\"op\": \"";
+void append_serve_request(std::string& out, const ServeRequest& req) {
+  out += "{\"op\": \"";
   out += to_string(req.op);
-  out += "\", \"seq\": " + std::to_string(req.seq);
+  out += "\", \"seq\": ";
+  append_json_uint(out, req.seq);
   switch (req.op) {
     case ServeOp::kOpen:
-      out += ", \"m\": " + std::to_string(req.m);
+      out += ", \"m\": ";
+      append_json_int(out, req.m);
       break;
     case ServeOp::kRegister:
-      out += ", \"session\": " + std::to_string(req.session);
-      out += ", \"system\": \"" + json_escape(req.system) + "\"";
+      append_member(out, "session", req.session);
+      out += ", \"system\": \"";
+      append_json_escaped(out, req.system);
+      out += '"';
       break;
     case ServeOp::kAdmit:
     case ServeOp::kSwap:
-      out += ", \"session\": " + std::to_string(req.session);
+      append_member(out, "session", req.session);
       if (req.op == ServeOp::kSwap) {
-        out += ", \"releases\": \"" + join_ids(req.release_ids) + "\"";
+        out += ", \"releases\": \"";
+        append_ids(out, req.release_ids);
+        out += '"';
       }
       if (req.has_content) {
-        out += ", \"content\": " + std::to_string(req.content);
+        append_member(out, "content", req.content);
       } else {
-        out += ", \"system\": \"" + json_escape(req.system) + "\"";
+        out += ", \"system\": \"";
+        append_json_escaped(out, req.system);
+        out += '"';
       }
       break;
     case ServeOp::kRelease:
-      out += ", \"session\": " + std::to_string(req.session);
-      out += ", \"id\": " + std::to_string(req.release_ids.empty()
-                                               ? 0
-                                               : req.release_ids[0]);
+      append_member(out, "session", req.session);
+      append_member(out, "id",
+                    req.release_ids.empty() ? 0 : req.release_ids[0]);
       break;
     case ServeOp::kQuery:
-      out += ", \"session\": " + std::to_string(req.session);
+      append_member(out, "session", req.session);
       break;
     case ServeOp::kStall:
-      out += ", \"us\": " + std::to_string(req.stall_us);
+      append_member(out, "us", req.stall_us);
       break;
     case ServeOp::kStats:
       if (req.prometheus) out += ", \"format\": \"prometheus\"";
@@ -232,83 +274,182 @@ std::string encode_serve_request(const ServeRequest& req) {
       break;
   }
   if (req.echo_stages) out += ", \"stages\": 1";
-  out += "}";
-  return out;
+  out += '}';
 }
 
-std::string encode_serve_response(const ServeResponse& resp) {
-  std::string out = "{\"status\": \"";
+void append_serve_response(std::string& out, const ServeResponse& resp) {
+  out += "{\"status\": \"";
   out += to_string(resp.status);
-  out += "\", \"seq\": " + std::to_string(resp.seq);
+  out += "\", \"seq\": ";
+  append_json_uint(out, resp.seq);
   if (resp.status == ServeStatus::kError) {
-    out += ", \"error\": \"" + json_escape(resp.error) + "\"";
+    out += ", \"error\": \"";
+    append_json_escaped(out, resp.error);
+    out += '"';
   }
-  if (resp.has_session) {
-    out += ", \"session\": " + std::to_string(resp.session);
-  }
-  if (resp.has_content) {
-    out += ", \"content\": " + std::to_string(resp.content);
-  }
+  if (resp.has_session) append_member(out, "session", resp.session);
+  if (resp.has_content) append_member(out, "content", resp.content);
   if (resp.has_verdict) {
     out += ", \"applied\": ";
     out += resp.applied ? '1' : '0';
     out += ", \"schedulable\": ";
     out += resp.schedulable ? '1' : '0';
-    out += ", \"reject\": \"" + json_escape(resp.reject) + "\"";
-    out += ", \"task_ids\": \"" + join_ids(resp.task_ids) + "\"";
-    out += ", \"residents\": " + std::to_string(resp.residents);
+    out += ", \"reject\": \"";
+    append_json_escaped(out, resp.reject);
+    out += "\", \"task_ids\": \"";
+    append_ids(out, resp.task_ids);
+    out += '"';
+    append_member(out, "residents", resp.residents);
   }
   if (resp.has_stages) {
     // "stage_" prefix: a stats response already owns the bare handle_us key
     // (the cumulative busy counter), and one payload must never carry two
     // meanings for one name.
-    out += ", \"stage_queue_us\": " + std::to_string(resp.stage_queue_us);
-    out += ", \"stage_batch_us\": " + std::to_string(resp.stage_batch_us);
-    out += ", \"stage_handle_us\": " + std::to_string(resp.stage_handle_us);
+    append_member(out, "stage_queue_us", resp.stage_queue_us);
+    append_member(out, "stage_batch_us", resp.stage_batch_us);
+    append_member(out, "stage_handle_us", resp.stage_handle_us);
   }
   out += resp.extra;
-  out += "}";
+  out += '}';
+}
+
+}  // namespace
+
+void parse_serve_request(std::string_view payload, ServeRequest& req) {
+  req.clear();
+  const Members<kNumRequestKeys> f(payload, kRequestKeys);
+  const std::string_view op = f.require(kReqOp);
+  req.seq = f.uint(kReqSeq);
+  if (op == "open") {
+    req.op = ServeOp::kOpen;
+    const std::int64_t m = mini_json_int(f.require(kReqM));
+    if (m < 1 || m > 1 << 20) {
+      throw ParseError(1, "serve request: open needs 1 <= m <= 2^20");
+    }
+    req.m = static_cast<int>(m);
+  } else if (op == "register") {
+    req.op = ServeOp::kRegister;
+    req.session = f.uint(kReqSession);
+    req.system.assign(f.require(kReqSystem));
+  } else if (op == "admit") {
+    req.op = ServeOp::kAdmit;
+    req.session = f.uint(kReqSession);
+    parse_system_or_content(f, req);
+  } else if (op == "release") {
+    req.op = ServeOp::kRelease;
+    req.session = f.uint(kReqSession);
+    req.release_ids.push_back(static_cast<SessionTaskId>(f.uint(kReqId)));
+  } else if (op == "swap") {
+    req.op = ServeOp::kSwap;
+    req.session = f.uint(kReqSession);
+    split_ids(f.require(kReqReleases), req.release_ids);
+    parse_system_or_content(f, req);
+  } else if (op == "query") {
+    req.op = ServeOp::kQuery;
+    req.session = f.uint(kReqSession);
+  } else if (op == "stats") {
+    req.op = ServeOp::kStats;
+    if (f.has(kReqFormat)) {
+      const std::string_view format = f.require(kReqFormat);
+      if (format != "prometheus") {
+        throw ParseError(1, "serve request: unknown stats format '" +
+                                std::string(format) + "'");
+      }
+      req.prometheus = true;
+    }
+  } else if (op == "ping") {
+    req.op = ServeOp::kPing;
+  } else if (op == "stall") {
+    req.op = ServeOp::kStall;
+    req.stall_us = f.uint(kReqUs);
+  } else if (op == "shutdown") {
+    req.op = ServeOp::kShutdown;
+  } else {
+    throw ParseError(1, "serve request: unknown op '" + std::string(op) + "'");
+  }
+  if (f.has(kReqStages)) req.echo_stages = f.uint(kReqStages) != 0;
+}
+
+ServeRequest parse_serve_request(const std::string& payload) {
+  ServeRequest req;
+  parse_serve_request(payload, req);
+  return req;
+}
+
+std::string encode_serve_request(const ServeRequest& req) {
+  std::string out;
+  // Fixed members plus the escaped system text (task text is mostly plain
+  // characters and newlines, which escape to two bytes) and the id list.
+  out.reserve(192 + 2 * req.system.size() + 21 * req.release_ids.size());
+  append_serve_request(out, req);
   return out;
 }
 
-ServeResponse parse_serve_response(const std::string& payload) {
-  const Fields fields = parse_mini_json(payload);
-  ServeResponse resp;
-  resp.raw = payload;
-  const std::string& status = require_field(fields, "status");
+std::string encode_serve_response(const ServeResponse& resp) {
+  std::string out;
+  out.reserve(256 + 2 * (resp.error.size() + resp.reject.size()) +
+              21 * resp.task_ids.size() + resp.extra.size());
+  append_serve_response(out, resp);
+  return out;
+}
+
+void append_serve_response_frame(std::string& out, const ServeResponse& resp) {
+  // The length prefix precedes a payload whose length is known only once it
+  // is encoded: encode in place, then insert the prefix in front of it.
+  const std::size_t start = out.size();
+  append_serve_response(out, resp);
+  char prefix[24];
+  const auto res =
+      std::to_chars(prefix, prefix + sizeof prefix - 1, out.size() - start);
+  *res.ptr = '\n';
+  out.insert(start, prefix, static_cast<std::size_t>(res.ptr + 1 - prefix));
+  out += '\n';
+}
+
+void parse_serve_response(std::string_view payload, ServeResponse& resp) {
+  resp.clear();
+  const Members<kNumResponseKeys> f(payload, kResponseKeys);
+  resp.raw.assign(payload);
+  const std::string_view status = f.require(kRespStatus);
   if (status == "ok") {
     resp.status = ServeStatus::kOk;
   } else if (status == "error") {
     resp.status = ServeStatus::kError;
-    resp.error = require_field(fields, "error");
+    resp.error.assign(f.require(kRespError));
   } else if (status == "retry_after") {
     resp.status = ServeStatus::kRetryAfter;
   } else {
-    throw ParseError(1, "serve response: unknown status '" + status + "'");
+    throw ParseError(1, "serve response: unknown status '" +
+                            std::string(status) + "'");
   }
-  resp.seq = uint_field(fields, "seq");
-  if (has_field(fields, "session")) {
+  resp.seq = f.uint(kRespSeq);
+  if (f.has(kRespSession)) {
     resp.has_session = true;
-    resp.session = uint_field(fields, "session");
+    resp.session = f.uint(kRespSession);
   }
-  if (has_field(fields, "content")) {
+  if (f.has(kRespContent)) {
     resp.has_content = true;
-    resp.content = uint_field(fields, "content");
+    resp.content = f.uint(kRespContent);
   }
-  if (has_field(fields, "applied")) {
+  if (f.has(kRespApplied)) {
     resp.has_verdict = true;
-    resp.applied = uint_field(fields, "applied") != 0;
-    resp.schedulable = uint_field(fields, "schedulable") != 0;
-    resp.reject = require_field(fields, "reject");
-    resp.task_ids = split_ids(require_field(fields, "task_ids"));
-    resp.residents = uint_field(fields, "residents");
+    resp.applied = f.uint(kRespApplied) != 0;
+    resp.schedulable = f.uint(kRespSchedulable) != 0;
+    resp.reject.assign(f.require(kRespReject));
+    split_ids(f.require(kRespTaskIds), resp.task_ids);
+    resp.residents = f.uint(kRespResidents);
   }
-  if (has_field(fields, "stage_queue_us")) {
+  if (f.has(kRespStageQueue)) {
     resp.has_stages = true;
-    resp.stage_queue_us = uint_field(fields, "stage_queue_us");
-    resp.stage_batch_us = uint_field(fields, "stage_batch_us");
-    resp.stage_handle_us = uint_field(fields, "stage_handle_us");
+    resp.stage_queue_us = f.uint(kRespStageQueue);
+    resp.stage_batch_us = f.uint(kRespStageBatch);
+    resp.stage_handle_us = f.uint(kRespStageHandle);
   }
+}
+
+ServeResponse parse_serve_response(const std::string& payload) {
+  ServeResponse resp;
+  parse_serve_response(payload, resp);
   return resp;
 }
 

@@ -92,6 +92,20 @@
 // "stage_handle_us" (session handling) for THAT request. The write stage
 // cannot be echoed — a response is encoded before it is written — so write
 // attribution lives in the trace/stats side only.
+//
+// Codec. Both ends of the socket parse in place and encode by appending:
+// the in-place parse_serve_request/parse_serve_response make one pass of
+// util/mini_json's MiniJsonScanner over the payload, keep views of the
+// members they read, and fill a reused request or response whose strings
+// and vectors keep their capacity; append_serve_response_frame writes a
+// framed response straight into an outbound buffer, integers through
+// std::to_chars. So an admit by content handle, a release and their
+// verdict responses cost the daemon and ServeClient no heap allocation in
+// the wire layer once the reused objects have grown. The by-value
+// parse_serve_request/parse_serve_response and the encode_* functions are
+// thin wrappers over the same code, kept for callers that handle one
+// message at a time (tests, and perfbench's per-layer timing, which calls
+// them by name).
 #pragma once
 
 #include <cstdint>
@@ -100,6 +114,7 @@
 #include <vector>
 
 #include "fedcons/online/admission_session.h"
+#include "fedcons/util/mini_json.h"
 #include "fedcons/util/parse_error.h"
 
 namespace fedcons {
@@ -164,11 +179,24 @@ struct ServeRequest {
   std::uint64_t stall_us = 0;              ///< stall
   bool prometheus = false;     ///< stats: "format": "prometheus"
   bool echo_stages = false;    ///< any op: "stages": 1 -> stage breakdown
+
+  /// Every field back to its default, keeping the capacity of `system` and
+  /// `release_ids`.
+  void clear() noexcept;
 };
 
-/// Payload -> request. Throws ParseError on anything malformed; integers go
-/// through the strict mini_json conversions, so trailing garbage and
-/// overflow are loud errors, never silent zeros or saturations.
+/// Payload -> request, parsed in place: `out` is cleared first and its
+/// strings and vectors keep their capacity, so a reused request parses an
+/// admit by content handle or a release without touching the heap. Throws
+/// ParseError on anything malformed; integers go through the strict
+/// mini_json conversions, so trailing garbage and overflow are loud errors,
+/// never silent zeros or saturations. Fields are checked in a fixed order
+/// (op, seq, then the op's own fields, then "stages"), so a payload with
+/// several faults always reports the same one.
+void parse_serve_request(std::string_view payload, ServeRequest& out);
+
+/// By-value form, for callers that parse once (tests, perfbench's
+/// per-layer timing). A wrapper over the in-place parse.
 [[nodiscard]] ServeRequest parse_serve_request(const std::string& payload);
 
 /// Request -> payload (inverse of parse_serve_request; fixed field order).
@@ -206,17 +234,34 @@ struct ServeResponse {
   /// instead of structuring it; scrape consumers read fields from there.
   std::string extra;
   std::string raw;
+
+  /// Every field back to its default, keeping the capacity of the strings
+  /// and of `task_ids`.
+  void clear() noexcept;
 };
 
+/// Response -> payload (fixed field order).
 [[nodiscard]] std::string encode_serve_response(const ServeResponse& resp);
 
-/// Payload -> response (client side). Throws ParseError on malformed input.
-/// The verbatim payload is kept in `raw` for stats consumers.
+/// Append `resp` to `out` as one complete frame (length prefix, payload,
+/// newline) with no intermediate string: the daemon frames every response
+/// straight into its connection's outbound buffer. The bytes equal
+/// encode_frame(encode_serve_response(resp)).
+void append_serve_response_frame(std::string& out, const ServeResponse& resp);
+
+/// Payload -> response (client side), parsed in place like
+/// parse_serve_request: `out` is cleared first and keeps its capacity, so
+/// `payload` must not view `out.raw`. The verbatim payload is copied into
+/// `raw` for stats consumers. Throws ParseError on malformed input.
+void parse_serve_response(std::string_view payload, ServeResponse& out);
+
+/// By-value form, a wrapper over the in-place parse (tests and perfbench).
 [[nodiscard]] ServeResponse parse_serve_response(const std::string& payload);
 
-/// "1 3 9" <-> ids, the same space-joined embedding the trace format uses.
-[[nodiscard]] std::string join_ids(const std::vector<SessionTaskId>& ids);
-[[nodiscard]] std::vector<SessionTaskId> split_ids(const std::string& raw);
+/// "1 3 9" <-> ids: the id-list codec of util/mini_json.h, shared with the
+/// online trace format.
+using ::fedcons::join_ids;
+using ::fedcons::split_ids;
 
 }  // namespace serve
 }  // namespace fedcons

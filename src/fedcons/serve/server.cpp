@@ -50,12 +50,21 @@ std::uint64_t ns_delta_us(std::int64_t a, std::int64_t b) noexcept {
 }
 
 /// Best-effort seq recovery for error responses to unparseable requests, so
-/// a pipelining client can still match the error to a request.
-std::uint64_t guess_seq(const std::string& payload) noexcept {
+/// a pipelining client can still match the error to a request: the last
+/// "seq" member read before the payload broke (or in the whole payload,
+/// when the request failed past the grammar), 0 when there is none or it
+/// does not convert.
+std::uint64_t guess_seq(std::string_view payload) noexcept {
   try {
-    const auto fields = parse_mini_json(payload);
-    const auto it = fields.find("seq");
-    if (it != fields.end()) return mini_json_uint(it->second);
+    MiniJsonScanner scanner(payload);
+    std::string_view seq;
+    try {
+      while (scanner.next()) {
+        if (scanner.key() == "seq") seq = scanner.value();
+      }
+    } catch (const ParseError&) {
+    }
+    if (!seq.empty()) return mini_json_uint(seq);
   } catch (...) {
   }
   return 0;
@@ -253,11 +262,11 @@ struct Server::Impl {
   void serve_connection(Connection& conn);
   [[nodiscard]] bool serve_request(Connection& conn,
                                    const std::string& payload,
+                                   ServeRequest& req, ServeResponse& resp,
                                    ReadTally& tally);
   [[nodiscard]] bool flush(Connection& conn, ReadTally& tally);
   void record(const ReadTally& tally);
-  [[nodiscard]] ServeResponse handle(Connection& conn,
-                                     const ServeRequest& req);
+  void handle(Connection& conn, const ServeRequest& req, ServeResponse& resp);
 
   [[nodiscard]] ServerStats snapshot() const {
     ServerStats s;
@@ -411,7 +420,11 @@ void Server::Impl::accept_loop() {
 void Server::Impl::serve_connection(Connection& conn) {
   FrameDecoder decoder(config.max_frame_bytes);
   char buf[kReadBufferBytes];
+  // Reused for every request of the connection: parse, handle and encode
+  // fill them in place, so their buffers are allocated once.
   std::string payload;
+  ServeRequest req;
+  ServeResponse resp;
   bool open = true;
   while (open) {
     const ssize_t n = ::recv(conn.fd, buf, sizeof(buf), 0);
@@ -420,15 +433,15 @@ void Server::Impl::serve_connection(Connection& conn) {
     decoder.feed(buf, static_cast<std::size_t>(n));
     try {
       while (open && decoder.next(payload)) {
-        open = serve_request(conn, payload, tally);
+        open = serve_request(conn, payload, req, resp, tally);
       }
     } catch (const ParseError& e) {
       // Framing error: the byte stream cannot be resynced.
       framing_errors.fetch_add(1, std::memory_order_relaxed);
-      ServeResponse resp;
+      resp.clear();
       resp.status = ServeStatus::kError;
       resp.error = e.what();
-      conn.out += encode_frame(encode_serve_response(resp));
+      append_serve_response_frame(conn.out, resp);
       tally.charge(tally.reader_ns);
       open = false;
     }
@@ -442,18 +455,18 @@ void Server::Impl::serve_connection(Connection& conn) {
 }
 
 bool Server::Impl::serve_request(Connection& conn, const std::string& payload,
+                                 ServeRequest& req, ServeResponse& resp,
                                  ReadTally& tally) {
-  ServeRequest req;
   try {
-    req = parse_serve_request(payload);
+    parse_serve_request(payload, req);
   } catch (const ParseError& e) {
     // Recoverable: framing is still in sync.
     parse_errors.fetch_add(1, std::memory_order_relaxed);
-    ServeResponse resp;
+    resp.clear();
     resp.status = ServeStatus::kError;
     resp.seq = guess_seq(payload);
     resp.error = e.what();
-    conn.out += encode_frame(encode_serve_response(resp));
+    append_serve_response_frame(conn.out, resp);
     tally.charge(tally.reader_ns);
     return ++conn.unsent < kFlushEvery || flush(conn, tally);
   }
@@ -469,7 +482,7 @@ bool Server::Impl::serve_request(Connection& conn, const std::string& payload,
     if (sampled) requests_sampled.fetch_add(1, std::memory_order_relaxed);
   }
 
-  ServeResponse resp = handle(conn, req);
+  handle(conn, req, resp);
   const std::int64_t handled_ns =
       sampled || req.echo_stages ? obs::trace_now_ns() : 0;
   if (req.echo_stages) {
@@ -477,7 +490,7 @@ bool Server::Impl::serve_request(Connection& conn, const std::string& payload,
     resp.stage_queue_us = ns_delta_us(tally.read_ns, parsed_ns);
     resp.stage_handle_us = ns_delta_us(parsed_ns, handled_ns);
   }
-  conn.out += encode_frame(encode_serve_response(resp));
+  append_serve_response_frame(conn.out, resp);
   const std::int64_t encoded_ns = tally.charge(tally.handle_ns);
 
   const std::uint64_t lat = ns_delta_us(tally.read_ns, encoded_ns);
@@ -542,25 +555,28 @@ void Server::Impl::record(const ReadTally& tally) {
   release_latency_hist.merge(tally.release_latency);
 }
 
-ServeResponse Server::Impl::handle(Connection& conn,
-                                   const ServeRequest& req) {
-  ServeResponse resp;
+void Server::Impl::handle(Connection& conn, const ServeRequest& req,
+                          ServeResponse& resp) {
+  resp.clear();
   resp.seq = req.seq;
+  std::vector<DagTask> inline_tasks;  // an inline "system", parsed
   try {
     const auto find_session = [&](std::uint64_t id) -> AdmissionSession& {
       FEDCONS_EXPECTS_MSG(id < conn.sessions.size(),
                           "unknown session " + std::to_string(id));
       return *conn.sessions[static_cast<std::size_t>(id)];
     };
-    // admit/swap task payload: registered content by handle, or inline text.
-    const auto resolve_tasks = [&]() -> std::vector<DagTask> {
+    // admit/swap task payload: registered content by handle (read where
+    // it is registered, not copied), or inline text.
+    const auto resolve_tasks = [&]() -> const std::vector<DagTask>& {
       if (req.has_content) {
         FEDCONS_EXPECTS_MSG(req.content < conn.contents.size(),
                             "unknown content handle " +
                                 std::to_string(req.content));
         return conn.contents[static_cast<std::size_t>(req.content)];
       }
-      return parse_embedded_tasks(req.system);
+      inline_tasks = parse_embedded_tasks(req.system);
+      return inline_tasks;
     };
     const auto fill_verdict = [&](const EventOutcome& outcome,
                                   const AdmissionSession& session) {
@@ -592,7 +608,7 @@ ServeResponse Server::Impl::handle(Connection& conn,
       }
       case ServeOp::kAdmit: {
         AdmissionSession& session = find_session(req.session);
-        const std::vector<DagTask> tasks = resolve_tasks();
+        const std::vector<DagTask>& tasks = resolve_tasks();
         FEDCONS_EXPECTS_MSG(tasks.size() == 1,
                             "admit needs exactly one task, got " +
                                 std::to_string(tasks.size()));
@@ -648,12 +664,11 @@ ServeResponse Server::Impl::handle(Connection& conn,
         break;
     }
   } catch (const std::exception& e) {
-    resp = ServeResponse{};
+    resp.clear();
     resp.status = ServeStatus::kError;
     resp.seq = req.seq;
     resp.error = e.what();
   }
-  return resp;
 }
 
 Server::Server(const ServerConfig& config)

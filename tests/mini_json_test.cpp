@@ -10,6 +10,9 @@
 #include <cstdint>
 #include <limits>
 #include <string>
+#include <string_view>
+#include <utility>
+#include <vector>
 
 namespace fedcons {
 namespace {
@@ -21,6 +24,63 @@ TEST(MiniJsonTest, ParsesFlatAndNestedObjects) {
   EXPECT_EQ(fields.at("b"), "two");
   EXPECT_EQ(fields.at("c.d"), "3");
   EXPECT_EQ(fields.at("c.e"), "four");
+}
+
+TEST(MiniJsonTest, ScannerYieldsMembersInDocumentOrder) {
+  MiniJsonScanner scanner(
+      R"({"b": 1, "a": "x", "n": {"c": 2, "d": "y"}, "e": {}, "b": 3})");
+  std::vector<std::pair<std::string, std::string>> members;
+  while (scanner.next()) {
+    members.emplace_back(std::string(scanner.key()),
+                         std::string(scanner.value()));
+  }
+  const std::vector<std::pair<std::string, std::string>> expected = {
+      {"b", "1"}, {"a", "x"}, {"n.c", "2"}, {"n.d", "y"}, {"b", "3"}};
+  EXPECT_EQ(members, expected);
+  EXPECT_FALSE(scanner.next());  // stays at the end
+}
+
+TEST(MiniJsonTest, ScannerValueViewsOutliveLaterMembers) {
+  // Escaped values are unescaped into the scanner's buffer; later members
+  // must not move or overwrite the earlier ones.
+  const std::string text =
+      R"({"a": "x\ny", "k\"": "p\tq", "o": {"i": "r\"s"}, "n": 5})";
+  MiniJsonScanner scanner(text);
+  std::vector<std::string_view> values;
+  while (scanner.next()) values.push_back(scanner.value());
+  ASSERT_EQ(values.size(), 4u);
+  EXPECT_EQ(values[0], "x\ny");
+  EXPECT_EQ(values[1], "p\tq");
+  EXPECT_EQ(values[2], "r\"s");
+  EXPECT_EQ(values[3], "5");
+}
+
+TEST(MiniJsonTest, LaterDuplicateKeyWins) {
+  const auto fields = parse_mini_json(R"({"a": 1, "o": {"b": 2}, "a": 3,
+                                          "o.b": "4"})");
+  EXPECT_EQ(fields.at("a"), "3");
+  EXPECT_EQ(fields.at("o.b"), "4");
+}
+
+TEST(MiniJsonTest, ScannerReportsMembersReadBeforeAnError) {
+  MiniJsonScanner scanner(R"({"op": "ping", "seq": 7, "x": 1x})");
+  std::vector<std::string> keys;
+  EXPECT_THROW(
+      {
+        while (scanner.next()) keys.emplace_back(scanner.key());
+      },
+      ParseError);
+  EXPECT_EQ(keys, (std::vector<std::string>{"op", "seq", "x"}));
+}
+
+TEST(MiniJsonTest, IdListsSplitOnEveryCLocaleSpace) {
+  EXPECT_EQ(split_ids(" 1\v2\f3\r\n4\t"),
+            (std::vector<std::size_t>{1, 2, 3, 4}));
+  std::vector<std::size_t> reused = {9, 9, 9};
+  split_ids("5", reused);
+  EXPECT_EQ(reused, (std::vector<std::size_t>{5}));
+  EXPECT_EQ(join_ids({0, 18446744073709551615u}), "0 18446744073709551615");
+  EXPECT_THROW((void)split_ids("1 +2"), ParseError);
 }
 
 TEST(MiniJsonTest, EscapeRoundTrips) {

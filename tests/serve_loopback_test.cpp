@@ -223,6 +223,9 @@ TEST(ServeLoopbackTest, RequestErrorsAreRecoverable) {
       serve::encode_frame(R"({"op": "query", "seq": 2, "session": 4x2})"));
   const serve::ServeResponse parse_err = client.recv();
   EXPECT_EQ(parse_err.status, serve::ServeStatus::kError);
+  // The payload breaks the grammar after "seq": the error still carries the
+  // seq read before the break, so a pipelining client can match it.
+  EXPECT_EQ(parse_err.seq, 2u);
 
   const serve::ServeResponse pong =
       client.call(make_request(serve::ServeOp::kPing, 3));
