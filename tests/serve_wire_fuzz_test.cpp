@@ -144,7 +144,7 @@ std::vector<std::size_t> member_starts(const std::string& s) {
 
 std::string mutate_once(Rng& rng, std::string s) {
   static const std::string kBytes =
-      std::string("{}[]\":,\\ \n\t\r0123456789-+.eEux/az") + "\xff" +
+      std::string("{}[]\":,\\ \n\t\r\v\f0123456789-+.eEux/az") + "\xff" +
       std::string(1, '\0');
   static const std::vector<std::string> kTokens = {
       "\"", "\\", "{", "}", ",", ":", " ", "\\u00", "\\u+07f", "\\u0x7f",
@@ -152,7 +152,7 @@ std::string mutate_once(Rng& rng, std::string s) {
       "\"k\": 1, ", "{\"a\": 1}", "\n", "\\n"};
   const std::size_t pos = s.empty() ? 0 : pick(rng, s.size() + 1);
   const std::size_t end_brace = s.rfind('}');
-  switch (pick(rng, 7)) {
+  switch (pick(rng, 8)) {
     case 0:  // byte flip
       if (!s.empty()) s[pick(rng, s.size())] = kBytes[pick(rng, kBytes.size())];
       break;
@@ -217,6 +217,19 @@ std::string mutate_once(Rng& rng, std::string s) {
           s.erase(close, 1);
           s.erase(at, 1);
         }
+      }
+      break;
+    }
+    case 6: {  // well-formed members with values the parsers must refuse
+      static const std::vector<std::string> kBadValues = {
+          ", \"stages\": \"x\"", ", \"stages\": -1", ", \"m\": 0",
+          ", \"m\": 99999999", ", \"us\": \"y\"", ", \"id\": \"z\"",
+          ", \"session\": -1", ", \"content\": \"c\"", ", \"seq\": \"s\"",
+          ", \"format\": \"json\"", ", \"releases\": \"1 x\"",
+          ", \"task_ids\": \"t\"", ", \"applied\": \"a\"",
+          ", \"residents\": 1.5", ", \"stage_batch_us\": -2"};
+      if (end_brace != std::string::npos) {
+        s.insert(end_brace, kBadValues[pick(rng, kBadValues.size())]);
       }
       break;
     }
