@@ -97,6 +97,14 @@ constexpr std::size_t kReadBufferBytes = 64 * 1024;
 /// as 32 within noise.
 constexpr std::size_t kFlushEvery = 32;
 
+/// Bytes a connection thread takes from its client while one of its sends
+/// waits for the client to read. A pipelining client may write a burst
+/// larger than both socket buffers before it reads anything (perfbench's
+/// open loop does, after any stall of about half a second); blocking in
+/// send() then would deadlock against it. 4 MiB holds a burst of about
+/// 60k admits.
+constexpr std::size_t kMaxInboxBytes = 4 * 1024 * 1024;
+
 }  // namespace
 
 std::string ServerStats::to_json() const {
@@ -195,6 +203,7 @@ struct Server::Impl {
     std::vector<std::vector<DagTask>> contents;
     std::string out;         ///< encoded responses not yet sent
     std::size_t unsent = 0;  ///< responses in `out`
+    std::string inbox;  ///< bytes read while a send waited; served next
     std::vector<std::uint64_t> sampled;  ///< trace ids of responses in `out`
     std::atomic<bool> done{false};       ///< the thread is exiting
     std::thread thread;
@@ -265,6 +274,7 @@ struct Server::Impl {
                                    ServeRequest& req, ServeResponse& resp,
                                    ReadTally& tally);
   [[nodiscard]] bool flush(Connection& conn, ReadTally& tally);
+  [[nodiscard]] static bool send_all(Connection& conn);
   void record(const ReadTally& tally);
   void handle(Connection& conn, const ServeRequest& req, ServeResponse& resp);
 
@@ -427,10 +437,17 @@ void Server::Impl::serve_connection(Connection& conn) {
   ServeResponse resp;
   bool open = true;
   while (open) {
-    const ssize_t n = ::recv(conn.fd, buf, sizeof(buf), 0);
-    if (n <= 0) break;
+    // Bytes taken in while a send waited are answered before the next read,
+    // so a client that shuts its side down still gets every answer.
+    if (conn.inbox.empty()) {
+      const ssize_t n = ::recv(conn.fd, buf, sizeof(buf), 0);
+      if (n <= 0) break;
+      decoder.feed(buf, static_cast<std::size_t>(n));
+    } else {
+      decoder.feed(conn.inbox.data(), conn.inbox.size());
+      conn.inbox.clear();
+    }
     ReadTally tally(obs::trace_now_ns());
-    decoder.feed(buf, static_cast<std::size_t>(n));
     try {
       while (open && decoder.next(payload)) {
         open = serve_request(conn, payload, req, resp, tally);
@@ -513,20 +530,40 @@ bool Server::Impl::serve_request(Connection& conn, const std::string& payload,
   return ++conn.unsent < kFlushEvery || flush(conn, tally);
 }
 
+bool Server::Impl::send_all(Connection& conn) {
+  bool client_writing = true;
+  for (std::size_t off = 0; off < conn.out.size();) {
+    const ssize_t n = ::send(conn.fd, conn.out.data() + off,
+                             conn.out.size() - off, MSG_NOSIGNAL | MSG_DONTWAIT);
+    if (n > 0) {
+      off += static_cast<std::size_t>(n);
+      continue;
+    }
+    if (n < 0 && errno == EINTR) continue;
+    if (n == 0 || (errno != EAGAIN && errno != EWOULDBLOCK)) return false;
+    // The client is not reading. It may be blocked writing to us, so keep
+    // taking its bytes while waiting to write, up to kMaxInboxBytes.
+    const bool take = client_writing && conn.inbox.size() < kMaxInboxBytes;
+    pollfd p{conn.fd, static_cast<short>(POLLOUT | (take ? POLLIN : 0)), 0};
+    if (::poll(&p, 1, -1) < 0 && errno != EINTR) return false;
+    if (take && (p.revents & POLLIN) != 0) {
+      char buf[kReadBufferBytes];
+      const ssize_t r = ::recv(conn.fd, buf, sizeof(buf), MSG_DONTWAIT);
+      if (r > 0) {
+        conn.inbox.append(buf, static_cast<std::size_t>(r));
+      } else if (r == 0 || (errno != EINTR && errno != EAGAIN &&
+                            errno != EWOULDBLOCK)) {
+        client_writing = false;  // end of input: only wait to write
+      }
+    }
+  }
+  return true;
+}
+
 bool Server::Impl::flush(Connection& conn, ReadTally& tally) {
   if (conn.out.empty()) return true;
   const std::int64_t start_ns = tally.mark_ns;
-  bool sent = true;
-  for (std::size_t off = 0; off < conn.out.size();) {
-    const ssize_t n = ::send(conn.fd, conn.out.data() + off,
-                             conn.out.size() - off, MSG_NOSIGNAL);
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) {
-      sent = false;
-      break;
-    }
-    off += static_cast<std::size_t>(n);
-  }
+  const bool sent = send_all(conn);
   const std::int64_t end_ns = tally.charge(tally.write_ns);
   // Sampled requests share the send(): their write spans cover the same
   // interval, closing each trace chain.

@@ -17,8 +17,13 @@
 // histograms and the trace-id counter.
 //
 // Backpressure is socket flow control. A client that stops reading (or
-// sends "stall") blocks its own thread and nobody else's. Per-connection
-// memory is one 64 KiB read buffer, the frame decoder (at most
+// sends "stall") blocks its own thread and nobody else's. While a send()
+// waits for the client to read, the thread keeps reading the client's
+// bytes into an inbox of at most 4 MiB (kMaxInboxBytes) and answers them
+// after the send: a client that pipelines a burst larger than both socket
+// buffers before it reads would otherwise block in send() against a
+// daemon blocked in send(). Per-connection memory is one 64 KiB read
+// buffer, the inbox, the frame decoder (the inbox plus at most
 // max_frame_bytes of partial frame) and at most kFlushEvery encoded
 // responses.
 //

@@ -74,10 +74,11 @@ std::string format_double(double v) {
 
 // ---- reading ----------------------------------------------------------------
 
-// The scanner is the former recursive-descent parser unrolled into a state
-// machine: the same grammar, the same checks in the same order, the same
-// messages and the same error positions, with nesting held in `nested_`
-// instead of on the call stack.
+// Readers, the serve daemon's error responses and the pinned corpora depend
+// on which error a malformed document reports and at which line, so the
+// scanner makes its checks in a fixed order: an object's members in
+// document order, each as key, ':', value, then ',' or '}'. The one level
+// of nesting is the `nested_` flag.
 
 bool MiniJsonScanner::next() {
   switch (state_) {
@@ -207,7 +208,8 @@ void MiniJsonScanner::unescape_into(std::string& buf) {
       case 'r': buf += '\r'; break;
       case 'u': {
         if (pos_ + 4 > text_.size()) fail("truncated \\u escape");
-        // strtol over exactly four bytes, as the reader has always done.
+        // The four bytes go through strtol, whose leniency (a sign, leading
+        // blanks, a "0x" prefix) is part of the accepted dialect.
         char hex[5] = {};
         std::memcpy(hex, text_.data() + pos_, 4);
         pos_ += 4;

@@ -19,6 +19,8 @@
 #error "this suite forks a daemon and decodes POSIX wait statuses"
 #endif
 #include <csignal>
+#include <sys/socket.h>
+#include <sys/time.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -471,6 +473,32 @@ TEST(ServeLoopbackTest, StalledConnectionDoesNotDelayAnother) {
     const serve::ServeResponse resp = stalled.recv();
     EXPECT_EQ(resp.status, serve::ServeStatus::kOk) << "seq " << seq;
     EXPECT_EQ(resp.seq, seq);
+  }
+}
+
+TEST(ServeLoopbackTest, LongPipelinedBurstIsAnsweredInFull) {
+  // A client that writes more than both socket buffers hold before it reads
+  // anything (a pipelining client catching up after a stall). If the daemon
+  // only blocked in send() while the client's answers piled up, both sides
+  // would block in send() for good; the send timeout turns that into a
+  // failure instead of a hang.
+  Daemon daemon;
+  serve::ServeClient client = daemon.connect();
+  const timeval timeout{20, 0};
+  ::setsockopt(client.fd(), SOL_SOCKET, SO_SNDTIMEO, &timeout, sizeof timeout);
+  ::setsockopt(client.fd(), SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof timeout);
+  const std::uint64_t kPings = 50'000;  // about 1.5 MB each way
+  std::string burst;
+  for (std::uint64_t seq = 0; seq < kPings; ++seq) {
+    burst += serve::encode_frame(
+        serve::encode_serve_request(make_request(serve::ServeOp::kPing, seq)));
+  }
+  client.send_bytes(burst);
+  serve::ServeResponse resp;
+  for (std::uint64_t seq = 0; seq < kPings; ++seq) {
+    if (!client.try_recv(resp)) resp = client.recv();
+    ASSERT_EQ(resp.seq, seq);
+    ASSERT_EQ(resp.status, serve::ServeStatus::kOk);
   }
 }
 
