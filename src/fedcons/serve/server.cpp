@@ -439,15 +439,17 @@ void Server::Impl::serve_connection(Connection& conn) {
   while (open) {
     // Bytes taken in while a send waited are answered before the next read,
     // so a client that shuts its side down still gets every answer.
-    if (conn.inbox.empty()) {
+    const char* data = conn.inbox.data();
+    std::size_t size = conn.inbox.size();
+    if (size == 0) {
       const ssize_t n = ::recv(conn.fd, buf, sizeof(buf), 0);
       if (n <= 0) break;
-      decoder.feed(buf, static_cast<std::size_t>(n));
-    } else {
-      decoder.feed(conn.inbox.data(), conn.inbox.size());
-      conn.inbox.clear();
+      data = buf;
+      size = static_cast<std::size_t>(n);
     }
     ReadTally tally(obs::trace_now_ns());
+    decoder.feed(data, size);
+    conn.inbox.clear();
     try {
       while (open && decoder.next(payload)) {
         open = serve_request(conn, payload, req, resp, tally);
