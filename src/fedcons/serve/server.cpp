@@ -549,12 +549,16 @@ bool Server::Impl::send_all(Connection& conn) {
     pollfd p{conn.fd, static_cast<short>(POLLOUT | (take ? POLLIN : 0)), 0};
     if (::poll(&p, 1, -1) < 0 && errno != EINTR) return false;
     if (take && (p.revents & POLLIN) != 0) {
-      char buf[kReadBufferBytes];
-      const ssize_t r = ::recv(conn.fd, buf, sizeof(buf), MSG_DONTWAIT);
-      if (r > 0) {
-        conn.inbox.append(buf, static_cast<std::size_t>(r));
-      } else if (r == 0 || (errno != EINTR && errno != EAGAIN &&
-                            errno != EWOULDBLOCK)) {
+      // Read straight into the inbox: no second read buffer on the stack of
+      // every flush.
+      const std::size_t held = conn.inbox.size();
+      conn.inbox.resize(held + kReadBufferBytes);
+      const ssize_t r = ::recv(conn.fd, conn.inbox.data() + held,
+                               kReadBufferBytes, MSG_DONTWAIT);
+      const int err = errno;
+      conn.inbox.resize(held + static_cast<std::size_t>(r > 0 ? r : 0));
+      if (r == 0 ||
+          (r < 0 && err != EINTR && err != EAGAIN && err != EWOULDBLOCK)) {
         client_writing = false;  // end of input: only wait to write
       }
     }
