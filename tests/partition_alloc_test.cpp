@@ -239,7 +239,8 @@ TEST(ServeWireAllocation, ClientInPlaceResponseParseAllocatesNothing) {
   // then parses each buffered frame into one reused response. Every seq
   // has the same number of digits, so the warm-up frames are as long as
   // the rest.
-  const std::string path = ::testing::TempDir() + "/wire_alloc.sock";
+  const std::string path = ::testing::TempDir() + "/wire_alloc_" +
+                           std::to_string(::getpid()) + ".sock";
   ::unlink(path.c_str());
   const int listener = ::socket(AF_UNIX, SOCK_STREAM, 0);
   ASSERT_GE(listener, 0);

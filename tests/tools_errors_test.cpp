@@ -12,8 +12,17 @@
 #error "this suite drives tools through POSIX wait-status decoding"
 #endif
 #include <sys/wait.h>
+#include <unistd.h>
 
 namespace {
+
+/// A file name under the test temp dir that no concurrently running copy of
+/// this suite shares: ctest runs every case as its own process, alongside a
+/// whole-binary run for the fault-smoke label, so a fixed name lets one
+/// process truncate a file while another's tool reads it.
+std::string temp_path(const std::string& name) {
+  return ::testing::TempDir() + "/" + std::to_string(::getpid()) + "_" + name;
+}
 
 /// Run a shell command with all output discarded; return its exit code.
 int exit_code(const std::string& command) {
@@ -96,7 +105,7 @@ TEST(ToolsErrorsTest, StrayPositionalArgumentsExitTwo) {
 /// A minimal valid workload on disk, for exercising post-parse flag errors.
 std::string valid_workload_path() {
   static const std::string path = [] {
-    const std::string p = ::testing::TempDir() + "/tools_errors_ok.tasks";
+    const std::string p = temp_path("tools_errors_ok.tasks");
     std::ofstream out(p);
     out << "task a\n  deadline 5\n  period 5\n  vertex 1\nend\n"
         << "task b\n  deadline 5\n  period 5\n  vertex 1\nend\n";
@@ -108,7 +117,7 @@ std::string valid_workload_path() {
 /// A one-event online trace admitting one light task, schedulable on any m.
 std::string valid_trace_path() {
   static const std::string path = [] {
-    const std::string p = ::testing::TempDir() + "/tools_errors_ok.trace.json";
+    const std::string p = temp_path("tools_errors_ok.trace.json");
     std::ofstream out(p);
     out << "{\"format\": \"fedcons-online-trace\", \"version\": 1, "
            "\"processors\": 2}\n"
@@ -195,7 +204,7 @@ TEST(ToolsErrorsTest, MalformedInjectSpecsExitTwo) {
 }
 
 TEST(ToolsErrorsTest, MalformedWorkloadFilesFailCleanly) {
-  const std::string path = ::testing::TempDir() + "/tools_errors_bad.tasks";
+  const std::string path = temp_path("tools_errors_bad.tasks");
   {
     std::ofstream out(path);
     out << "task broken\n  deadline nan\n  period 5\n  vertex 1\nend\n";
@@ -218,7 +227,7 @@ TEST(ToolsErrorsTest, ConformReplayRoutesByParsedSchema) {
   ASSERT_NE(pos, std::string::npos);
   json.insert(pos + note.size(),
               "neither fedcons-fault-repro-v1 nor fedcons-online-trace: ");
-  const std::string path = ::testing::TempDir() + "/tools_errors_note.json";
+  const std::string path = temp_path("tools_errors_note.json");
   {
     std::ofstream out(path);
     out << json;
