@@ -125,7 +125,9 @@ EventOutcome apply_event(AdmissionSession& session, const OnlineEvent& e) {
     case OnlineEvent::Kind::kSwap: {
       AdmissionSession::SwapBatch batch;
       batch.release_ids = e.release_ids;
-      batch.admits = e.admits;
+      for (const DagTask& t : e.admits) {
+        batch.admits.push_back(std::make_shared<const DagTask>(t));
+      }
       return session.swap(batch);
     }
   }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <unordered_map>
 
 #include "fedcons/analysis/edf_uniproc.h"
 #include "fedcons/obs/metrics.h"
@@ -25,9 +24,10 @@ bool partition_uses_aggregates(const PartitionOptions& options) {
 
 namespace {
 
-// replay()'s directional dirty-bin encoding.
-constexpr char kGrew = 1;    // the bin only gained demand since the event began
-constexpr char kShrunk = 2;  // the bin lost demand (or both)
+// replay()'s per-bin change flags since the event began; a bin that lost
+// and gained carries both.
+constexpr char kGained = 1;  // later acceptances of the bin are re-probed
+constexpr char kLost = 2;    // later rejections by the bin are re-probed
 
 /// Fill a demand-rejection diagnosis (no-op on nullptr): the failing DBF*
 /// breakpoint plus the exact demand-vs-capacity comparison.
@@ -155,6 +155,17 @@ void PartitionState::Bin::clear() noexcept {
   util_prefix.clear();
   util_prefix_d.clear();
   demand.clear();
+}
+
+void PartitionState::Bin::refold_from(std::size_t idx) {
+  // bin_utilization refolds the exact cache with the identical
+  // left-to-right accumulation, so representations match a fresh build.
+  if (util_prefix.size() > idx) util_prefix.resize(idx);
+  util_prefix_d.resize(tasks.size());
+  for (std::size_t j = idx; j < tasks.size(); ++j) {
+    util_prefix_d[j] = (j == 0 ? 0.0 : util_prefix_d[j - 1]) +
+                       simd::util_term(tasks[j].wcet, tasks[j].period);
+  }
 }
 
 void PartitionState::reset(int num_bins, const PartitionOptions& options) {
@@ -315,6 +326,18 @@ void PartitionState::insert(int bin, std::size_t id, const SporadicTask& t) {
   if (partition_uses_aggregates(options_)) b.demand.insert(t);
 }
 
+void PartitionState::insert_at(int bin, std::size_t index, std::size_t id,
+                               const SporadicTask& t) {
+  FEDCONS_EXPECTS(bin >= 0 && bin < num_bins());
+  Bin& b = bins_[static_cast<std::size_t>(bin)];
+  FEDCONS_EXPECTS(index <= b.ids.size());
+  const auto at = static_cast<std::ptrdiff_t>(index);
+  b.ids.insert(b.ids.begin() + at, id);
+  b.tasks.insert(b.tasks.begin() + at, t);
+  b.refold_from(index);
+  if (partition_uses_aggregates(options_)) b.demand.insert(t);
+}
+
 void PartitionState::remove(int bin, std::size_t id) {
   FEDCONS_EXPECTS(bin >= 0 && bin < num_bins());
   Bin& b = bins_[static_cast<std::size_t>(bin)];
@@ -332,22 +355,18 @@ void PartitionState::remove(int bin, std::size_t id) {
   const SporadicTask departed = b.tasks[idx];
   b.ids.erase(b.ids.begin() + static_cast<std::ptrdiff_t>(idx));
   b.tasks.erase(b.tasks.begin() + static_cast<std::ptrdiff_t>(idx));
-  // Cut the exact fold back to the removal point (bin_utilization refolds
-  // it with the identical left-to-right accumulation, so representations
-  // match a fresh build) and refold the double mirror from there.
-  if (b.util_prefix.size() > idx) b.util_prefix.resize(idx);
-  b.util_prefix_d.resize(b.tasks.size());
-  for (std::size_t j = idx; j < b.tasks.size(); ++j) {
-    b.util_prefix_d[j] =
-        (j == 0 ? 0.0 : b.util_prefix_d[j - 1]) +
-        simd::util_term(b.tasks[j].wcet, b.tasks[j].period);
-  }
+  b.refold_from(idx);
   if (partition_uses_aggregates(options_)) b.demand.remove(departed);
 }
 
 const std::vector<std::size_t>& PartitionState::bin_ids(int k) const {
   FEDCONS_EXPECTS(k >= 0 && k < num_bins());
   return bins_[static_cast<std::size_t>(k)].ids;
+}
+
+const std::vector<SporadicTask>& PartitionState::bin_tasks(int k) const {
+  FEDCONS_EXPECTS(k >= 0 && k < num_bins());
+  return bins_[static_cast<std::size_t>(k)].tasks;
 }
 
 const BigRational& PartitionState::bin_utilization(int k) const {
@@ -394,111 +413,160 @@ std::size_t IncrementalPartition::position_of(std::size_t id) const {
   return order_.size();
 }
 
-PartitionEvent IncrementalPartition::replay(std::size_t pos,
-                                            std::vector<char> dirty) {
+PartitionEvent IncrementalPartition::replay(std::size_t pos, int lost_bin,
+                                            bool suffix_placed) {
   const int nb = state_.num_bins();
-  dirty.resize(static_cast<std::size_t>(nb), 0);
+  dirty_.assign(static_cast<std::size_t>(nb), 0);
+  synced_.assign(static_cast<std::size_t>(nb), 0);
   fail_at_ = std::nullopt;
 
-  // Post-mutation order position of every resident, for on-demand bin
-  // synchronization (integer work only — the point of the lazy walk is that
-  // aggregate/rational work scales with probes, not with the suffix).
-  std::unordered_map<std::size_t, std::size_t> pos_of;
-  pos_of.reserve(order_.size());
-  for (std::size_t i = 0; i < order_.size(); ++i) pos_of[order_[i].id] = i;
+  // Flags only accumulate during a walk, so the lowest lost bin only falls:
+  // rejections below an entry's bin stand iff none of them lost a member.
+  int lowest_lost = nb;
+  int dirty_bins = 0;
+  const auto mark = [&](int k, char change) {
+    char& d = dirty_[static_cast<std::size_t>(k)];
+    if (d == 0) ++dirty_bins;
+    d = static_cast<char>(d | change);
+    if (change == kLost) lowest_lost = std::min(lowest_lost, k);
+  };
+  if (lost_bin >= 0) mark(lost_bin, kLost);
 
   // Bring bin k to the walk frontier: unplace members the walk has not
-  // reached yet (they re-seat, or move, when their position comes up).
-  // Removal is back-to-front, so every pop is the cheap last-member case of
-  // PartitionState::remove. Syncing alone does not dirty a bin — its
-  // membership at positions already walked is unchanged, so pre-event
+  // reached yet (they re-seat, or move, when their position comes up). Bin
+  // members sit in order-position order, so walking the order back from
+  // its end pops each one as the cheap last-member case of
+  // PartitionState::remove, and the walk ends once the bin's last member
+  // has a deadline below entry i's. Syncing alone does not dirty a bin —
+  // its membership at positions already walked is unchanged, so pre-event
   // decisions about it still stand.
-  std::vector<char> synced(static_cast<std::size_t>(nb), 0);
+  std::size_t displaced = 0;  // entries past the frontier a sync unplaced
   const auto sync = [&](int k, std::size_t i) {
-    char& flag = synced[static_cast<std::size_t>(k)];
+    char& flag = synced_[static_cast<std::size_t>(k)];
     if (flag != 0) return;
     flag = 1;
-    while (!state_.bin_ids(k).empty()) {
-      const std::size_t id = state_.bin_ids(k).back();
-      const std::size_t at = pos_of.at(id);
-      if (at < i) break;
-      state_.remove(k, id);
-      order_[at].bin = -1;
+    const std::vector<SporadicTask>& members = state_.bin_tasks(k);
+    const Time frontier = order_[i].task.deadline;
+    for (std::size_t j = order_.size(); j-- > i;) {
+      if (members.empty() || members.back().deadline < frontier) break;
+      Placement& q = order_[j];
+      if (q.bin != k) continue;
+      state_.remove(k, q.id);
+      q.bin = -1;
+      if (j > i) ++displaced;
     }
   };
 
+  // The whole-bin certificate is for an admission into a fully placed
+  // order: the newcomer has the largest sequence number, so every later
+  // member of its bin has a strictly larger deadline. kPaperLiteral's test
+  // reads D_cand only, so a whole-bin probe certifies nothing after it.
+  const bool certify =
+      suffix_placed &&
+      state_.options().variant != PartitionVariant::kPaperLiteral;
+  std::size_t walked = order_.size();
   PartitionEvent ev;
   for (std::size_t i = pos; i < order_.size(); ++i) {
     Placement& p = order_[i];
     ++ev.placements_replayed;
     const int pb = (p.prev_bin >= 0 && p.prev_bin < nb) ? p.prev_bin : -1;
+    if (p.bin < 0 && pb >= 0) --displaced;  // reached: placed below
 
     // Standing decision: rejections below prev_bin hold unless a bin there
-    // shrank (clean and grown bins both still reject, by monotonicity), and
-    // the acceptance at prev_bin holds iff that bin is untouched.
-    bool stands = pb >= 0 && dirty[static_cast<std::size_t>(pb)] == 0;
-    for (int k = 0; stands && k < pb; ++k) {
-      stands = dirty[static_cast<std::size_t>(k)] != kShrunk;
-    }
-    if (stands) {
+    // lost a member, and the acceptance at prev_bin holds unless that bin
+    // gained one.
+    if (pb >= 0 && (dirty_[static_cast<std::size_t>(pb)] & kGained) == 0 &&
+        lowest_lost >= pb) {
       if (p.bin < 0) state_.insert(pb, p.id, p.task);  // displaced by a sync
       p.bin = pb;
-      continue;
-    }
-
-    // Something at or below prev_bin diverged (or the entry was never
-    // placed): probe. The member's own contribution never pollutes a probe:
-    // probing a foreign bin doesn't see it, and probing its own bin syncs
-    // that bin first, which unplaces it.
-    int chosen = -1;
-    std::uint64_t probes_here = 0;
-    for (int k = 0; k < nb; ++k) {
-      const char d = dirty[static_cast<std::size_t>(k)];
-      if (pb >= 0) {
-        if (k < pb && d != kShrunk) continue;  // rejection stands
-        if (k == pb && d == 0) {               // acceptance stands
+    } else {
+      // Something at or below prev_bin diverged (or the entry was never
+      // placed): probe. The member's own contribution never pollutes a
+      // prefix probe: probing a foreign bin doesn't see it, and probing its
+      // own bin syncs that bin first, which unplaces it.
+      const bool newest = certify && pb < 0 && p.seq + 1 == next_seq_;
+      int chosen = -1;
+      bool in_place = false;
+      std::uint64_t probes_here = 0;
+      for (int k = 0; k < nb; ++k) {
+        const char d = dirty_[static_cast<std::size_t>(k)];
+        if (pb >= 0) {
+          if (k < pb && (d & kLost) == 0) continue;  // rejection stands
+          if (k == pb && (d & kGained) == 0) {       // acceptance stands
+            chosen = k;
+            break;
+          }
+        }
+        if (newest && synced_[static_cast<std::size_t>(k)] == 0) {
+          // Whole-bin certificate: probe against every member still
+          // placed. Each later member's own test sees a subset of those
+          // members at a subset of the breakpoints checked here (all ≥ its
+          // deadline > the newcomer's), and every term is non-negative, so
+          // acceptance certifies them too. For later rejections the bin
+          // only grew, so its flags stay as they are.
+          const std::vector<SporadicTask>& members = state_.bin_tasks(k);
+          const auto at = static_cast<std::size_t>(
+              std::upper_bound(members.begin(), members.end(),
+                               p.task.deadline,
+                               [](Time d_new, const SporadicTask& m) {
+                                 return d_new < m.deadline;
+                               }) -
+              members.begin());
+          ++probes_here;
+          if (state_.fits(k, p.task)) {
+            state_.insert_at(k, at, p.id, p.task);
+            p.bin = k;
+            chosen = k;
+            in_place = true;
+            break;
+          }
+          // Without members past the walk the whole bin is the prefix, so
+          // the rejection is real; otherwise decide on the prefix.
+          if (at == members.size()) continue;
+        }
+        sync(k, i);
+        ++probes_here;
+        if (state_.fits(k, p.task)) {
           chosen = k;
           break;
         }
       }
-      sync(k, i);
-      ++probes_here;
-      if (state_.fits(k, p.task)) {
-        chosen = k;
+      // Fresh entries run the full selection loop; feed the same
+      // bins-touched metric choose_bin reports for the batch partitioner.
+      if (pb < 0) {
+        obs::observe_partition_bins_touched(static_cast<int>(probes_here));
+      }
+      ev.bins_revalidated += probes_here;
+      if (chosen < 0) {
+        fail_at_ = i;
         break;
       }
+      // p.bin is either -1 (fresh, or displaced by a sync), still prev_bin
+      // (acceptance stood, or a dirty bin below prev_bin accepted first),
+      // or already the chosen bin (inserted in place). A target probed
+      // against its prefix was synced above, so appending keeps placement
+      // order.
+      if (p.bin != chosen) {
+        if (p.bin >= 0) state_.remove(p.bin, p.id);
+        state_.insert(chosen, p.id, p.task);
+        p.bin = chosen;
+      }
+      if (chosen != pb) {
+        if (!in_place) mark(chosen, kGained);
+        if (pb >= 0) mark(pb, kLost);
+      }
     }
-    // Fresh entries run the full selection loop; feed the same bins-touched
-    // metric choose_bin reports for the batch partitioner.
-    if (pb < 0) {
-      obs::observe_partition_bins_touched(static_cast<int>(probes_here));
-    }
-    ev.bins_revalidated += probes_here;
-    if (chosen < 0) {
-      fail_at_ = i;
+    if (suffix_placed && dirty_bins == 0 && displaced == 0) {
+      walked = i + 1;  // every later decision stands, in place
       break;
-    }
-    // p.bin is either -1 (fresh, or displaced by a sync) or still prev_bin
-    // (acceptance stood, or a dirty bin below prev_bin accepted first). A
-    // probed target was synced above, so appending keeps placement order.
-    if (p.bin != chosen) {
-      if (p.bin >= 0) state_.remove(p.bin, p.id);
-      state_.insert(chosen, p.id, p.task);
-      p.bin = chosen;
-    }
-    if (chosen != pb) {
-      // The target gained a member (a shrunk bin stays shrunk: gaining does
-      // not restore its lost demand); the abandoned bin lost one.
-      char& dc = dirty[static_cast<std::size_t>(chosen)];
-      if (dc == 0) dc = kGrew;
-      if (pb >= 0) dirty[static_cast<std::size_t>(pb)] = kShrunk;
     }
   }
 
   if (fail_at_.has_value()) {
     // Batch equivalence: the partitioner stops at the failure point, so
-    // nothing at or after it is placed.
-    for (std::size_t j = *fail_at_; j < order_.size(); ++j) {
+    // nothing at or after it is placed. Back to front, each removal is its
+    // bin's last member.
+    for (std::size_t j = order_.size(); j-- > *fail_at_;) {
       Placement& q = order_[j];
       if (q.bin >= 0) {
         state_.remove(q.bin, q.id);
@@ -507,7 +575,7 @@ PartitionEvent IncrementalPartition::replay(std::size_t pos,
     }
   }
 
-  for (std::size_t i = pos; i < order_.size(); ++i) {
+  for (std::size_t i = pos; i < walked; ++i) {
     order_[i].prev_bin = order_[i].bin;
   }
   perf_counters().partition_bins_revalidated += ev.bins_revalidated;
@@ -544,7 +612,7 @@ PartitionEvent IncrementalPartition::admit(std::size_t id,
     ev.failed_id = *failed_id();
     return ev;
   }
-  return replay(pos, {});
+  return replay(pos, -1, !fail_at_.has_value());
 }
 
 PartitionEvent IncrementalPartition::remove(std::size_t id) {
@@ -557,7 +625,7 @@ PartitionEvent IncrementalPartition::remove(std::size_t id) {
     FEDCONS_ASSERT(fail_at_.has_value() && pos >= *fail_at_);
     if (pos == *fail_at_) {
       // The blocking task is gone; its successors (all unplaced) may now fit.
-      return replay(pos, {});
+      return replay(pos, -1, false);
     }
     PartitionEvent ev;
     ev.ok = false;
@@ -565,10 +633,10 @@ PartitionEvent IncrementalPartition::remove(std::size_t id) {
     return ev;
   }
 
+  // The bin only lost: its later members' acceptances stand, and only the
+  // entries it rejected are re-probed against it.
   state_.remove(removed.bin, removed.id);
-  std::vector<char> dirty(static_cast<std::size_t>(state_.num_bins()), 0);
-  dirty[static_cast<std::size_t>(removed.bin)] = kShrunk;
-  return replay(pos, std::move(dirty));
+  return replay(pos, removed.bin, !fail_at_.has_value());
 }
 
 PartitionEvent IncrementalPartition::resize(int num_bins) {
@@ -579,7 +647,7 @@ PartitionEvent IncrementalPartition::resize(int num_bins) {
     // First-fit placements never probe past their chosen bin, so existing
     // placements stand; only a failed entry gets a fresh chance.
     state_.set_num_bins(num_bins);
-    if (fail_at_.has_value()) return replay(*fail_at_, {});
+    if (fail_at_.has_value()) return replay(*fail_at_, -1, false);
   } else if (num_bins < old) {
     // Shrink: entries on surviving bins keep their places; entries on cut
     // bins are unplaced. The first of those was rejected by every surviving
@@ -595,7 +663,7 @@ PartitionEvent IncrementalPartition::resize(int num_bins) {
       pos = i;
     }
     state_.set_num_bins(num_bins);
-    if (pos < order_.size()) return replay(pos, {});
+    if (pos < order_.size()) return replay(pos, -1, false);
   }
   ev.ok = ok();
   if (!ev.ok) ev.failed_id = *failed_id();

@@ -25,12 +25,19 @@
 //        state == partition_tasks(residents-in-admission-order, bins)
 //
 //    by replaying only the invalidated suffix of the order, lazily: entries
-//    stay physically placed, placements whose prefix of candidate bins is
-//    unchanged reuse their previous decision without probing (first-fit
-//    monotonicity — adding demand to a bin never turns a rejection into an
-//    acceptance), and only placements facing a shrunk bin, or whose own bin
-//    changed, are re-probed. Probes actually run are counted in the
-//    partition_bins_revalidated perf counter and reported per event.
+//    stay physically placed, and a placement reuses its previous decision
+//    without probing unless a bin it was rejected by lost a member or the
+//    bin it was accepted by gained one (every acceptance test is monotone:
+//    adding demand to a bin never turns a rejection into an acceptance, and
+//    taking demand away never turns an acceptance into a rejection). The
+//    newest admission is first probed against its whole bin, later members
+//    included; an acceptance there certifies every later member's own test
+//    too, so it is inserted in place and its bin stays clean (every variant
+//    but kPaperLiteral, whose test reads one breakpoint).
+//    Probes actually run are counted in the partition_bins_revalidated perf
+//    counter and reported per event. The replay's per-bin scratch lives in
+//    the object, so an event allocates nothing once the containers have
+//    grown.
 //
 // The equality above is structural (verdict, per-bin member ids, failure
 // point) and is fuzzed by `fedcons_conform --online` against the batch
@@ -87,12 +94,18 @@ class PartitionState {
                                std::uint64_t* probed = nullptr) const;
 
   /// Add / roll back one member. `id` is a caller-stable label (input-span
-  /// index for the batch partitioner, session task id online).
+  /// index for the batch partitioner, session task id online). insert()
+  /// appends; insert_at() puts the member at placement index `index`
+  /// (≤ the bin's size), after which the later members shift back.
   void insert(int bin, std::size_t id, const SporadicTask& t);
+  void insert_at(int bin, std::size_t index, std::size_t id,
+                 const SporadicTask& t);
   void remove(int bin, std::size_t id);
 
   /// Member ids of bin k, in placement order.
   [[nodiscard]] const std::vector<std::size_t>& bin_ids(int k) const;
+  /// Member tasks of bin k, parallel to bin_ids(k).
+  [[nodiscard]] const std::vector<SporadicTask>& bin_tasks(int k) const;
   /// Exact Σ u over bin k's members (the left fold in placement order),
   /// folded on demand into the bin's cache. The reference stays valid until
   /// bin k next changes.
@@ -123,6 +136,9 @@ class PartitionState {
     DbfStarAggregate demand;  // maintained only when aggregates are on
 
     void clear() noexcept;  // drop every member, keep capacity
+    /// After an insert or removal at member index idx: cut the exact fold
+    /// back to idx and refold the double mirror from there.
+    void refold_from(std::size_t idx);
   };
   static const BigRational kZeroUtil;
 
@@ -189,20 +205,27 @@ class IncrementalPartition {
   [[nodiscard]] std::size_t position_of(std::size_t id) const;
   /// Re-walk the order from `pos` without unplacing it first: entries stay
   /// physically placed, and a bin is synchronized with the walk (its
-  /// not-yet-reached members unplaced) only when it must actually be probed.
-  /// Bins no probe touches keep their aggregates untouched, so a
-  /// standing-decision suffix costs no BigRational work at all, and an
-  /// event's work grows with the tasks it changes. `dirty` is directional
-  /// (0 untouched / 1 grew / 2 shrunk): rejections of grown bins stand by
-  /// first-fit monotonicity, so an admission re-probes only each later
-  /// member of the bin it landed in, not every entry placed above it.
-  /// Restores the invariant or records the failure point.
-  PartitionEvent replay(std::size_t pos, std::vector<char> dirty);
+  /// not-yet-reached members unplaced) only when it must actually be probed
+  /// against the prefix. Bins no probe touches keep their aggregates
+  /// untouched, so a standing-decision suffix costs no BigRational work at
+  /// all, and an event's work grows with the tasks it changes. Each bin
+  /// carries two change flags for the entries the walk has not reached:
+  /// gained (their acceptances there are re-probed) and lost (their
+  /// rejections there are re-probed). `lost_bin` (or -1) starts lost: the
+  /// bin a removal emptied a slot of. With `suffix_placed` (every entry
+  /// past `pos` was placed when the event began) an admitted newcomer is
+  /// first probed against its whole bin, and the walk stops once every bin
+  /// is clean and no entry ahead was unplaced by a sync. Restores the
+  /// invariant or records the failure point.
+  PartitionEvent replay(std::size_t pos, int lost_bin, bool suffix_placed);
 
   PartitionState state_;
   std::vector<Placement> order_;
   std::optional<std::size_t> fail_at_;  ///< index of first unplaced entry
   std::uint64_t next_seq_ = 0;
+  // replay()'s per-bin scratch, kept so an event allocates nothing.
+  std::vector<char> dirty_;   ///< change flags since the event began
+  std::vector<char> synced_;  ///< bin already synchronized with the walk
 };
 
 }  // namespace fedcons

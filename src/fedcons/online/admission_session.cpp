@@ -39,8 +39,10 @@ std::size_t AdmissionSession::resident_pos(SessionTaskId id) const {
   return residents_.size();
 }
 
-EventOutcome AdmissionSession::admit_internal(const DagTask& task,
+EventOutcome AdmissionSession::admit_internal(const SharedTask& shared,
                                               bool enforce) {
+  FEDCONS_EXPECTS(shared != nullptr);
+  const DagTask& task = *shared;
   FEDCONS_EXPECTS_MSG(task.deadline_class() != DeadlineClass::kArbitrary,
                       "FEDCONS is defined for constrained-deadline systems");
   EventOutcome out;
@@ -48,7 +50,7 @@ EventOutcome AdmissionSession::admit_internal(const DagTask& task,
 
   if (task.is_high_density()) {
     const int m_r = config_.processors - total_mu_;
-    Resident r(id, task, /*high=*/true);
+    Resident r(id, shared, /*high=*/true);
     auto mp = memo_.lookup(task, m_r, &r.scan, &out.memo_hit);
     r.from_memo = out.memo_hit;
     if (!mp.has_value()) {
@@ -103,7 +105,7 @@ EventOutcome AdmissionSession::admit_internal(const DagTask& task,
     out.schedulable = partition_.ok();
     return out;
   }
-  residents_.push_back(Resident(id, task, /*high=*/false));
+  residents_.push_back(Resident(id, shared, /*high=*/false));
   out.applied = true;
   out.schedulable = ev.ok;
   if (!ev.ok) {
@@ -114,8 +116,12 @@ EventOutcome AdmissionSession::admit_internal(const DagTask& task,
   return out;
 }
 
-EventOutcome AdmissionSession::admit(const DagTask& task) {
+EventOutcome AdmissionSession::admit(const SharedTask& task) {
   return admit_internal(task, /*enforce=*/true);
+}
+
+EventOutcome AdmissionSession::admit(const DagTask& task) {
+  return admit(std::make_shared<const DagTask>(task));
 }
 
 void AdmissionSession::release_internal(std::size_t pos, EventOutcome& out) {
@@ -167,7 +173,7 @@ EventOutcome AdmissionSession::swap(const SwapBatch& batch) {
   for (SessionTaskId id : batch.release_ids) {
     release_internal(resident_pos(id), out);
   }
-  for (const DagTask& task : batch.admits) {
+  for (const SharedTask& task : batch.admits) {
     EventOutcome step = admit_internal(task, /*enforce=*/false);
     out.bins_revalidated += step.bins_revalidated;
     out.placements_replayed += step.placements_replayed;
@@ -230,7 +236,7 @@ TaskSystem AdmissionSession::resident_system(
   std::vector<DagTask> tasks;
   tasks.reserve(residents_.size());
   for (const Resident& r : residents_) {
-    tasks.push_back(r.task);
+    tasks.push_back(*r.task);
     if (ids != nullptr) ids->push_back(r.id);
   }
   return TaskSystem(std::move(tasks));

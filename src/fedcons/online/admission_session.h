@@ -45,6 +45,12 @@
 // resident high-density tasks always satisfy Σ μ ≤ m and every phase-1
 // prefix; a resident failure is therefore always partition-phase.
 //
+// Cost of an event: a resident points at shared, immutable task content
+// (SharedTask) instead of holding a copy, the outcome carries its ids
+// without a heap, and the partition replay keeps its scratch between
+// events, so once the session's containers have grown an admit by handle
+// or a release of a low-density task allocates nothing.
+//
 // Threading contract: a session is a plain value with no internal locking —
 // at most one thread may touch it at a time, even for const reads (the
 // partition state and the DAGs fill their caches on read). It does NOT have
@@ -54,12 +60,20 @@
 // happens-before edge (a mutex, a queue, a joined task). serve/server.cpp
 // needs none of that: a session belongs to one connection, and only that
 // connection's thread ever touches it.
+// Shared content follows the same rule across every session that holds it:
+// a Dag fills its caches lazily on const reads (the MINPROCS memo's hash
+// and scan read them), so one SharedTask must not be read from two threads
+// at once. The daemon registers content per connection, so only that
+// connection's thread reads it, whichever of its sessions the content
+// lives in.
 // The memo cache underneath has no locking either: the session owns it, so
 // it shares the session's one-toucher rule, and hit/miss sequences stay
 // deterministic per event sequence.
 #pragma once
 
 #include <cstdint>
+#include <iterator>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -67,6 +81,7 @@
 #include "fedcons/federated/fedcons_algorithm.h"
 #include "fedcons/federated/minprocs_memo.h"
 #include "fedcons/federated/partition_state.h"
+#include "fedcons/util/check.h"
 
 namespace fedcons {
 
@@ -74,6 +89,67 @@ namespace fedcons {
 /// (rejected admits and failed swaps still consume ids, keeping trace replay
 /// deterministic).
 using SessionTaskId = std::size_t;
+
+/// Immutable task content, shared by the residents (and sessions) that
+/// admitted it; see the threading contract above.
+using SharedTask = std::shared_ptr<const DagTask>;
+
+/// The ids one event admitted. Each admit takes the next id and a failed
+/// swap clears them, so they are always consecutive: a first id and a
+/// count, read like a const container.
+class AdmittedIds {
+ public:
+  /// Input iterator over the ids; std::vector's iterator-pair constructor,
+  /// assign and insert accept it.
+  class iterator {
+   public:
+    using iterator_category = std::input_iterator_tag;
+    using value_type = SessionTaskId;
+    using difference_type = std::ptrdiff_t;
+    using pointer = void;
+    using reference = SessionTaskId;
+
+    iterator() = default;
+    explicit iterator(SessionTaskId id) noexcept : id_(id) {}
+    SessionTaskId operator*() const noexcept { return id_; }
+    iterator& operator++() noexcept {
+      ++id_;
+      return *this;
+    }
+    iterator operator++(int) noexcept {
+      const iterator was = *this;
+      ++id_;
+      return was;
+    }
+    friend bool operator==(const iterator&, const iterator&) = default;
+
+   private:
+    SessionTaskId id_ = 0;
+  };
+
+  [[nodiscard]] bool empty() const noexcept { return count_ == 0; }
+  [[nodiscard]] std::size_t size() const noexcept { return count_; }
+  [[nodiscard]] SessionTaskId operator[](std::size_t i) const {
+    FEDCONS_EXPECTS(i < count_);
+    return first_ + i;
+  }
+  [[nodiscard]] SessionTaskId front() const { return (*this)[0]; }
+  [[nodiscard]] iterator begin() const noexcept { return iterator(first_); }
+  [[nodiscard]] iterator end() const noexcept {
+    return iterator(first_ + count_);
+  }
+  /// Append `id`, which must follow the last id held.
+  void push_back(SessionTaskId id) {
+    if (count_ == 0) first_ = id;
+    FEDCONS_ASSERT(id == first_ + count_);
+    ++count_;
+  }
+  void clear() noexcept { count_ = 0; }
+
+ private:
+  SessionTaskId first_ = 0;
+  std::size_t count_ = 0;
+};
 
 /// Outcome of one session event.
 struct EventOutcome {
@@ -87,7 +163,7 @@ struct EventOutcome {
   std::optional<SessionTaskId> failed_task;
   /// Ids assigned to admitted tasks (admit: one; swap: one per admit, empty
   /// again if the swap rolled back).
-  std::vector<SessionTaskId> admitted_ids;
+  AdmittedIds admitted_ids;
   bool memo_hit = false;  ///< a phase-1 lookup was served from the memo cache
   /// PARTITION probes actually evaluated by the delta re-analysis (includes
   /// undo replays of rejected admits).
@@ -136,6 +212,9 @@ class AdmissionSession {
   AdmissionSession& operator=(const AdmissionSession&) = delete;
 
   /// Admission-controlled join; rejected admits leave the state untouched.
+  /// A resident shares `task` (one reference count); the DagTask overload
+  /// makes the shared copy first.
+  EventOutcome admit(const SharedTask& task);
   EventOutcome admit(const DagTask& task);
 
   /// Departure; always applies. ContractViolation on an unknown id.
@@ -144,7 +223,7 @@ class AdmissionSession {
   /// Atomic mode change: releases then admits, all-or-nothing.
   struct SwapBatch {
     std::vector<SessionTaskId> release_ids;
-    std::vector<DagTask> admits;
+    std::vector<SharedTask> admits;
   };
   EventOutcome swap(const SwapBatch& batch);
 
@@ -175,11 +254,11 @@ class AdmissionSession {
 
  private:
   struct Resident {
-    Resident(SessionTaskId id, DagTask task, bool high)
+    Resident(SessionTaskId id, SharedTask task, bool high)
         : id(id), task(std::move(task)), high(high) {}
 
     SessionTaskId id;
-    DagTask task;
+    SharedTask task;
     bool high;
     // High-density only:
     int mu = 0;
@@ -191,7 +270,7 @@ class AdmissionSession {
   [[nodiscard]] std::size_t resident_pos(SessionTaskId id) const;
   /// Shared admit path; when `enforce` is false the admit applies even if it
   /// leaves a failed state (swap applies unconditionally, then decides).
-  EventOutcome admit_internal(const DagTask& task, bool enforce);
+  EventOutcome admit_internal(const SharedTask& task, bool enforce);
   void release_internal(std::size_t pos, EventOutcome& out);
 
   Config config_;

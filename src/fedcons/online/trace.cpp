@@ -156,7 +156,9 @@ OnlineReplayResult replay_online_trace(
       case OnlineEvent::Kind::kSwap: {
         AdmissionSession::SwapBatch batch;
         batch.release_ids = e.release_ids;
-        batch.admits = e.admits;
+        for (const DagTask& t : e.admits) {
+          batch.admits.push_back(std::make_shared<const DagTask>(t));
+        }
         report.outcome = session.swap(batch);
         break;
       }

@@ -70,14 +70,16 @@ std::uint64_t guess_seq(std::string_view payload) noexcept {
   return 0;
 }
 
-std::vector<DagTask> parse_embedded_tasks(const std::string& text) {
+std::vector<SharedTask> parse_embedded_tasks(const std::string& text) {
   const ParseResult parsed = try_parse_task_system(text);
   if (!parsed.ok) {
     throw ParseError(1, "embedded system: " + parsed.error);
   }
-  std::vector<DagTask> out;
+  std::vector<SharedTask> out;
   out.reserve(parsed.system.size());
-  for (const DagTask& t : parsed.system) out.push_back(t);
+  for (const DagTask& t : parsed.system) {
+    out.push_back(std::make_shared<const DagTask>(t));
+  }
   return out;
 }
 
@@ -200,7 +202,9 @@ struct Server::Impl {
 
     int fd;
     std::vector<std::unique_ptr<AdmissionSession>> sessions;
-    std::vector<std::vector<DagTask>> contents;
+    /// Registered content, shared by every resident admitted from it; only
+    /// this connection's thread reads it (admission_session.h).
+    std::vector<std::vector<SharedTask>> contents;
     std::string out;         ///< encoded responses not yet sent
     std::size_t unsent = 0;  ///< responses in `out`
     std::string inbox;  ///< bytes read while a send waited; served next
@@ -602,16 +606,16 @@ void Server::Impl::handle(Connection& conn, const ServeRequest& req,
                           ServeResponse& resp) {
   resp.clear();
   resp.seq = req.seq;
-  std::vector<DagTask> inline_tasks;  // an inline "system", parsed
+  std::vector<SharedTask> inline_tasks;  // an inline "system", parsed
   try {
     const auto find_session = [&](std::uint64_t id) -> AdmissionSession& {
       FEDCONS_EXPECTS_MSG(id < conn.sessions.size(),
                           "unknown session " + std::to_string(id));
       return *conn.sessions[static_cast<std::size_t>(id)];
     };
-    // admit/swap task payload: registered content by handle (read where
-    // it is registered, not copied), or inline text.
-    const auto resolve_tasks = [&]() -> const std::vector<DagTask>& {
+    // admit/swap task payload: registered content by handle (shared with
+    // the residents admitted from it, never copied), or inline text.
+    const auto resolve_tasks = [&]() -> const std::vector<SharedTask>& {
       if (req.has_content) {
         FEDCONS_EXPECTS_MSG(req.content < conn.contents.size(),
                             "unknown content handle " +
@@ -627,7 +631,8 @@ void Server::Impl::handle(Connection& conn, const ServeRequest& req,
       resp.applied = outcome.applied;
       resp.schedulable = outcome.schedulable;
       resp.reject = to_string(outcome.reject_reason);
-      resp.task_ids = outcome.admitted_ids;
+      resp.task_ids.assign(outcome.admitted_ids.begin(),
+                           outcome.admitted_ids.end());
       resp.residents = session.num_residents();
     };
 
@@ -643,7 +648,7 @@ void Server::Impl::handle(Connection& conn, const ServeRequest& req,
       }
       case ServeOp::kRegister: {
         find_session(req.session);  // validate the handle early
-        std::vector<DagTask> tasks = parse_embedded_tasks(req.system);
+        std::vector<SharedTask> tasks = parse_embedded_tasks(req.system);
         resp.has_content = true;
         resp.content = conn.contents.size();
         conn.contents.push_back(std::move(tasks));
@@ -651,7 +656,7 @@ void Server::Impl::handle(Connection& conn, const ServeRequest& req,
       }
       case ServeOp::kAdmit: {
         AdmissionSession& session = find_session(req.session);
-        const std::vector<DagTask>& tasks = resolve_tasks();
+        const std::vector<SharedTask>& tasks = resolve_tasks();
         FEDCONS_EXPECTS_MSG(tasks.size() == 1,
                             "admit needs exactly one task, got " +
                                 std::to_string(tasks.size()));
@@ -710,7 +715,10 @@ void Server::Impl::handle(Connection& conn, const ServeRequest& req,
     resp.clear();
     resp.status = ServeStatus::kError;
     resp.seq = req.seq;
-    resp.error = e.what();
+    // A failed precondition answers without its source location, so the
+    // bytes do not depend on where the daemon was built.
+    const auto* violation = dynamic_cast<const ContractViolation*>(&e);
+    resp.error = violation != nullptr ? violation->message() : e.what();
   }
 }
 

@@ -17,9 +17,29 @@ class ContractViolation : public std::logic_error {
  public:
   ContractViolation(const char* kind, const char* expr, const char* file,
                     int line, const std::string& msg = {})
-      : std::logic_error(std::string(kind) + " failed: " + expr + " at " +
-                         file + ":" + std::to_string(line) +
-                         (msg.empty() ? "" : (" — " + msg))) {}
+      : ContractViolation(std::string(kind) + " failed: " + expr,
+                          " at " + std::string(file) + ":" +
+                              std::to_string(line),
+                          msg.empty() ? std::string() : " — " + msg) {}
+
+  /// what() without its " at <file>:<line>" part: the failed condition and
+  /// its message, which do not depend on where the library was built — the
+  /// form a service shows its clients (what() keeps the location for logs).
+  [[nodiscard]] std::string message() const {
+    std::string text = what();
+    text.erase(location_begin_, location_size_);
+    return text;
+  }
+
+ private:
+  ContractViolation(const std::string& condition, const std::string& location,
+                    const std::string& detail)
+      : std::logic_error(condition + location + detail),
+        location_begin_(condition.size()),
+        location_size_(location.size()) {}
+
+  std::size_t location_begin_;
+  std::size_t location_size_;
 };
 
 namespace detail {

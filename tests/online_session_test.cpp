@@ -7,8 +7,10 @@
 
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "fedcons/conform/online_check.h"
@@ -29,13 +31,21 @@ DagTask high_task() {
   return DagTask(DagBuilder{}.vertices({10, 10, 10, 10}).build(), 20, 20);
 }
 
+SharedTask shared(DagTask task) {
+  return std::make_shared<const DagTask>(std::move(task));
+}
+
+std::vector<SessionTaskId> ids_of(const AdmittedIds& ids) {
+  return std::vector<SessionTaskId>(ids.begin(), ids.end());
+}
+
 TEST(AdmissionSession, AdmitAssignsSequentialIdsEvenOnReject) {
   AdmissionSession::Config cfg;
   cfg.processors = 2;
   AdmissionSession session(cfg);
   const EventOutcome a = session.admit(unit_task(10, 64, 64));
   ASSERT_TRUE(a.applied);
-  EXPECT_EQ(a.admitted_ids, (std::vector<SessionTaskId>{0}));
+  EXPECT_EQ(ids_of(a.admitted_ids), (std::vector<SessionTaskId>{0}));
 
   // μ = 2 would consume the whole machine with a resident low task: the
   // shared pool would shrink to 0 bins and the low task fits nowhere.
@@ -48,7 +58,7 @@ TEST(AdmissionSession, AdmitAssignsSequentialIdsEvenOnReject) {
   // The rejected admit still consumed id 1: the next admit gets id 2.
   const EventOutcome b = session.admit(unit_task(1, 64, 64));
   ASSERT_TRUE(b.applied);
-  EXPECT_EQ(b.admitted_ids, (std::vector<SessionTaskId>{2}));
+  EXPECT_EQ(ids_of(b.admitted_ids), (std::vector<SessionTaskId>{2}));
 }
 
 TEST(AdmissionSession, HighDensityPhaseOneReject) {
@@ -80,7 +90,8 @@ TEST(AdmissionSession, SwapIsAllOrNothing) {
   // land next to id 1. Nothing may change — including id 0 staying resident.
   AdmissionSession::SwapBatch bad;
   bad.release_ids = {0};
-  bad.admits = {unit_task(60, 64, 64), unit_task(60, 64, 64)};
+  bad.admits = {shared(unit_task(60, 64, 64)),
+                shared(unit_task(60, 64, 64))};
   const EventOutcome failed = session.swap(bad);
   EXPECT_FALSE(failed.applied);
   EXPECT_TRUE(failed.admitted_ids.empty());
@@ -91,10 +102,10 @@ TEST(AdmissionSession, SwapIsAllOrNothing) {
   // The failed swap still consumed ids 2 and 3 (deterministic id stream).
   AdmissionSession::SwapBatch good;
   good.release_ids = {0, 1};
-  good.admits = {unit_task(30, 64, 64)};
+  good.admits = {shared(unit_task(30, 64, 64))};
   const EventOutcome applied = session.swap(good);
   ASSERT_TRUE(applied.applied);
-  EXPECT_EQ(applied.admitted_ids, (std::vector<SessionTaskId>{4}));
+  EXPECT_EQ(ids_of(applied.admitted_ids), (std::vector<SessionTaskId>{4}));
   EXPECT_FALSE(session.contains(0));
   EXPECT_FALSE(session.contains(1));
   EXPECT_TRUE(session.contains(4));

@@ -15,6 +15,12 @@
 // admit by content handle or a release, framing a verdict response and the
 // client's in-place response parse allocate nothing.
 //
+// So is an online event (federated/partition_state.h,
+// online/admission_session.h): once the containers have grown, an
+// IncrementalPartition admit and remove, and an AdmissionSession admit of
+// shared content and release, allocate nothing at 4, 32 or 256 residents;
+// an admit of a DagTask allocates only its one shared copy.
+//
 // This binary replaces the global operator new to count allocations, so it
 // holds no other suite.
 #include <gtest/gtest.h>
@@ -24,13 +30,17 @@
 
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <new>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "fedcons/federated/fedcons_algorithm.h"
 #include "fedcons/federated/partition.h"
+#include "fedcons/federated/partition_state.h"
 #include "fedcons/gen/presets.h"
+#include "fedcons/online/admission_session.h"
 #include "fedcons/serve/client.h"
 #include "fedcons/serve/protocol.h"
 #include "fedcons/util/rng.h"
@@ -159,16 +169,114 @@ TEST(FedconsAllocation, RepeatCallAllocatesOnlyItsResult) {
   EXPECT_GT(rejected_partition, 0);
 }
 
-// ---- the serve wire path -----------------------------------------------
+constexpr std::size_t kCountedRuns = 10;
 
-/// Allocations made by ten runs of `body` after three warm-up runs.
+/// Allocations made by kCountedRuns runs of `body` after three warm-up runs.
 template <typename F>
 std::size_t steady_allocations(F&& body) {
   for (int i = 0; i < 3; ++i) body();
   const std::size_t before = g_allocations;
-  for (int i = 0; i < 10; ++i) body();
+  for (std::size_t i = 0; i < kCountedRuns; ++i) body();
   return g_allocations - before;
 }
+
+// ---- online events -------------------------------------------------------
+
+/// serve-low's tasks: one vertex of WCET 8-14, D 80-99, T = D + 5-20. With
+/// more than 4 residents, deadlines and periods are scaled by the resident
+/// count, so that every resident fits. The last task, which the cases admit
+/// and remove, sits mid-order, so its bin has members past it.
+std::vector<DagTask> serve_low_tasks(std::size_t residents) {
+  const Time scale =
+      residents > 4 ? static_cast<Time>(residents) : static_cast<Time>(1);
+  Rng rng(residents);
+  std::vector<DagTask> out;
+  for (std::size_t i = 0; i < residents; ++i) {
+    Dag g;
+    g.add_vertex(rng.uniform_int(8, 14));
+    const Time d = (i + 1 == residents ? 90 : rng.uniform_int(80, 99)) * scale;
+    out.emplace_back(std::move(g), d, d + rng.uniform_int(5, 20) * scale);
+  }
+  return out;
+}
+
+constexpr std::size_t kResidentCounts[] = {4, 32, 256};
+
+TEST(OnlineEventAllocation, PartitionAdmitAndRemoveAllocateNothing) {
+  for (const std::size_t residents : kResidentCounts) {
+    const std::vector<DagTask> tasks = serve_low_tasks(residents);
+    IncrementalPartition inc(kProcessors, PartitionOptions{});
+    for (std::size_t i = 0; i + 1 < residents; ++i) {
+      ASSERT_TRUE(inc.admit(i, tasks[i].to_sequential()).ok);
+    }
+    // Admit up to `residents`, then remove the newest.
+    std::size_t id = residents;
+    const SporadicTask last = tasks.back().to_sequential();
+    bool ok = true;
+    const std::size_t allocations = steady_allocations([&] {
+      ok = inc.admit(id, last).ok && ok;
+      ok = inc.remove(id).ok && ok;
+      ++id;
+    });
+    EXPECT_TRUE(ok) << residents;
+    EXPECT_EQ(inc.size(), residents - 1);
+    EXPECT_EQ(allocations, 0u) << residents << " residents";
+  }
+}
+
+TEST(OnlineEventAllocation, SessionSharedAdmitAndReleaseAllocateNothing) {
+  for (const std::size_t residents : kResidentCounts) {
+    const std::vector<DagTask> tasks = serve_low_tasks(residents);
+    std::vector<SharedTask> content;
+    for (const DagTask& t : tasks) {
+      content.push_back(std::make_shared<const DagTask>(t));
+    }
+    AdmissionSession::Config cfg;
+    cfg.processors = kProcessors;
+    AdmissionSession session(cfg);
+    for (std::size_t i = 0; i + 1 < residents; ++i) {
+      ASSERT_TRUE(session.admit(content[i]).applied);
+    }
+    bool ok = true;
+    const std::size_t allocations = steady_allocations([&] {
+      const EventOutcome admitted = session.admit(content.back());
+      ok = ok && admitted.applied && admitted.schedulable;
+      const EventOutcome released = session.release(admitted.admitted_ids[0]);
+      ok = ok && released.applied && released.schedulable;
+    });
+    EXPECT_TRUE(ok) << residents;
+    EXPECT_EQ(session.num_residents(), residents - 1);
+    EXPECT_EQ(allocations, 0u) << residents << " residents";
+  }
+}
+
+TEST(OnlineEventAllocation, SessionTaskAdmitAllocatesOnlyItsSharedCopy) {
+  for (const std::size_t residents : kResidentCounts) {
+    const std::vector<DagTask> tasks = serve_low_tasks(residents);
+    const std::size_t before = g_allocations;
+    { const SharedTask copy = std::make_shared<const DagTask>(tasks.back()); }
+    const std::size_t copy_allocations = g_allocations - before;
+    ASSERT_GT(copy_allocations, 0u);
+
+    AdmissionSession::Config cfg;
+    cfg.processors = kProcessors;
+    AdmissionSession session(cfg);
+    for (std::size_t i = 0; i + 1 < residents; ++i) {
+      ASSERT_TRUE(session.admit(tasks[i]).applied);
+    }
+    bool ok = true;
+    const std::size_t allocations = steady_allocations([&] {
+      const EventOutcome admitted = session.admit(tasks.back());
+      ok = ok && admitted.applied;
+      ok = session.release(admitted.admitted_ids[0]).applied && ok;
+    });
+    EXPECT_TRUE(ok) << residents;
+    EXPECT_LE(allocations, kCountedRuns * copy_allocations)
+        << residents << " residents";
+  }
+}
+
+// ---- the serve wire path -----------------------------------------------
 
 /// The requests serve-low sends: an admit by content handle and a release.
 std::vector<serve::ServeRequest> hot_requests() {

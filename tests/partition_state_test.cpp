@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <string>
@@ -59,12 +60,16 @@ BinImage image_of(const PartitionState& state, int k) {
   return img;
 }
 
-std::vector<BinImage> image_of(const IncrementalPartition& inc) {
+std::vector<BinImage> image_of_bins(const PartitionState& state) {
   std::vector<BinImage> out;
-  for (int k = 0; k < inc.num_bins(); ++k) {
-    out.push_back(image_of(inc.state(), k));
+  for (int k = 0; k < state.num_bins(); ++k) {
+    out.push_back(image_of(state, k));
   }
   return out;
+}
+
+std::vector<BinImage> image_of(const IncrementalPartition& inc) {
+  return image_of_bins(inc.state());
 }
 
 void expect_same_images(const std::vector<BinImage>& a,
@@ -206,21 +211,46 @@ SporadicTask random_task(Rng& rng) {
   return SporadicTask(wcet, deadline, period);
 }
 
+// Utilization at most 0.05: resident sets grow to about a hundred tasks, and
+// bins hold dozens of members each.
+SporadicTask small_task(Rng& rng) {
+  const Time period = rng.uniform_int(100, 2000);
+  const Time deadline = rng.uniform_int((period + 1) / 2, period);
+  const Time wcet = rng.uniform_int(1, std::max<Time>(1, period / 20));
+  return SporadicTask(wcet, deadline, period);
+}
+
+/// One input of the event differential.
+struct EventMix {
+  SporadicTask (*task)(Rng&) = random_task;
+  int events = 160;
+  Time min_bins = 0;  ///< resizes draw a bin count from [min_bins, 5]
+};
+
+/// Several hundred events of small tasks: the whole-bin certificate, bins
+/// that only lost members and in-place insertion, on bins with dozens of
+/// members.
+constexpr EventMix kLongBins{small_task, 300, 2};
+
 // The invariant itself: after every event, verdict + per-bin membership
 // equal the batch partitioner run from scratch over the residents in
-// admission order. Exercised across the probe variants.
+// admission order, and every bin's aggregates equal, representation for
+// representation, a state built fresh from its members in that order.
+// Exercised across the probe variants. `largest_bin`, when non-null,
+// receives the most members one bin held.
 void run_event_differential(const PartitionOptions& options,
-                            std::uint64_t seed) {
+                            std::uint64_t seed, const EventMix& mix = {},
+                            std::size_t* largest_bin = nullptr) {
   Rng rng(seed);
   IncrementalPartition inc(3, options);
   std::vector<std::size_t> ids;     // admission order
   std::vector<SporadicTask> tasks;  // parallel to ids
   std::size_t next_id = 0;
   int bins = 3;
-  for (int event = 0; event < 160; ++event) {
+  for (int event = 0; event < mix.events; ++event) {
     const double r = rng.uniform01();
     if (r < 0.15) {
-      bins = static_cast<int>(rng.uniform_int(0, 5));
+      bins = static_cast<int>(rng.uniform_int(mix.min_bins, 5));
       (void)inc.resize(bins);
     } else if (r < 0.45 && !ids.empty()) {
       const auto pick = static_cast<std::size_t>(
@@ -229,7 +259,7 @@ void run_event_differential(const PartitionOptions& options,
       ids.erase(ids.begin() + static_cast<std::ptrdiff_t>(pick));
       tasks.erase(tasks.begin() + static_cast<std::ptrdiff_t>(pick));
     } else {
-      const SporadicTask task = random_task(rng);
+      const SporadicTask task = mix.task(rng);
       (void)inc.admit(next_id, task);
       ids.push_back(next_id++);
       tasks.push_back(task);
@@ -241,14 +271,23 @@ void run_event_differential(const PartitionOptions& options,
     if (batch.success) {
       const auto assignment = inc.assignment();
       ASSERT_EQ(assignment.size(), batch.assignment.size());
+      PartitionState fresh(bins, options);
       for (std::size_t k = 0; k < assignment.size(); ++k) {
         std::vector<std::size_t> batch_ids;
         for (std::size_t idx : batch.assignment[k]) {
           batch_ids.push_back(ids[idx]);
+          fresh.insert(static_cast<int>(k), ids[idx], tasks[idx]);
         }
         ASSERT_EQ(assignment[k], batch_ids)
             << "seed " << seed << " event " << event << " bin " << k;
+        if (largest_bin != nullptr) {
+          *largest_bin = std::max(*largest_bin, batch_ids.size());
+        }
       }
+      SCOPED_TRACE("seed " + std::to_string(seed) + " event " +
+                   std::to_string(event));
+      expect_same_images(image_of(inc), image_of_bins(fresh));
+      if (::testing::Test::HasFailure()) return;
     } else if (bins > 0) {
       ASSERT_TRUE(inc.failed_id().has_value());
       ASSERT_LT(batch.failed_task, ids.size());
@@ -258,27 +297,40 @@ void run_event_differential(const PartitionOptions& options,
   }
 }
 
+/// Runs the long-bin input and checks it reached bins of dozens of members.
+void run_long_bin_differential(const PartitionOptions& options,
+                               std::uint64_t seed) {
+  std::size_t largest_bin = 0;
+  run_event_differential(options, seed, kLongBins, &largest_bin);
+  EXPECT_GE(largest_bin, 24u) << "seed " << seed;
+}
+
 TEST(IncrementalPartition, DifferentialFirstFitFull) {
   run_event_differential(PartitionOptions{}, 11);
   run_event_differential(PartitionOptions{}, 12);
+  run_long_bin_differential(PartitionOptions{}, 13);
 }
 
 TEST(IncrementalPartition, DifferentialPaperLiteral) {
   PartitionOptions o;
   o.variant = PartitionVariant::kPaperLiteral;
   run_event_differential(o, 21);
+  run_long_bin_differential(o, 22);
 }
 
 TEST(IncrementalPartition, DifferentialExactEdf) {
   PartitionOptions o;
   o.variant = PartitionVariant::kExactEdf;
   run_event_differential(o, 31);
+  run_long_bin_differential(o, 32);
 }
 
 TEST(IncrementalPartition, DifferentialMultiPointDbf) {
   PartitionOptions o;
   o.dbf_points = 4;  // kFull, demand recomputed per probe
   run_event_differential(o, 71);
+  o.dbf_points = 2;  // a probe costs O(points · members²) exact terms
+  run_long_bin_differential(o, 72);
 }
 
 // The exact folds are caches: reads extend them, and insert/remove must cut

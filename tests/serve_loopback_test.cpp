@@ -218,6 +218,8 @@ TEST(ServeLoopbackTest, RequestErrorsAreRecoverable) {
   const serve::ServeResponse err = client.call(query);
   EXPECT_EQ(err.status, serve::ServeStatus::kError);
   EXPECT_NE(err.error.find("unknown session"), std::string::npos);
+  // The condition and its message, without the daemon's source location.
+  EXPECT_EQ(err.error.find(".cpp:"), std::string::npos);
 
   // Well-framed garbage integer (the lax-parsing bug class): a loud error
   // response — not a silently mangled request — and the stream stays usable.
